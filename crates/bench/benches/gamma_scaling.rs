@@ -6,7 +6,8 @@
 //! limits speedup (matching is the bottleneck, not firing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter};
+use gammaflow_bench::fixtures::par_config;
+use gammaflow_gamma::{Selection, Session};
 use gammaflow_workloads::{primes, sum};
 
 fn bench_sum(c: &mut Criterion) {
@@ -15,24 +16,19 @@ fn bench_sum(c: &mut Criterion) {
     let w = sum(&(1..=512).collect::<Vec<_>>());
     group.bench_function("seq", |b| {
         b.iter(|| {
-            SeqInterpreter::with_seed(&w.program, w.initial.clone(), 1)
-                .run()
+            Session::build(&w.program)
+                .selection(Selection::Seeded(1))
+                .run(w.initial.clone())
                 .unwrap()
         })
     });
     for workers in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("par", workers), &workers, |b, &workers| {
             b.iter(|| {
-                run_parallel(
-                    &w.program,
-                    w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
-                    },
-                )
-                .unwrap()
+                Session::build(&w.program)
+                    .config(par_config(workers))
+                    .run(w.initial.clone())
+                    .unwrap()
             })
         });
     }
@@ -45,24 +41,19 @@ fn bench_primes(c: &mut Criterion) {
     let w = primes(128);
     group.bench_function("seq", |b| {
         b.iter(|| {
-            SeqInterpreter::with_seed(&w.program, w.initial.clone(), 1)
-                .run()
+            Session::build(&w.program)
+                .selection(Selection::Seeded(1))
+                .run(w.initial.clone())
                 .unwrap()
         })
     });
     for workers in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("par", workers), &workers, |b, &workers| {
             b.iter(|| {
-                run_parallel(
-                    &w.program,
-                    w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
-                    },
-                )
-                .unwrap()
+                Session::build(&w.program)
+                    .config(par_config(workers))
+                    .run(w.initial.clone())
+                    .unwrap()
             })
         });
     }
@@ -71,7 +62,6 @@ fn bench_primes(c: &mut Criterion) {
 
 fn bench_selection_modes(c: &mut Criterion) {
     // Deterministic vs seeded selection overhead on the same workload.
-    use gammaflow_gamma::{ExecConfig, Selection};
     let mut group = c.benchmark_group("gamma_selection_mode_sum_256");
     group.sample_size(20);
     let w = sum(&(1..=256).collect::<Vec<_>>());
@@ -81,17 +71,10 @@ fn bench_selection_modes(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                SeqInterpreter::with_config(
-                    &w.program,
-                    w.initial.clone(),
-                    ExecConfig {
-                        selection,
-                        ..ExecConfig::default()
-                    },
-                )
-                .unwrap()
-                .run()
-                .unwrap()
+                Session::build(&w.program)
+                    .selection(selection)
+                    .run(w.initial.clone())
+                    .unwrap()
             })
         });
     }

@@ -3,14 +3,14 @@
 //! The paper predicts that fusing reactions "decreases the opportunity to
 //! explore the parallelism" while reducing matching work. We run the
 //! Example-1 family (w independent `(a+b)-(c*d)` groups) at several widths,
-//! fused and unfused, on the sequential and parallel interpreters.
+//! fused and unfused, on the sequential and parallel engines.
 //! Expected shape: fused wins sequentially (3× fewer matches); unfused
 //! exposes 2w-way parallelism (vs w-way fused) in maximal-step terms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gammaflow_bench::fixtures::{example1_family, example1_family_protected};
+use gammaflow_bench::fixtures::{example1_family, example1_family_protected, par_config};
 use gammaflow_core::{dataflow_to_gamma, fuse_all};
-use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter};
+use gammaflow_gamma::{Selection, Session};
 
 fn bench_granularity(c: &mut Criterion) {
     for groups in [4usize, 16, 64] {
@@ -23,15 +23,17 @@ fn bench_granularity(c: &mut Criterion) {
 
         group.bench_function("unfused_seq", |b| {
             b.iter(|| {
-                SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 1)
-                    .run()
+                Session::build(&conv.program)
+                    .selection(Selection::Seeded(1))
+                    .run(conv.initial.clone())
                     .unwrap()
             })
         });
         group.bench_function("fused_seq", |b| {
             b.iter(|| {
-                SeqInterpreter::with_seed(&fused, conv.initial.clone(), 1)
-                    .run()
+                Session::build(&fused)
+                    .selection(Selection::Seeded(1))
+                    .run(conv.initial.clone())
                     .unwrap()
             })
         });
@@ -41,16 +43,10 @@ fn bench_granularity(c: &mut Criterion) {
                 prog,
                 |b, prog| {
                     b.iter(|| {
-                        run_parallel(
-                            prog,
-                            conv.initial.clone(),
-                            &ParConfig {
-                                workers: 4,
-                                seed: 1,
-                                ..ParConfig::default()
-                            },
-                        )
-                        .unwrap()
+                        Session::build(prog)
+                            .config(par_config(4))
+                            .run(conv.initial.clone())
+                            .unwrap()
                     })
                 },
             );

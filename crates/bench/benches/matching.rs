@@ -119,7 +119,7 @@ fn bench_arity(c: &mut Criterion) {
 /// Indexed vs naive (flat-scan) matching on the same reaction and
 /// multiset — the data-structure ablation behind harness table P3.
 fn bench_naive_vs_indexed(c: &mut Criterion) {
-    use gammaflow_gamma::NaiveBag;
+    use gammaflow_bench::NaiveBag;
     let r = CompiledReaction::compile(
         &ReactionSpec::new("r")
             .replace(Pattern::pair("a", "x"))

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gammaflow_core::dataflow_to_gamma;
-use gammaflow_gamma::{ExecConfig, GammaProgram, Scheduling, Selection, SeqInterpreter, Status};
+use gammaflow_gamma::{GammaProgram, Scheduling, Selection, Session, Status};
 use gammaflow_multiset::ElementBag;
 use gammaflow_workloads::{parallel_loops, primes};
 
@@ -20,18 +20,11 @@ fn run(
     selection: Selection,
     scheduling: Scheduling,
 ) -> ElementBag {
-    let result = SeqInterpreter::with_config(
-        program,
-        initial.clone(),
-        ExecConfig {
-            selection,
-            scheduling,
-            ..ExecConfig::default()
-        },
-    )
-    .expect("program compiles")
-    .run()
-    .expect("run succeeds");
+    let result = Session::build(program)
+        .selection(selection)
+        .scheduling(scheduling)
+        .run(initial.clone())
+        .expect("run succeeds");
     assert_eq!(result.status, Status::Stable);
     result.multiset
 }

@@ -20,14 +20,16 @@
 //! The output of a release-mode run is recorded in EXPERIMENTS.md.
 
 use gammaflow_bench::baseline::{read_baseline, warn_fps_regressions};
-use gammaflow_bench::fixtures::{example1_family, example1_family_protected, fig1, fig2};
+use gammaflow_bench::fixtures::{
+    example1_family, example1_family_protected, fig1, fig2, par_config,
+};
 use gammaflow_core::{
     canonicalize_vars, check_equivalence, dataflow_to_gamma, fuse_all, gamma_to_dataflow,
     granularity, map_multiset, recover_shape, CheckConfig,
 };
 use gammaflow_dataflow::engine::SeqEngine;
 use gammaflow_dataflow::engine_par::{run_parallel as df_parallel, ParEngineConfig};
-use gammaflow_gamma::{run_parallel as gm_parallel, ParConfig, SeqInterpreter};
+use gammaflow_gamma::{Engine, EngineConfig, ParEngine, Selection, Session};
 use gammaflow_lang::{parse_program, parse_reaction, pretty_program, pretty_reaction};
 use gammaflow_multiset::{Element, ElementBag};
 use gammaflow_workloads::{
@@ -81,8 +83,9 @@ fn e2() {
     let g = fig2(5, 3, 10);
     let conv = dataflow_to_gamma(&g).unwrap();
     println!("{}", pretty_program(&conv.program));
-    let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 7)
-        .run()
+    let gm = Session::build(&conv.program)
+        .selection(Selection::Seeded(7))
+        .run(conv.initial.clone())
         .unwrap();
     println!(
         "\nstatus {:?}, total firings {}, per reaction:",
@@ -143,11 +146,13 @@ fn e3() {
     ]
     .into_iter()
     .collect();
-    let a = SeqInterpreter::with_seed(&full, initial.clone(), 1)
-        .run()
+    let a = Session::build(&full)
+        .selection(Selection::Seeded(1))
+        .run(initial.clone())
         .unwrap();
-    let b = SeqInterpreter::with_seed(&reduced, initial, 1)
-        .run()
+    let b = Session::build(&reduced)
+        .selection(Selection::Seeded(1))
+        .run(initial)
         .unwrap();
     println!(
         "Example 2: full 9 reactions, {} firings, final = {}",
@@ -252,7 +257,7 @@ fn m1() {
         "M1",
         "Trace reuse (the paper's motivating application, ref. [3])",
     );
-    use gammaflow_gamma::{analyze_reuse, ExecConfig, Selection};
+    use gammaflow_gamma::analyze_reuse;
     // The Fig. 2 loop re-fires several nodes with identical values every
     // iteration (y's steer, the control distribution): measure how much a
     // DF-DTM-style memo table would save, per reaction, for growing z.
@@ -263,14 +268,10 @@ fn m1() {
     for z in [4i64, 16, 64] {
         let g = fig2(5, z, 10);
         let conv = dataflow_to_gamma(&g).unwrap();
-        let config = ExecConfig {
-            record_trace: true,
-            selection: Selection::Seeded(1),
-            ..ExecConfig::default()
-        };
-        let result = SeqInterpreter::with_config(&conv.program, conv.initial.clone(), config)
-            .unwrap()
-            .run()
+        let result = Session::build(&conv.program)
+            .record_trace(true)
+            .selection(Selection::Seeded(1))
+            .run(conv.initial.clone())
             .unwrap();
         let report = analyze_reuse(result.trace.as_deref().unwrap_or(&[]));
         println!(
@@ -284,14 +285,10 @@ fn m1() {
     println!("top reusable reactions at z = 64:");
     let g = fig2(5, 64, 10);
     let conv = dataflow_to_gamma(&g).unwrap();
-    let config = ExecConfig {
-        record_trace: true,
-        selection: Selection::Seeded(1),
-        ..ExecConfig::default()
-    };
-    let result = SeqInterpreter::with_config(&conv.program, conv.initial.clone(), config)
-        .unwrap()
-        .run()
+    let result = Session::build(&conv.program)
+        .record_trace(true)
+        .selection(Selection::Seeded(1))
+        .run(conv.initial.clone())
         .unwrap();
     let report = analyze_reuse(result.trace.as_deref().unwrap_or(&[]));
     for row in report.per_reaction.iter().take(4) {
@@ -319,29 +316,25 @@ fn p1() {
         let conv = dataflow_to_gamma(&g).unwrap();
         let (fused, _) = fuse_all(&conv.program, &example1_family_protected(groups));
         let t_seq = time_median(5, || {
-            SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 1)
-                .run()
+            Session::build(&conv.program)
+                .selection(Selection::Seeded(1))
+                .run(conv.initial.clone())
                 .unwrap()
         });
         let t_fused = time_median(5, || {
-            SeqInterpreter::with_seed(&fused, conv.initial.clone(), 1)
-                .run()
+            Session::build(&fused)
+                .selection(Selection::Seeded(1))
+                .run(conv.initial.clone())
                 .unwrap()
         });
         let par = |prog: &gammaflow_gamma::GammaProgram| {
             let prog = prog.clone();
             let init = conv.initial.clone();
             time_median(5, move || {
-                gm_parallel(
-                    &prog,
-                    init.clone(),
-                    &ParConfig {
-                        workers: 4,
-                        seed: 1,
-                        ..ParConfig::default()
-                    },
-                )
-                .unwrap()
+                Session::build(&prog)
+                    .config(par_config(4))
+                    .run(init.clone())
+                    .unwrap()
             })
         };
         let t_par = par(&conv.program);
@@ -405,23 +398,18 @@ fn p3() {
     );
     for (name, w) in [("sum_512", &sum_w), ("primes_128", &primes_w)] {
         let t_seq = time_median(3, || {
-            SeqInterpreter::with_seed(&w.program, w.initial.clone(), 1)
-                .run()
+            Session::build(&w.program)
+                .selection(Selection::Seeded(1))
+                .run(w.initial.clone())
                 .unwrap()
         });
         let mut row = format!("{name:<14} {t_seq:>10.3}");
         for workers in [1usize, 2, 4] {
             let t = time_median(3, || {
-                gm_parallel(
-                    &w.program,
-                    w.initial.clone(),
-                    &ParConfig {
-                        workers,
-                        seed: 1,
-                        ..ParConfig::default()
-                    },
-                )
-                .unwrap()
+                Session::build(&w.program)
+                    .config(par_config(workers))
+                    .run(w.initial.clone())
+                    .unwrap()
             });
             row.push_str(&format!(" {t:>10.3}"));
         }
@@ -435,23 +423,15 @@ fn p3() {
         "{:<14} {:>14} {:>14} {:>8}",
         "workload", "indexed ms", "naive ms", "ratio"
     );
-    use gammaflow_gamma::run_naive;
-    use gammaflow_gamma::{ExecConfig, Selection};
+    use gammaflow_bench::run_naive;
     let sum_small = sum(&(1..=192).collect::<Vec<_>>());
     let primes_small = primes(96);
     for (name, w) in [("sum_192", &sum_small), ("primes_96", &primes_small)] {
         let t_indexed = time_median(3, || {
-            SeqInterpreter::with_config(
-                &w.program,
-                w.initial.clone(),
-                ExecConfig {
-                    selection: Selection::Deterministic,
-                    ..ExecConfig::default()
-                },
-            )
-            .unwrap()
-            .run()
-            .unwrap()
+            Session::build(&w.program)
+                .selection(Selection::Deterministic)
+                .run(w.initial.clone())
+                .unwrap()
         });
         let t_naive = time_median(3, || {
             run_naive(&w.program, w.initial.clone(), u64::MAX).unwrap()
@@ -542,7 +522,7 @@ struct SchedulingRow {
 /// machine-readable `BENCH_scheduling.json` so the perf trajectory is
 /// tracked across PRs.
 fn s1() {
-    use gammaflow_gamma::{ExecConfig, Scheduling, Selection, Status};
+    use gammaflow_gamma::{Scheduling, Status};
     banner(
         "S1",
         "Delta-driven reaction scheduling vs rescanning baseline",
@@ -554,18 +534,14 @@ fn s1() {
                        scheduling: Scheduling|
      -> (f64, u64, ElementBag) {
         let t = Instant::now();
-        let result = SeqInterpreter::with_config(
-            program,
-            initial.clone(),
-            ExecConfig {
+        let result = Session::build(program)
+            .config(EngineConfig {
                 selection,
                 scheduling,
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program compiles")
-        .run()
-        .expect("run succeeds");
+                ..EngineConfig::default()
+            })
+            .run(initial.clone())
+            .expect("run succeeds");
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(result.status, Status::Stable, "workload must stabilise");
         (secs, result.stats.firings_total(), result.multiset)
@@ -745,22 +721,18 @@ fn matching_row(
     w: &gammaflow_workloads::Workload,
     selection: gammaflow_gamma::Selection,
 ) -> MatchingRow {
-    use gammaflow_gamma::{ExecConfig, ExecResult, Scheduling, Selection, Status};
+    use gammaflow_gamma::{ExecResult, Scheduling, Status};
 
     let time_engine = |scheduling: Scheduling| -> (f64, ExecResult) {
         let t = Instant::now();
-        let result = SeqInterpreter::with_config(
-            &w.program,
-            w.initial.clone(),
-            ExecConfig {
+        let result = Session::build(&w.program)
+            .config(EngineConfig {
                 selection,
                 scheduling,
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program compiles")
-        .run()
-        .expect("run succeeds");
+                ..EngineConfig::default()
+            })
+            .run(w.initial.clone())
+            .expect("run succeeds");
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(result.status, Status::Stable, "{} must stabilise", w.name);
         assert_eq!(
@@ -829,7 +801,6 @@ fn matching_row(
 /// run must land on the workload's self-check multiset; results are
 /// recorded in `BENCH_matching.json` for cross-PR tracking.
 fn s2() {
-    use gammaflow_gamma::Selection;
     use gammaflow_workloads::{divisor_sieve, interval_merge, triangles, Workload};
     banner("S2", "Rete partial-match memory vs delta vs rescan");
 
@@ -900,7 +871,6 @@ fn s2() {
 /// beta-token count, upserting its row into `BENCH_matching.json`
 /// alongside S2's.
 fn s3() {
-    use gammaflow_gamma::Selection;
     use gammaflow_workloads::cross_sum;
     banner(
         "S3",
@@ -998,7 +968,7 @@ fn parallel_fps_series(rows: &[ParallelRow]) -> Vec<(String, f64)> {
 /// token counts are recorded so the per-shard watermark bound is part of
 /// the committed evidence. Results go to `BENCH_parallel.json`.
 fn s4() {
-    use gammaflow_gamma::{ExecConfig, ParEngine, Selection, Status};
+    use gammaflow_gamma::Status;
     banner("S4", "Sharded-rete parallel engine vs probe-retry baseline");
 
     // The headline workload: 16 independent Fig. 2 loops (tags advance
@@ -1021,33 +991,28 @@ fn s4() {
     for (name, program, initial) in &workloads {
         // Sequential reference final (deterministic rete): the byte-
         // identical target for every parallel run.
-        let reference = SeqInterpreter::with_config(
-            program,
-            initial.clone(),
-            ExecConfig {
-                selection: Selection::Deterministic,
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program compiles")
-        .run()
-        .expect("reference run succeeds");
+        let reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
+            .expect("reference run succeeds");
         assert_eq!(reference.status, Status::Stable);
 
         for workers in [1usize, 2, 4, 8] {
             let mut engine_rows: Vec<(EngineRow, u64)> = Vec::new();
             for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
-                let config = ParConfig {
-                    workers,
-                    seed: 1,
-                    engine,
-                    ..ParConfig::default()
+                let config = EngineConfig {
+                    engine: Engine::Parallel(engine),
+                    ..par_config(workers)
                 };
                 let mut firings = 0u64;
                 let mut peak = 0u64;
                 let secs = time_median(3, || {
-                    let result = gm_parallel(program, initial.clone(), &config)
-                        .expect("parallel run succeeds");
+                    let mut session = Session::build(program)
+                        .config(config.clone())
+                        .start(initial.clone())
+                        .expect("program compiles");
+                    session.run_to_stable().expect("parallel run succeeds");
+                    let result = session.finish_parallel();
                     assert_eq!(result.exec.status, Status::Stable, "{name}");
                     assert_eq!(
                         result.exec.multiset, reference.multiset,
@@ -1164,7 +1129,7 @@ fn streaming_fps_series(rows: &[StreamingRow]) -> Vec<(String, f64)> {
 /// workload's self-check multiset). Results go to
 /// `BENCH_streaming.json`.
 fn s5() {
-    use gammaflow_gamma::{ExecConfig, Selection, Session, Status};
+    use gammaflow_gamma::Status;
     use gammaflow_workloads::windowed_sum;
     banner("S5", "Streaming sessions: wave-resume vs rebuild-per-wave");
 
@@ -1200,17 +1165,13 @@ fn s5() {
         for e in wave {
             bag.insert(e.clone());
         }
-        let result = SeqInterpreter::with_config(
-            &w.program,
-            bag,
-            ExecConfig {
+        let result = Session::build(&w.program)
+            .config(EngineConfig {
                 selection: Selection::Seeded(1),
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program compiles")
-        .run()
-        .expect("rebuild run succeeds");
+                ..EngineConfig::default()
+            })
+            .run(bag)
+            .expect("rebuild run succeeds");
         assert_eq!(result.status, Status::Stable);
         rebuild_firings += result.stats.firings_total();
         bag = result.multiset;
@@ -1342,7 +1303,7 @@ fn recovery_fps_series(rows: &[RecoveryRow]) -> Vec<(String, f64)> {
 /// go to `BENCH_recovery.json`.
 fn s6() {
     use gammaflow_gamma::fault::ENABLED as FAULT_INJECT;
-    use gammaflow_gamma::{Engine, Fault, FaultPlan, ParEngine, Session, Status};
+    use gammaflow_gamma::{Fault, FaultPlan, Status};
     use gammaflow_workloads::windowed_sum;
     banner(
         "S6",
@@ -1676,7 +1637,7 @@ fn observe_modes(
 /// are for *correct* traced runs. Results go to
 /// `BENCH_observability.json`.
 fn s7() {
-    use gammaflow_gamma::{Engine, ParEngine, Scheduling, Session, Status, TraceSink};
+    use gammaflow_gamma::{Scheduling, Status, TraceSink};
     use gammaflow_workloads::windowed_sum;
     use std::sync::Arc;
     banner("S7", "Observability: tracing overhead (off / ring / jsonl)");
@@ -1840,7 +1801,7 @@ fn vm_fps_series(rows: &[VmRow]) -> Vec<(String, f64)> {
 /// self-check multiset with a mode-independent firing count. Results go
 /// to `BENCH_vm.json`.
 fn s8() {
-    use gammaflow_gamma::{GuardEvalMode, Scheduling, Selection, Session, Status};
+    use gammaflow_gamma::{GuardEvalMode, Scheduling, Status};
     use gammaflow_workloads::{cross_sum, divisor_sieve, Workload};
     banner("S8", "Guard VM: tree-walk vs bytecode vs tiered re-compile");
 
@@ -2196,8 +2157,7 @@ fn storage_fps_series(rows: &[StorageRow]) -> Vec<(String, f64)> {
 /// storage discipline differs. Results go to `BENCH_storage.json`.
 fn s9() {
     use gammaflow_gamma::{
-        ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, Scheduling, Selection, Session,
-        Status,
+        ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, Scheduling, Status,
     };
     use gammaflow_multiset::value::{BinOp, CmpOp};
     banner(
@@ -2407,8 +2367,7 @@ fn percentile_us(latencies: &mut [f64], p: f64) -> f64 {
 /// `BENCH_streaming_service.json`.
 fn s10() {
     use gammaflow_gamma::{
-        ElementSpec, Engine, EngineConfig, Expr, GammaProgram, ParEngine, Pattern, ReactionSpec,
-        Session, Status, WaveDispatch, WorkerPool,
+        ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, Status, WaveDispatch, WorkerPool,
     };
     use gammaflow_multiset::value::BinOp;
     use gammaflow_service::{ServiceConfig, ServiceRuntime};

@@ -3,11 +3,27 @@
 
 #![warn(missing_docs)]
 
-/// Paper-figure builders used across benches.
+pub mod naive;
+
+pub use naive::{run_naive, NaiveBag};
+
+/// Paper-figure builders and engine configurations used across benches.
 pub mod fixtures {
     use gammaflow_dataflow::graph::{DataflowGraph, GraphBuilder, OutPort};
     use gammaflow_dataflow::node::{Imm, NodeKind};
+    use gammaflow_gamma::{Engine, EngineConfig, ParEngine};
     use gammaflow_multiset::value::{BinOp, CmpOp};
+
+    /// The default parallel engine on `workers` threads, worker streams
+    /// seeded with 1 (the benches' one parallel configuration).
+    pub fn par_config(workers: usize) -> EngineConfig {
+        EngineConfig {
+            engine: Engine::Parallel(ParEngine::ShardedRete),
+            workers,
+            seed: 1,
+            ..EngineConfig::default()
+        }
+    }
 
     /// The paper's Fig. 1 with observable `m`.
     pub fn fig1() -> DataflowGraph {

@@ -14,7 +14,7 @@
 //! filters the flat element vector linearly, exactly what a naive
 //! implementation would do.
 
-use crate::compiled::MatchSource;
+use gammaflow_gamma::{CompiledProgram, ExecError, GammaProgram, MatchSource};
 use gammaflow_multiset::{Element, ElementBag, Symbol, Tag, Value};
 
 /// An unindexed multiset: a flat vector of elements.
@@ -124,15 +124,15 @@ impl MatchSource for NaiveBag {
 }
 
 /// Run a compiled program on a [`NaiveBag`] to steady state — the
-/// unindexed counterpart of the sequential interpreter, for ablation
-/// benchmarks. Deterministic selection only (the comparison holds the
+/// unindexed counterpart of a deterministic rescanning session, for
+/// ablation benchmarks. Deterministic selection only (the comparison holds the
 /// schedule fixed).
 pub fn run_naive(
-    program: &crate::spec::GammaProgram,
+    program: &GammaProgram,
     initial: ElementBag,
     max_steps: u64,
-) -> Result<(ElementBag, u64), crate::seq::ExecError> {
-    let compiled = crate::compiled::CompiledProgram::compile(program)?;
+) -> Result<(ElementBag, u64), ExecError> {
+    let compiled = CompiledProgram::compile(program)?;
     let mut bag = NaiveBag::from_bag(&initial);
     let order: Vec<usize> = (0..compiled.reactions.len()).collect();
     let mut firings = 0u64;
@@ -155,9 +155,7 @@ pub fn run_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::SeqInterpreter;
-    use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
-    use crate::Expr;
+    use gammaflow_gamma::{ElementSpec, Expr, Pattern, ReactionSpec, Selection, Session};
     use gammaflow_multiset::value::{BinOp, CmpOp};
 
     fn e(v: i64, l: &str, t: u64) -> Element {
@@ -208,7 +206,10 @@ mod tests {
             .by(vec![ElementSpec::pair(Expr::var("x"), "n")])]);
         let initial: ElementBag = [9, 4, 7, 1, 8].iter().map(|&v| e(v, "n", 0)).collect();
         let (naive_final, naive_firings) = run_naive(&min, initial.clone(), 1_000).unwrap();
-        let seq = SeqInterpreter::deterministic(&min, initial).run().unwrap();
+        let seq = Session::build(&min)
+            .selection(Selection::Deterministic)
+            .run(initial)
+            .unwrap();
         assert_eq!(naive_final, seq.multiset);
         assert_eq!(naive_firings, seq.stats.firings_total());
     }

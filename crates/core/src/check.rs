@@ -19,8 +19,7 @@
 use crate::df_to_gamma::{dataflow_to_gamma, ConvertError};
 use gammaflow_dataflow::engine::{EngineConfig, EngineError, SeqEngine};
 use gammaflow_dataflow::graph::DataflowGraph;
-use gammaflow_gamma::parallel::{run_parallel, ParConfig};
-use gammaflow_gamma::seq::{ExecConfig, ExecError, Selection, SeqInterpreter, Status};
+use gammaflow_gamma::{Engine, ExecError, ParEngine, Selection, Session, Status};
 use gammaflow_multiset::{ElementBag, FxHashSet, Symbol};
 use std::fmt;
 
@@ -129,17 +128,10 @@ pub fn check_equivalence(
     let mut mismatch = None;
     let mut gamma_firings = 0;
     for &seed in &config.seeds {
-        let result = SeqInterpreter::with_config(
-            &conv.program,
-            conv.initial.clone(),
-            ExecConfig {
-                max_steps: config.max_firings,
-                record_trace: false,
-                selection: Selection::Seeded(seed),
-                ..ExecConfig::default()
-            },
-        )?
-        .run()?;
+        let result = Session::build(&conv.program)
+            .budget(config.max_firings)
+            .selection(Selection::Seeded(seed))
+            .run(conv.initial.clone())?;
         if result.status != Status::Stable {
             return Err(CheckError::Budget("gamma"));
         }
@@ -157,19 +149,15 @@ pub fn check_equivalence(
     }
 
     if config.parallel_workers > 0 {
-        let par = run_parallel(
-            &conv.program,
-            conv.initial.clone(),
-            &ParConfig {
-                workers: config.parallel_workers,
-                max_firings: config.max_firings,
-                ..ParConfig::default()
-            },
-        )?;
-        if par.exec.status != Status::Stable {
+        let par = Session::build(&conv.program)
+            .engine(Engine::Parallel(ParEngine::default()))
+            .workers(config.parallel_workers)
+            .budget(config.max_firings)
+            .run(conv.initial.clone())?;
+        if par.status != Status::Stable {
             return Err(CheckError::Budget("parallel gamma"));
         }
-        let projected = par.exec.multiset.project(|l| out_labels.contains(&l));
+        let projected = par.multiset.project(|l| out_labels.contains(&l));
         if projected != df.outputs && mismatch.is_none() {
             mismatch = Some(format!(
                 "parallel: gamma {projected} != dataflow {}",

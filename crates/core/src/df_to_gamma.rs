@@ -262,7 +262,7 @@ mod tests {
     use super::*;
     use gammaflow_dataflow::graph::GraphBuilder;
     use gammaflow_dataflow::node::Imm;
-    use gammaflow_gamma::{SeqInterpreter, Status};
+    use gammaflow_gamma::{Selection, Session, Status};
     use gammaflow_lang::pretty_program;
     use gammaflow_multiset::value::BinOp;
 
@@ -321,8 +321,9 @@ R3 = replace [id1,'B2'], [id2,'C2']
         let df = gammaflow_dataflow::engine::SeqEngine::new(&g)
             .run()
             .unwrap();
-        let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 11)
-            .run()
+        let gm = Session::build(&conv.program)
+            .selection(Selection::Seeded(11))
+            .run(conv.initial.clone())
             .unwrap();
         assert_eq!(gm.status, Status::Stable);
         let out = Symbol::intern("m");
@@ -380,8 +381,9 @@ R3 = replace [id1,'B2'], [id2,'C2']
         );
         // And the whole converted loop runs to a stable, empty multiset
         // (the steer's false side is unconnected, like the paper's Fig. 2).
-        let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 3)
-            .run()
+        let gm = Session::build(&conv.program)
+            .selection(Selection::Seeded(3))
+            .run(conv.initial.clone())
             .unwrap();
         assert_eq!(gm.status, Status::Stable);
         assert!(gm.multiset.is_empty(), "got {}", gm.multiset);
@@ -420,8 +422,8 @@ R3 = replace [id1,'B2'], [id2,'C2']
         let conv = dataflow_to_gamma(&g).unwrap();
         let a = conv.program.reaction("A").unwrap();
         assert_eq!(a.clauses[0].outputs.len(), 2);
-        let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 0)
-            .run()
+        let gm = Session::build(&conv.program)
+            .run(conv.initial.clone())
             .unwrap();
         assert!(gm.multiset.contains(&Element::pair(5, "out1")));
         assert!(gm.multiset.contains(&Element::pair(5, "out2")));

@@ -414,7 +414,7 @@ pub fn granularity(prog: &GammaProgram) -> Granularity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{SeqInterpreter, Status};
+    use gammaflow_gamma::{Selection, Session, Status};
     use gammaflow_lang::{parse_program, parse_reaction, pretty_reaction};
     use gammaflow_multiset::{Element, ElementBag};
 
@@ -473,10 +473,14 @@ mod tests {
         .into_iter()
         .collect();
         let (fused, _) = fuse_all(&example1(), &protected());
-        let a = SeqInterpreter::with_seed(&example1(), initial.clone(), 5)
-            .run()
+        let a = Session::build(&example1())
+            .selection(Selection::Seeded(5))
+            .run(initial.clone())
             .unwrap();
-        let b = SeqInterpreter::with_seed(&fused, initial, 5).run().unwrap();
+        let b = Session::build(&fused)
+            .selection(Selection::Seeded(5))
+            .run(initial)
+            .unwrap();
         assert_eq!(a.status, Status::Stable);
         assert_eq!(b.status, Status::Stable);
         assert_eq!(a.multiset, b.multiset);
@@ -536,7 +540,7 @@ mod tests {
         let initial: ElementBag = [Element::new(3, "x", 2u64), Element::new(4, "y", 2u64)]
             .into_iter()
             .collect();
-        let r = SeqInterpreter::with_seed(&fused, initial, 0).run().unwrap();
+        let r = Session::build(&fused).run(initial).unwrap();
         assert_eq!(
             r.multiset.sorted_elements(),
             vec![Element::new(10, "out", 2u64)]
@@ -581,7 +585,7 @@ mod tests {
         let (fused, _) = fuse_all(&prog, &prot);
         assert_eq!(fused.len(), 1);
         let initial: ElementBag = [Element::pair(4, "a")].into_iter().collect();
-        let r = SeqInterpreter::with_seed(&fused, initial, 0).run().unwrap();
+        let r = Session::build(&fused).run(initial).unwrap();
         assert_eq!(r.multiset.sorted_elements(), vec![Element::pair(50, "out")]);
     }
 }

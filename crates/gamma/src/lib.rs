@@ -29,34 +29,41 @@
 //!   firings instead of re-searching; [`seq::Scheduling::Rete`] runs on it.
 //! * [`schedule`] — delta-driven reaction scheduling (the worklist image
 //!   of the waiting–matching store).
-//! * [`seq`] — the sequential interpreter (seeded nondeterminism, exact
-//!   steady-state termination, firing traces, maximal-parallel-step mode).
-//! * [`parallel`] — a shared-memory parallel interpreter over a sharded
-//!   multiset: delta-driven workers each owning a slice of the rete
-//!   network (the default), with the optimistic probe-and-retry loop
-//!   kept as the measurable baseline.
+//! * [`session`] — the one execution API: a [`Session`] compiles once,
+//!   builds matcher state once, and then runs **incremental input
+//!   waves** over it ([`Session::run_to_stable`] / [`Session::inject`]),
+//!   so steady-state resumption pays O(delta) instead of a rebuild.
+//!   One sequential wave loop serves all three [`Scheduling`]
+//!   strategies, with maximal-parallel stepping as a mode of it;
+//!   [`SessionBuilder::run`] is the one-shot form.
+//! * [`seq`] — the vocabulary of a run ([`Selection`], [`Scheduling`],
+//!   [`Status`], [`ExecResult`], [`ExecError`]) and [`run_pipeline`].
+//! * [`parallel`] — the shared-memory parallel engines over a sharded
+//!   multiset ([`Engine::Parallel`]): delta-driven workers each owning a
+//!   slice of the rete network (the default), with the optimistic
+//!   probe-and-retry loop kept as the measurable baseline.
+//! * [`pool`] — the parked worker pool parallel waves lease threads from.
+//! * [`vm`] — the guard/action bytecode VM (the hot-path evaluator;
+//!   [`Expr::eval`] is the reference it is tested against).
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`])
 //!   for exercising the crash-recovery paths; compiled out unless the
 //!   `fault-inject` cargo feature is enabled.
-//! * [`session`] — the unified execution API: a [`Session`] compiles
-//!   once, builds matcher state once, and then runs **incremental input
-//!   waves** over it ([`Session::run_to_stable`] / [`Session::inject`]),
-//!   so steady-state resumption pays O(delta) instead of a rebuild. The
-//!   interpreters above are thin one-wave wrappers over it.
 //! * [`telemetry`] — structured event tracing ([`TraceSink`], JSONL and
 //!   ring-buffer sinks), per-reaction execution profiles
 //!   ([`ProfileTable`]), and metrics export ([`MetricsRegistry`]),
 //!   threaded through every engine with near-zero disabled-path cost.
+//! * [`trace`] / [`reuse`] — firing traces and the trace-reuse analysis
+//!   built on them.
 //!
 //! # Example
 //!
 //! The paper's Eq. (2) minimum program — `replace x, y by x where x < y`
 //! — compiled and run to stability on the default (rete-scheduled)
-//! interpreter:
+//! engine:
 //!
 //! ```
 //! use gammaflow_gamma::{
-//!     ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, SeqInterpreter, Status,
+//!     ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, Session, Status,
 //! };
 //! use gammaflow_multiset::value::CmpOp;
 //! use gammaflow_multiset::{Element, ElementBag};
@@ -70,7 +77,7 @@
 //!     .map(|v| Element::pair(v, "n"))
 //!     .collect();
 //!
-//! let result = SeqInterpreter::with_seed(&program, initial, 0).run().unwrap();
+//! let result = Session::build(&program).run(initial).unwrap();
 //! assert_eq!(result.status, Status::Stable);
 //! assert_eq!(result.multiset.sorted_elements(), vec![Element::pair(1, "n")]);
 //! ```
@@ -80,7 +87,6 @@
 pub mod compiled;
 pub mod expr;
 pub mod fault;
-pub mod naive;
 pub mod parallel;
 pub mod pool;
 pub mod rete;
@@ -98,20 +104,14 @@ pub use compiled::{
 };
 pub use expr::{EvalError, Expr};
 pub use fault::{Fault, FaultPlan};
-pub use naive::{run_naive, NaiveBag};
-pub use parallel::{
-    run_parallel, OnExhausted, ParConfig, ParEngine, ParResult, ParStats, RecoveryPolicy,
-};
+pub use parallel::{OnExhausted, ParEngine, ParResult, ParStats, RecoveryPolicy};
 pub use pool::{WaveDispatch, WorkerPool};
 pub use rete::{
     AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan, DEFAULT_SPILL_WATERMARK,
 };
 pub use reuse::{analyze as analyze_reuse, ReactionReuse, ReuseReport};
 pub use schedule::{DeltaScheduler, DependencyIndex, SchedStats, ShardedWorklist};
-pub use seq::{
-    run_pipeline, ExecConfig, ExecError, ExecResult, ParError, Scheduling, Selection,
-    SeqInterpreter, Status,
-};
+pub use seq::{run_pipeline, ExecError, ExecResult, ParError, Scheduling, Selection, Status};
 pub use session::{
     Engine, EngineConfig, InjectOutcome, Session, SessionBuilder, SessionSnapshot, Wave,
     WaveObserver,

@@ -75,8 +75,7 @@ use crate::pool::WaveDispatch;
 use crate::rete::{AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan};
 use crate::schedule::{DependencyIndex, ShardedWorklist};
 use crate::seq::{ExecError, ExecResult, ParError, Status};
-use crate::session::{EngineConfig, Session};
-use crate::spec::GammaProgram;
+use crate::session::{seq_fallback_wave, EngineConfig};
 use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
 use crate::trace::ExecStats;
 use crossbeam_channel::{Receiver, Sender};
@@ -142,67 +141,6 @@ pub enum ParEngine {
     /// The sampled optimistic probe-and-retry loop with heuristic dirty
     /// flags — the pre-sharding engine, kept as the measurable baseline.
     ProbeRetry,
-}
-
-/// Configuration for the parallel interpreter.
-#[derive(Debug, Clone)]
-pub struct ParConfig {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Number of multiset shards (rounded up to a power of two).
-    pub shards: usize,
-    /// Global firing budget.
-    pub max_firings: u64,
-    /// Seed for per-worker RNG streams.
-    pub seed: u64,
-    /// Cap on candidate values examined per bucket probe during worker
-    /// search (probe-retry engine only; exact checks and the sharded
-    /// engine ignore it). Keeps single probes cheap on huge buckets;
-    /// matches missed by sampling are found by retries or the checker.
-    pub sample_cap: usize,
-    /// Which worker loop runs (see [`ParEngine`]).
-    pub engine: ParEngine,
-    /// Per-reaction live-token budget for each worker's rete slice
-    /// (sharded engine): past it, deep join levels spill to on-demand
-    /// search exactly as in the sequential engine. Exactness never
-    /// depends on the value.
-    pub rete_watermark: usize,
-    /// How guard and action expressions are evaluated: bytecode VM
-    /// dispatch (the default) or the reference tree walk. Observable
-    /// behaviour is identical either way (see [`crate::vm`]).
-    pub guard_eval: crate::vm::GuardEvalMode,
-    /// Cumulative `fired + guard_evals` profile count past which a
-    /// reaction re-compiles its bytecode with the optimising pass at the
-    /// next wave boundary. `u64::MAX` disables tiering.
-    pub vm_tier_threshold: u64,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            shards: 64,
-            max_firings: 10_000_000,
-            seed: 0,
-            sample_cap: 64,
-            engine: ParEngine::default(),
-            rete_watermark: crate::rete::DEFAULT_SPILL_WATERMARK,
-            guard_eval: crate::vm::GuardEvalMode::default(),
-            vm_tier_threshold: crate::session::DEFAULT_VM_TIER_THRESHOLD,
-        }
-    }
-}
-
-impl ParConfig {
-    /// Config with `workers` threads, other fields default.
-    pub fn with_workers(workers: usize) -> ParConfig {
-        ParConfig {
-            workers: workers.max(1),
-            ..ParConfig::default()
-        }
-    }
 }
 
 /// What a parallel wave does when a worker thread dies mid-wave. Worker
@@ -410,13 +348,14 @@ impl ParStats {
 }
 
 /// Per-wave RNG stream base, shared by both parallel engines so their
-/// seed derivation can never silently diverge: wave 0 reproduces the
-/// legacy one-shot seed exactly.
+/// seed derivation can never silently diverge: wave 0 uses
+/// [`EngineConfig::seed`] itself.
 fn wave_seed(seed: u64, wave_index: u64) -> u64 {
     seed.wrapping_add(wave_index.wrapping_mul(0x517c_c1b7_2722_0a95))
 }
 
-/// Result of a parallel run: the usual [`ExecResult`] plus engine counters.
+/// Result of a parallel session ([`Session::finish_parallel`](crate::session::Session::finish_parallel)):
+/// the usual [`ExecResult`] plus engine counters.
 #[derive(Debug, Clone)]
 pub struct ParResult {
     /// Final multiset, status, and firing statistics.
@@ -604,27 +543,6 @@ impl MatchSource for LockedShards<'_> {
 /// per reaction (deep levels spill to on-demand search), while
 /// [`ReteNetwork::has_match`] stays exact at any watermark.
 const OCCUPANCY_PROBE_WATERMARK: usize = 256;
-
-/// Run `program` on `initial` with the parallel engine selected by
-/// [`ParConfig::engine`].
-///
-/// A thin wrapper over a one-wave [`Session`]: the session builds the
-/// same sharded bag / slices / dirty flags this function historically
-/// built inline, runs one wave to stability, and reports the identical
-/// result shape. Long-running callers that inject input incrementally
-/// should hold a [`Session`] with [`Engine::Parallel`](crate::session::Engine::Parallel) directly and pay
-/// the slice build once.
-pub fn run_parallel(
-    program: &GammaProgram,
-    initial: ElementBag,
-    config: &ParConfig,
-) -> Result<ParResult, ExecError> {
-    let mut session = Session::build(program)
-        .config(EngineConfig::from(config))
-        .start(initial)?;
-    session.run_to_stable()?;
-    Ok(session.finish_parallel())
-}
 
 /// Persistent state of the probe-retry engine across a session's waves:
 /// the sharded bag, the key directory, and the heuristic dirty flags
@@ -1182,53 +1100,6 @@ enum WaveFailure {
     /// is poisoned and the caller decides between replay, degrade, and
     /// surfacing [`ParError::WorkerLost`].
     Lost(Vec<usize>),
-}
-
-/// One sequential, exact wave over a plain bag — the
-/// [`OnExhausted::DegradeToSeq`] fallback. Deterministic first-match
-/// selection; the confluence of terminating Gamma programs (the same
-/// argument the cross-engine equivalence suite leans on) is what makes
-/// the degraded wave land on the same stable multiset.
-fn seq_fallback_wave(
-    compiled: &CompiledProgram,
-    bag: &mut ElementBag,
-    budget: u64,
-    wave: u64,
-    ctl: &WaveCtl<'_>,
-) -> Result<(ExecStats, Status), ExecError> {
-    let nreactions = compiled.reactions.len();
-    let order: Vec<usize> = (0..nreactions).collect();
-    let mut scratch = SearchScratch::new();
-    let mut stats = ExecStats::new(nreactions);
-    let mut fired = 0u64;
-    let status = loop {
-        if fired >= budget {
-            break Status::BudgetExhausted;
-        }
-        match compiled
-            .find_any_fast(&order, bag, None, &mut scratch)
-            .map_err(ExecError::Match)?
-        {
-            None => break Status::Stable,
-            Some(firing) => {
-                let removed = bag.remove_all(&firing.consumed);
-                debug_assert!(removed, "firing was matched against this bag");
-                for e in &firing.produced {
-                    bag.insert(e.clone());
-                }
-                stats.record_firing(firing.reaction, &firing);
-                if ctl.tel.enabled() {
-                    // Degraded waves fire on the session thread; keeping
-                    // their firings in the trace preserves per-reaction
-                    // conservation across recovery.
-                    let name = &compiled.reactions[firing.reaction].name;
-                    ctl.emit(wave, firing_event(name, &firing, 0, false));
-                }
-                fired += 1;
-            }
-        }
-    };
-    Ok((stats, status))
 }
 
 /// Attempt to claim and apply `firing`. Returns `false` on a lost race.
@@ -2255,12 +2126,36 @@ fn wake_dependents(shared: &SharedRun<'_>, w: usize, firing: &Firing) {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::spec::{ElementSpec, Pattern, ReactionSpec};
+    use crate::seq::Selection;
+    use crate::session::{Engine, Session};
+    use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
     use gammaflow_multiset::Element;
 
     fn e(v: i64, l: &str, t: u64) -> Element {
         Element::new(v, l, t)
+    }
+
+    /// The default parallel engine on `workers` threads.
+    fn sharded(workers: usize) -> EngineConfig {
+        EngineConfig {
+            engine: Engine::Parallel(ParEngine::default()),
+            workers,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// One wave to stability, reporting the parallel counters.
+    fn run_par(
+        program: &GammaProgram,
+        initial: ElementBag,
+        config: &EngineConfig,
+    ) -> Result<ParResult, ExecError> {
+        let mut session = Session::build(program)
+            .config(config.clone())
+            .start(initial)?;
+        session.run_to_stable()?;
+        Ok(session.finish_parallel())
     }
 
     fn sum_program() -> GammaProgram {
@@ -2284,7 +2179,7 @@ mod tests {
     #[test]
     fn parallel_sum_reduces_to_total() {
         let initial: ElementBag = (1..=100).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_par(&sum_program(), initial, &sharded(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.len(), 1);
         assert!(result.exec.multiset.contains(&e(5050, "n", 0)));
@@ -2297,7 +2192,7 @@ mod tests {
             .iter()
             .map(|&v| e(v, "n", 0))
             .collect();
-        let result = run_parallel(&max_program(), initial, &ParConfig::with_workers(3)).unwrap();
+        let result = run_par(&max_program(), initial, &sharded(3)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.sorted_elements(), vec![e(99, "n", 0)]);
     }
@@ -2305,10 +2200,10 @@ mod tests {
     #[test]
     fn single_worker_matches_sequential_result() {
         let initial: ElementBag = (1..=30).map(|v| e(v, "n", 0)).collect();
-        let par =
-            run_parallel(&sum_program(), initial.clone(), &ParConfig::with_workers(1)).unwrap();
-        let seq = crate::seq::SeqInterpreter::with_seed(&sum_program(), initial, 9)
-            .run()
+        let par = run_par(&sum_program(), initial.clone(), &sharded(1)).unwrap();
+        let seq = Session::build(&sum_program())
+            .selection(Selection::Seeded(9))
+            .run(initial)
             .unwrap();
         assert_eq!(par.exec.multiset, seq.multiset);
     }
@@ -2322,12 +2217,11 @@ mod tests {
                 "n",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let config = ParConfig {
-            workers: 2,
-            max_firings: 50,
-            ..ParConfig::default()
+        let config = EngineConfig {
+            max_steps: 50,
+            ..sharded(2)
         };
-        let result = run_parallel(&diverge, initial, &config).unwrap();
+        let result = run_par(&diverge, initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::BudgetExhausted);
         // Workers can slightly overshoot only by in-flight firings; with the
         // check inside try_fire the count is bounded by max + workers.
@@ -2338,12 +2232,7 @@ mod tests {
     #[test]
     fn empty_program_terminates_immediately() {
         let initial: ElementBag = [e(1, "n", 0)].into_iter().collect();
-        let result = run_parallel(
-            &GammaProgram::default(),
-            initial.clone(),
-            &ParConfig::with_workers(4),
-        )
-        .unwrap();
+        let result = run_par(&GammaProgram::default(), initial.clone(), &sharded(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset, initial);
     }
@@ -2357,7 +2246,7 @@ mod tests {
                 "out",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let result = run_parallel(&bad, initial, &ParConfig::with_workers(2));
+        let result = run_par(&bad, initial, &sharded(2));
         assert!(matches!(result, Err(ExecError::Match(_))));
     }
 
@@ -2376,7 +2265,7 @@ mod tests {
         let initial: ElementBag = [e(1, "A", 0), e(2, "B", 1), e(10, "A", 1)]
             .into_iter()
             .collect();
-        let result = run_parallel(&pair, initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_par(&pair, initial, &sharded(4)).unwrap();
         let sorted = result.exec.multiset.sorted_elements();
         assert_eq!(sorted, vec![e(1, "A", 0), e(12, "C", 1)]);
     }
@@ -2395,11 +2284,11 @@ mod tests {
                 .by(vec![ElementSpec::pair(Expr::var("x"), "c")]),
         ]);
         let initial: ElementBag = (1..=4).map(|v| e(v, "a", 0)).collect();
-        let config = ParConfig {
-            engine: ParEngine::ProbeRetry,
-            ..ParConfig::with_workers(2)
+        let config = EngineConfig {
+            engine: Engine::Parallel(ParEngine::ProbeRetry),
+            ..sharded(2)
         };
-        let result = run_parallel(&chain, initial, &config).unwrap();
+        let result = run_par(&chain, initial, &config).unwrap();
         assert_eq!(result.par.rete_precleared, 1);
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.count_label("c".into()), 4);
@@ -2421,11 +2310,11 @@ mod tests {
         ] {
             let mut finals = Vec::new();
             for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
-                let config = ParConfig {
-                    engine,
-                    ..ParConfig::with_workers(4)
+                let config = EngineConfig {
+                    engine: Engine::Parallel(engine),
+                    ..sharded(4)
                 };
-                let result = run_parallel(&program, initial.clone(), &config).unwrap();
+                let result = run_par(&program, initial.clone(), &config).unwrap();
                 assert_eq!(result.exec.status, Status::Stable);
                 finals.push(result.exec.multiset);
             }
@@ -2436,9 +2325,9 @@ mod tests {
     #[test]
     fn sharded_engine_publishes_and_drains_deltas() {
         let initial: ElementBag = (1..=50).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig::with_workers(3);
-        assert_eq!(config.engine, ParEngine::ShardedRete);
-        let result = run_parallel(&sum_program(), initial, &config).unwrap();
+        let config = sharded(3);
+        assert_eq!(config.engine, Engine::Parallel(ParEngine::ShardedRete));
+        let result = run_par(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.exec.multiset.contains(&e(1275, "n", 0)));
         let par = &result.par;
@@ -2458,7 +2347,7 @@ mod tests {
         // owns the whole slice; with several workers the thieves' stolen
         // searches must contribute (or at least never break the result).
         let initial: ElementBag = (1..=200).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_par(&sum_program(), initial, &sharded(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.exec.multiset.contains(&e(20100, "n", 0)));
         assert_eq!(result.exec.stats.firings_total(), 199);
@@ -2479,11 +2368,11 @@ mod tests {
         // bounded peak.
         let n = 120i64;
         let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig {
+        let config = EngineConfig {
             rete_watermark: 500,
-            ..ParConfig::with_workers(2)
+            ..sharded(2)
         };
-        let result = run_parallel(&sum_program(), initial, &config).unwrap();
+        let result = run_par(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         let expected: i64 = (1..=n).sum();
         assert!(result.exec.multiset.contains(&e(expected, "n", 0)));
@@ -2505,11 +2394,11 @@ mod tests {
         // through the spill — those counters must reach ParStats (the
         // aggregation used to drop them).
         let initial: ElementBag = (1..=300).map(|v| e(v, "n", 0)).collect();
-        let config = ParConfig {
-            engine: ParEngine::ProbeRetry,
-            ..ParConfig::with_workers(2)
+        let config = EngineConfig {
+            engine: Engine::Parallel(ParEngine::ProbeRetry),
+            ..sharded(2)
         };
-        let result = run_parallel(&sum_program(), initial, &config).unwrap();
+        let result = run_par(&sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.par.spill_demotions > 0, "{:?}", result.par);
         assert!(result.par.spill_probes > 0, "{:?}", result.par);
@@ -2532,7 +2421,7 @@ mod tests {
             initial.insert(e(t as i64, "A", t));
             initial.insert(e(1000 + t as i64, "B", t));
         }
-        let result = run_parallel(&pair, initial, &ParConfig::with_workers(4)).unwrap();
+        let result = run_par(&pair, initial, &sharded(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.len(), 64);
         assert_eq!(result.exec.multiset.count_label("C".into()), 64);
@@ -2569,7 +2458,7 @@ mod tests {
             .into_iter()
             .collect();
         let workers = 4usize;
-        let result = run_parallel(&countdown, initial, &ParConfig::with_workers(workers)).unwrap();
+        let result = run_par(&countdown, initial, &sharded(workers)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         // Every label counted down to zero: 3 + 2 + 4 firings.
         assert_eq!(result.exec.stats.firings_total(), 9);
@@ -2591,7 +2480,7 @@ mod tests {
         // consumer the single-component sum routes every delta to exactly
         // its owner's mailbox — Arc sharing must not change the counts.
         let initial: ElementBag = (1..=50).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(3)).unwrap();
+        let result = run_par(&sum_program(), initial, &sharded(3)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.par.deltas_published, 49);
         assert_eq!(result.par.deltas_processed, 49);
@@ -2600,7 +2489,7 @@ mod tests {
     #[test]
     fn stress_many_workers_many_elements() {
         let initial: ElementBag = (1..=500).map(|v| e(v, "n", 0)).collect();
-        let result = run_parallel(&sum_program(), initial, &ParConfig::with_workers(8)).unwrap();
+        let result = run_par(&sum_program(), initial, &sharded(8)).unwrap();
         assert_eq!(result.exec.multiset.len(), 1);
         assert!(result.exec.multiset.contains(&e(125250, "n", 0)));
     }

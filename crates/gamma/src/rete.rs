@@ -78,11 +78,12 @@
 //! (debug builds still cross-check).
 
 use crate::compiled::{
-    CompiledProgram, CompiledReaction, Firing, LabelFilter, MatchError, MatchSource, SearchScratch,
+    CompiledProgram, CompiledReaction, Firing, GuardPlan, LabelFilter, MatchError, MatchSource,
+    SearchScratch,
 };
+use crate::expr::{Env, Expr};
 use crate::schedule::DependencyIndex;
-use crate::vm::GuardEvalMode;
-use gammaflow_multiset::value::{BinOp, CmpOp, UnOp};
+use crate::vm::{Chunk, GuardEvalMode};
 use gammaflow_multiset::{shard_index, ElemId, Element, FxHashMap, FxHashSet, Symbol, Tag, Value};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
@@ -316,75 +317,26 @@ pub struct ReteReactionCounters {
     pub peak_tokens: u64,
 }
 
-/// A `where`/guard conjunct with variables resolved to binding slots, so
-/// the join hot loop evaluates guards by direct slot index instead of
-/// symbol hashing. This is the [`GuardEvalMode::Tree`] evaluator — the
-/// reference tree walk the bytecode VM (the default dispatch,
-/// [`crate::vm`]) is differentially tested against. The earlier
-/// hand-rolled `i64` comparison fast path lived here; the VM's
-/// `i64`-specialised dispatch loop replaced it, covering every guard
-/// shape instead of single comparisons.
-#[derive(Debug, Clone)]
-enum GuardExpr {
-    Lit(Value),
-    Slot(u16),
-    Bin(BinOp, Box<GuardExpr>, Box<GuardExpr>),
-    Cmp(CmpOp, Box<GuardExpr>, Box<GuardExpr>),
-    Un(UnOp, Box<GuardExpr>),
+/// A candidate token's bindings as an [`Env`]: the prefix token's slots
+/// overlaid with the candidate element's fresh bindings. This is what
+/// lets [`GuardEvalMode::Tree`] run the reference [`Expr::eval_bool`]
+/// itself — the evaluator the bytecode VM (the default dispatch,
+/// [`crate::vm`]) is differentially tested against — instead of a
+/// slot-resolved copy of it.
+struct SlotEnv<'a> {
+    index: &'a FxHashMap<Symbol, u16>,
+    base: &'a [Option<Value>],
+    extra: &'a [(u16, Value)],
 }
 
-impl GuardExpr {
-    fn compile(e: &crate::expr::Expr, var_index: &FxHashMap<Symbol, u16>) -> GuardExpr {
-        use crate::expr::Expr;
-        match e {
-            Expr::Lit(v) => GuardExpr::Lit(v.clone()),
-            Expr::Var(s) => GuardExpr::Slot(var_index[s]),
-            Expr::Bin(op, a, b) => GuardExpr::Bin(
-                *op,
-                Box::new(GuardExpr::compile(a, var_index)),
-                Box::new(GuardExpr::compile(b, var_index)),
-            ),
-            Expr::Cmp(op, a, b) => GuardExpr::Cmp(
-                *op,
-                Box::new(GuardExpr::compile(a, var_index)),
-                Box::new(GuardExpr::compile(b, var_index)),
-            ),
-            Expr::Un(op, a) => GuardExpr::Un(*op, Box::new(GuardExpr::compile(a, var_index))),
-        }
-    }
-
-    /// Evaluate over a base binding with an overlay of fresh bindings;
-    /// `None` means an evaluation error (which, for conditions, means
-    /// "does not hold" — the engines' shared rule).
-    fn eval(&self, base: &[Option<Value>], extra: &[(u16, Value)]) -> Option<Value> {
-        match self {
-            GuardExpr::Lit(v) => Some(v.clone()),
-            GuardExpr::Slot(i) => extra
-                .iter()
-                .find(|(j, _)| j == i)
-                .map(|(_, v)| v.clone())
-                .or_else(|| base[*i as usize].clone()),
-            GuardExpr::Bin(op, a, b) => {
-                let a = a.eval(base, extra)?;
-                let b = b.eval(base, extra)?;
-                Value::binop(*op, &a, &b).ok()
-            }
-            GuardExpr::Cmp(op, a, b) => {
-                let a = a.eval(base, extra)?;
-                let b = b.eval(base, extra)?;
-                Value::cmp_op(*op, &a, &b).ok()
-            }
-            GuardExpr::Un(op, a) => {
-                let a = a.eval(base, extra)?;
-                Value::unop(*op, &a).ok()
-            }
-        }
-    }
-
-    fn eval_bool(&self, base: &[Option<Value>], extra: &[(u16, Value)]) -> bool {
-        self.eval(base, extra)
-            .and_then(|v| v.truthiness())
-            .unwrap_or(false)
+impl Env for SlotEnv<'_> {
+    fn lookup(&self, var: Symbol) -> Option<Value> {
+        let slot = *self.index.get(&var)?;
+        self.extra
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, v)| v.clone())
+            .or_else(|| self.base[slot as usize].clone())
     }
 }
 
@@ -411,12 +363,11 @@ struct Token {
 #[derive(Debug)]
 struct ReactionNet {
     arity: usize,
-    /// Pushed-down `where` conjuncts, per join level (the
-    /// [`GuardEvalMode::Tree`] evaluators; VM mode reads chunks off the
-    /// reaction's [`crate::vm::ReactionVm`] instead).
-    level_guards: Vec<Vec<GuardExpr>>,
-    /// Terminal clause-guard disjunction (see [`crate::compiled::GuardPlan`]).
-    clause_disjunction: Option<Vec<GuardExpr>>,
+    /// Pushed-down `where` conjuncts per join level and the terminal
+    /// clause-guard disjunction, as source expressions for
+    /// [`GuardEvalMode::Tree`] (VM mode reads the same shapes as chunks
+    /// off the reaction's [`crate::vm::ReactionVm`]).
+    guards: GuardPlan,
     /// Token arena; `None` slots are free-listed.
     tokens: Vec<Option<Token>>,
     free: Vec<u32>,
@@ -471,8 +422,6 @@ struct ReactionNet {
 
 impl ReactionNet {
     fn new(cr: &CompiledReaction, watermark: usize) -> ReactionNet {
-        let plan = cr.guard_plan();
-        let vi = cr.var_index();
         // Which join levels can be answered from the tag index: level k's
         // pattern carries a tag variable whose slot every level-(k−1)
         // token has already bound (tag-partitioned joins — the dynamic
@@ -502,15 +451,7 @@ impl ReactionNet {
             .collect();
         ReactionNet {
             arity: cr.arity(),
-            level_guards: plan
-                .level_conjuncts
-                .iter()
-                .map(|cs| cs.iter().map(|c| GuardExpr::compile(c, vi)).collect())
-                .collect(),
-            clause_disjunction: plan
-                .clause_disjunction
-                .as_ref()
-                .map(|ds| ds.iter().map(|d| GuardExpr::compile(d, vi)).collect()),
+            guards: cr.guard_plan(),
             tokens: Vec::new(),
             free: Vec::new(),
             levels: vec![Vec::new(); cr.arity()],
@@ -915,6 +856,59 @@ impl ReactionNet {
         }
     }
 
+    /// The guard-dispatch loop of [`ReactionNet::try_child`]: level `k`'s
+    /// pushed conjuncts, then (at the terminal level) the clause-guard
+    /// disjunction; `false` rejects the candidate. `holds(chunks, exprs,
+    /// i)` evaluates guard `i` of the given group with whichever evaluator
+    /// the mode selects. Both modes run this one loop over the same
+    /// groups in the same order — the shared
+    /// [`ReactionVm::dispatch_order`](crate::vm::ReactionVm), identity on
+    /// the baseline tier, re-sorted most-rejecting-first at tier-up — so
+    /// `guard_evals`/`guard_rejects` are identical whichever evaluator
+    /// runs (the conservation property `tests/observability.rs` pins).
+    fn guards_hold(
+        &mut self,
+        cr: &CompiledReaction,
+        k: usize,
+        stats: &mut ReteStats,
+        holds: impl Fn(&[Chunk], &[Expr], usize) -> bool,
+    ) -> bool {
+        let vm = cr.vm();
+        let chunks = vm.active();
+        let mut passed = true;
+        for &ci in vm.dispatch_order(k) {
+            self.prof.guard_evals += 1;
+            if !holds(
+                &chunks.level_conjuncts[k],
+                &self.guards.level_conjuncts[k],
+                ci as usize,
+            ) {
+                vm.note_conjunct_reject(k, ci);
+                passed = false;
+                break;
+            }
+        }
+        if passed && k + 1 == self.arity {
+            if let (Some(chunks), Some(exprs)) =
+                (&chunks.clause_disjunction, &self.guards.clause_disjunction)
+            {
+                passed = false;
+                for i in 0..exprs.len() {
+                    self.prof.guard_evals += 1;
+                    if holds(chunks, exprs, i) {
+                        passed = true;
+                        break;
+                    }
+                }
+            }
+        }
+        if !passed {
+            self.prof.guard_rejects += 1;
+            stats.guard_rejects += 1;
+        }
+        passed
+    }
+
     /// Try to create the child token `prefix + element@level k`. Performs,
     /// in cost order: multiplicity check, binding compatibility, pushed
     /// guard conjuncts, terminal clause disjunction, and deduplication.
@@ -982,73 +976,25 @@ impl ReactionNet {
         }
         let extras = &extras[..nextra];
 
-        // Guard dispatch. Both arms evaluate the same per-level conjuncts
-        // and terminal disjunction in the same order — the shared
-        // [`ReactionVm::dispatch_order`], identity on the baseline tier,
-        // re-sorted most-rejecting-first at tier-up — and bump the same
-        // counters per evaluation, so `guard_evals`/`guard_rejects` are
-        // identical whichever evaluator runs (the conservation property
-        // `tests/observability.rs` pins).
-        match cr.guard_eval_mode() {
-            GuardEvalMode::Vm => {
-                let vm = cr.vm();
-                let cs = vm.active();
-                for &ci in vm.dispatch_order(k) {
-                    self.prof.guard_evals += 1;
-                    if !cs.level_conjuncts[k][ci as usize].eval_guard(slots, extras) {
-                        vm.note_conjunct_reject(k, ci);
-                        self.prof.guard_rejects += 1;
-                        stats.guard_rejects += 1;
-                        return None;
-                    }
-                }
-                if k + 1 == self.arity {
-                    if let Some(disj) = &cs.clause_disjunction {
-                        let mut passed = false;
-                        for g in disj {
-                            self.prof.guard_evals += 1;
-                            if g.eval_guard(slots, extras) {
-                                passed = true;
-                                break;
-                            }
-                        }
-                        if !passed {
-                            self.prof.guard_rejects += 1;
-                            stats.guard_rejects += 1;
-                            return None;
-                        }
-                    }
-                }
-            }
+        // Guard dispatch: one loop, two evaluators — an evaluation error
+        // means "does not hold" in both.
+        let passed = match cr.guard_eval_mode() {
+            GuardEvalMode::Vm => self.guards_hold(cr, k, stats, |chunks, _, i| {
+                chunks[i].eval_guard(slots, extras)
+            }),
             GuardEvalMode::Tree => {
-                let vm = cr.vm();
-                for &ci in vm.dispatch_order(k) {
-                    self.prof.guard_evals += 1;
-                    if !self.level_guards[k][ci as usize].eval_bool(slots, extras) {
-                        vm.note_conjunct_reject(k, ci);
-                        self.prof.guard_rejects += 1;
-                        stats.guard_rejects += 1;
-                        return None;
-                    }
-                }
-                if k + 1 == self.arity {
-                    if let Some(disj) = &self.clause_disjunction {
-                        let mut passed = false;
-                        for g in disj {
-                            self.prof.guard_evals += 1;
-                            if g.eval_bool(slots, extras) {
-                                passed = true;
-                                break;
-                            }
-                        }
-                        if !passed {
-                            self.prof.guard_rejects += 1;
-                            stats.guard_rejects += 1;
-                            return None;
-                        }
-                    }
-                }
+                let env = SlotEnv {
+                    index: cr.var_index(),
+                    base: slots,
+                    extra: extras,
+                };
+                self.guards_hold(cr, k, stats, |_, exprs, i| {
+                    exprs[i].eval_bool(&env).unwrap_or(false)
+                })
             }
+        };
+        if !passed {
+            return None;
         }
 
         // Materialise the key and deduplicate: a `u64` copy per position

@@ -102,21 +102,18 @@ pub fn analyze(trace: &[FiringRecord]) -> ReuseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{ExecConfig, SeqInterpreter};
+    use crate::seq::Selection;
+    use crate::session::Session;
     use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use crate::Expr;
     use gammaflow_multiset::value::BinOp;
     use gammaflow_multiset::{Element, ElementBag};
 
     fn traced(program: &GammaProgram, initial: ElementBag, seed: u64) -> Vec<FiringRecord> {
-        let config = ExecConfig {
-            record_trace: true,
-            selection: crate::seq::Selection::Seeded(seed),
-            ..ExecConfig::default()
-        };
-        SeqInterpreter::with_config(program, initial, config)
-            .unwrap()
-            .run()
+        Session::build(program)
+            .record_trace(true)
+            .selection(Selection::Seeded(seed))
+            .run(initial)
             .unwrap()
             .trace
             .unwrap()
@@ -165,14 +162,10 @@ mod tests {
             .replace(Pattern::tagged("x", "a", "v"))
             .by(vec![ElementSpec::inc_tagged(Expr::var("x"), "a", "v")])]);
         let initial: ElementBag = [Element::new(5, "a", 0u64)].into_iter().collect();
-        let config = ExecConfig {
-            record_trace: true,
-            max_steps: 20,
-            ..ExecConfig::default()
-        };
-        let result = SeqInterpreter::with_config(&relabel, initial, config)
-            .unwrap()
-            .run()
+        let result = Session::build(&relabel)
+            .record_trace(true)
+            .budget(20)
+            .run(initial)
             .unwrap();
         let report = analyze(&result.trace.unwrap());
         // 20 firings, all consuming the value 5: 19 redundant.

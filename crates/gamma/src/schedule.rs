@@ -9,10 +9,11 @@
 //! dataflow PE does not rescan its whole token store after every firing —
 //! each *produced* token is delivered to exactly the instructions waiting
 //! on its edge label, and only those instructions re-attempt a match.
-//! The seed's Gamma engines paid for the check as if no firing history
-//! existed: `SeqInterpreter::run` called `find_any` from scratch over the
-//! entire [`ElementBag`] after every firing, making a run of F firings
-//! cost O(F × full-search) instead of amortized O(Δ).
+//! The rescanning reference ([`Scheduling::Rescan`](crate::seq::Scheduling))
+//! pays for the check as if no firing history existed: it calls
+//! `find_any` from scratch over the entire [`ElementBag`] after every
+//! firing, making a run of F firings cost O(F × full-search) instead of
+//! amortized O(Δ).
 //!
 //! This module brings the dataflow-side discipline to Gamma:
 //!
@@ -187,7 +188,7 @@ impl SchedStats {
 /// anchored probes over overlapping completions.
 const MAX_ANCHORS: usize = 16;
 
-/// The delta worklist scheduler driving [`SeqInterpreter`](crate::seq::SeqInterpreter).
+/// The delta worklist scheduler behind [`Scheduling::Delta`](crate::seq::Scheduling).
 #[derive(Debug)]
 pub struct DeltaScheduler {
     deps: DependencyIndex,

@@ -1,29 +1,25 @@
-//! Sequential Gamma interpreter — a direct executable reading of Eq. (1).
+//! The vocabulary of a Γ run — a direct reading of Eq. (1).
 //!
 //! The Γ operator repeatedly selects *any* enabled `(reaction, tuple)` pair
 //! and rewrites the multiset, terminating at the steady state where no
-//! reaction condition holds. This interpreter realises the
-//! "interchange of reactions on a single processor" implementation the
-//! paper attributes to Muylaert/Gay's sequential Gamma \[13\]:
+//! reaction condition holds. This module names the choices and outcomes
+//! of that loop (the loop itself lives in [`crate::session`]):
 //!
-//! * **Selection** is seeded-random by default (honest nondeterminism,
+//! * [`Selection`] is seeded-random by default (honest nondeterminism,
 //!   reproducible per seed) or deterministic (first enabled reaction in
 //!   program order) for throughput measurements.
-//! * **Termination** is exact: a step that finds no enabled reaction
-//!   anywhere is the paper's "global termination state".
-//! * A **step budget** guards non-terminating programs (Gamma programs may
+//! * [`Scheduling`] picks how enabled reactions are found per step.
+//! * [`Status`]: termination is exact — a step that finds no enabled
+//!   reaction anywhere is the paper's "global termination state" — and a
+//!   **step budget** guards non-terminating programs (Gamma programs may
 //!   legitimately diverge), reported as [`Status::BudgetExhausted`].
-//!
-//! [`SeqInterpreter::run_max_parallel_steps`] additionally executes the
-//! program in *maximal parallel steps* — each step fires a maximal set of
-//! disjoint enabled tuples "simultaneously" — which yields the idealised
-//! parallelism profile used by experiment P1.
+//! * [`run_pipeline`] is sequential composition `P1 ; P2 ; …`.
 
-use crate::compiled::{CompiledProgram, MatchError};
+use crate::compiled::MatchError;
 use crate::rete::ReteStats;
 use crate::schedule::SchedStats;
-use crate::session::{EngineConfig, Session};
-use crate::spec::{GammaProgram, Pipeline, SpecError};
+use crate::session::{Engine, EngineConfig, Session};
+use crate::spec::{Pipeline, SpecError};
 use crate::trace::{ExecStats, FiringRecord};
 use gammaflow_multiset::ElementBag;
 
@@ -36,33 +32,7 @@ pub enum Status {
     BudgetExhausted,
 }
 
-/// Interpreter configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Maximum number of firings before giving up (default 10 million).
-    pub max_steps: u64,
-    /// Record a full firing trace (consumed/produced per step).
-    pub record_trace: bool,
-    /// Reaction/tuple selection policy.
-    pub selection: Selection,
-    /// Enabled-reaction scheduling strategy.
-    pub scheduling: Scheduling,
-    /// Per-reaction live-token budget for [`Scheduling::Rete`]: past it,
-    /// the deepest join levels spill to on-demand search (see
-    /// [`crate::rete`]). Exactness does not depend on the value; it only
-    /// trades memory for recomputation.
-    pub rete_watermark: usize,
-    /// How guard and action expressions are evaluated: bytecode VM
-    /// dispatch (the default) or the reference tree walk. Observable
-    /// behaviour is identical either way (see [`crate::vm`]).
-    pub guard_eval: crate::vm::GuardEvalMode,
-    /// Cumulative `fired + guard_evals` profile count past which a
-    /// reaction re-compiles its bytecode with the optimising pass at the
-    /// next wave boundary. `u64::MAX` disables tiering.
-    pub vm_tier_threshold: u64,
-}
-
-/// How the interpreter decides which reactions to (re-)search per step.
+/// How a sequential session decides which reactions to (re-)search per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum Scheduling {
     /// The reference strategy: after every firing, search every reaction
@@ -85,7 +55,7 @@ pub enum Scheduling {
     /// rescan). Observable behaviour is identical to `Rescan`: same
     /// stable states, and under [`Selection::Deterministic`] the same
     /// firing trace. Memory is bounded by a spill watermark
-    /// ([`ExecConfig::rete_watermark`]): an unguarded n² reaction
+    /// ([`EngineConfig::rete_watermark`]): an unguarded n² reaction
     /// demotes its deep join levels to on-demand search instead of
     /// memorising the cross product — see [`crate::rete`].
     #[default]
@@ -103,21 +73,7 @@ pub enum Selection {
     Seeded(u64),
 }
 
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            max_steps: 10_000_000,
-            record_trace: false,
-            selection: Selection::Seeded(0),
-            scheduling: Scheduling::default(),
-            rete_watermark: crate::rete::DEFAULT_SPILL_WATERMARK,
-            guard_eval: crate::vm::GuardEvalMode::default(),
-            vm_tier_threshold: crate::session::DEFAULT_VM_TIER_THRESHOLD,
-        }
-    }
-}
-
-/// Errors from building or running an interpreter.
+/// Errors from building or running a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// A reaction failed validation/compilation.
@@ -131,6 +87,8 @@ pub enum ExecError {
     /// A [`SessionSnapshot`](crate::session::SessionSnapshot) could not
     /// be restored (version mismatch, incompatible program shape).
     Snapshot(String),
+    /// The session's engine does not offer the requested operation.
+    Unsupported(&'static str),
 }
 
 /// Structural failures of the parallel engines.
@@ -169,6 +127,7 @@ impl std::fmt::Display for ExecError {
             ExecError::Match(e) => write!(f, "{e}"),
             ExecError::Par(e) => write!(f, "{e}"),
             ExecError::Snapshot(msg) => write!(f, "snapshot restore failed: {msg}"),
+            ExecError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }
@@ -199,7 +158,8 @@ pub struct ExecResult {
     pub status: Status,
     /// Execution counters.
     pub stats: ExecStats,
-    /// The firing trace, if [`ExecConfig::record_trace`] was set.
+    /// The firing trace, if [`EngineConfig::record_trace`] was set
+    /// (sequential engines).
     pub trace: Option<Vec<FiringRecord>>,
     /// Delta-scheduler counters, when [`Scheduling::Delta`] ran.
     pub sched: Option<SchedStats>,
@@ -207,117 +167,41 @@ pub struct ExecResult {
     pub rete: Option<ReteStats>,
 }
 
-/// Sequential Gamma interpreter over a compiled program.
-pub struct SeqInterpreter {
-    compiled: CompiledProgram,
-    multiset: ElementBag,
-    config: ExecConfig,
-}
-
-impl SeqInterpreter {
-    /// Build an interpreter with explicit configuration.
-    pub fn with_config(
-        program: &GammaProgram,
-        initial: ElementBag,
-        config: ExecConfig,
-    ) -> Result<SeqInterpreter, ExecError> {
-        Ok(SeqInterpreter {
-            compiled: CompiledProgram::compile(program)?,
-            multiset: initial,
-            config,
-        })
-    }
-
-    /// Build with default config and the given selection seed. Panics only
-    /// if the program fails validation — use [`Self::with_config`] to
-    /// handle that gracefully.
-    pub fn with_seed(program: &GammaProgram, initial: ElementBag, seed: u64) -> SeqInterpreter {
-        Self::with_config(
-            program,
-            initial,
-            ExecConfig {
-                selection: Selection::Seeded(seed),
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program failed validation")
-    }
-
-    /// Build with deterministic (first-match) selection.
-    pub fn deterministic(program: &GammaProgram, initial: ElementBag) -> SeqInterpreter {
-        Self::with_config(
-            program,
-            initial,
-            ExecConfig {
-                selection: Selection::Deterministic,
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program failed validation")
-    }
-    /// Run to steady state (or budget), consuming the interpreter.
-    ///
-    /// A thin wrapper over a one-wave [`Session`]:
-    /// the session runs the same per-scheduling loop this interpreter
-    /// historically ran inline, so stable states, statistics, and (under
-    /// [`Selection::Deterministic`]) the exact firing trace are unchanged.
-    /// Long-running callers that inject input incrementally should hold a
-    /// [`Session`] directly and pay the matcher
-    /// build once.
-    pub fn run(self) -> Result<ExecResult, ExecError> {
-        let mut session = Session::from_compiled(
-            self.compiled,
-            self.multiset,
-            EngineConfig::from(&self.config),
-        );
-        session.run_to_stable()?;
-        Ok(session.finish())
-    }
-
-    /// Run in *maximal parallel steps*: each step collects a maximal set of
-    /// disjoint enabled firings and applies them together. Returns the
-    /// usual result plus the per-step firing counts (the parallelism
-    /// profile). Each step is one "chemical tick" — the idealised machine
-    /// with unbounded processors. Delegates to a one-wave
-    /// [`Session`] like [`Self::run`].
-    pub fn run_max_parallel_steps(self) -> Result<(ExecResult, Vec<usize>), ExecError> {
-        let mut session = Session::from_compiled(
-            self.compiled,
-            self.multiset,
-            EngineConfig::from(&self.config),
-        );
-        let (_, profile) = session.run_to_stable_max_parallel()?;
-        Ok((session.finish(), profile))
-    }
-}
-
 /// Run a [`Pipeline`] (sequential composition `P1 ; P2 ; …`): each stage
 /// runs a [`Session`] to steady state and the stage's
 /// [`Session::drain_stable`] output seeds the next stage's session.
 ///
-/// The cumulative result absorbs every stage's execution counters *and*
-/// its scheduler/network counters: `sched` is the sum of the stages'
-/// [`SchedStats`] under [`Scheduling::Delta`], `rete` the sum of their
-/// [`ReteStats`] under [`Scheduling::Rete`] (earlier versions dropped
-/// both on the floor).
+/// The cumulative result absorbs every stage's execution counters, its
+/// scheduler/network counters (`sched` sums the stages' [`SchedStats`]
+/// under [`Scheduling::Delta`], `rete` their [`ReteStats`] under
+/// [`Scheduling::Rete`]), and — when [`EngineConfig::record_trace`] is
+/// set — the stages' traces in stage order, numbered continuously.
 pub fn run_pipeline(
     pipeline: &Pipeline,
     initial: ElementBag,
-    config: &ExecConfig,
+    config: &EngineConfig,
 ) -> Result<ExecResult, ExecError> {
     let mut multiset = initial;
     let mut stats = ExecStats::new(0);
+    let mut trace = (config.record_trace && matches!(config.engine, Engine::Seq)).then(Vec::new);
     let mut sched: Option<SchedStats> = None;
     let mut rete: Option<ReteStats> = None;
     let mut last_status = Status::Stable;
     for stage in &pipeline.stages {
         let mut session = Session::build(stage)
-            .config(EngineConfig::from(config))
+            .config(config.clone())
             .start(multiset)?;
         let wave = session.run_to_stable()?;
         last_status = wave.status;
         multiset = session.drain_stable();
         let result = session.finish();
+        if let (Some(all), Some(stage_trace)) = (trace.as_mut(), result.trace) {
+            let base = stats.firings_total();
+            all.extend(stage_trace.into_iter().map(|mut record| {
+                record.step += base;
+                record
+            }));
+        }
         stats.absorb(&result.stats);
         if let Some(s) = &result.sched {
             sched.get_or_insert_with(SchedStats::default).absorb(s);
@@ -333,7 +217,7 @@ pub fn run_pipeline(
         multiset,
         status: last_status,
         stats,
-        trace: None,
+        trace,
         sched,
         rete,
     })
@@ -343,7 +227,7 @@ pub fn run_pipeline(
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::spec::{ElementSpec, Pattern, ReactionSpec};
+    use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
     use gammaflow_multiset::Element;
 
@@ -364,8 +248,9 @@ mod tests {
     #[test]
     fn min_program_reaches_minimum() {
         let initial: ElementBag = [9, 4, 7, 1, 8].into_iter().map(|v| e(v, "n", 0)).collect();
-        let result = SeqInterpreter::with_seed(&min_program(), initial, 1)
-            .run()
+        let result = Session::build(&min_program())
+            .selection(Selection::Seeded(1))
+            .run(initial)
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset.len(), 1);
@@ -377,8 +262,9 @@ mod tests {
     fn min_with_duplicates_stabilises_with_ties() {
         // x < y is strict: two equal minima both survive.
         let initial: ElementBag = [3, 3, 9].into_iter().map(|v| e(v, "n", 0)).collect();
-        let result = SeqInterpreter::with_seed(&min_program(), initial, 3)
-            .run()
+        let result = Session::build(&min_program())
+            .selection(Selection::Seeded(3))
+            .run(initial)
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset.len(), 2);
@@ -389,8 +275,9 @@ mod tests {
     fn all_seeds_agree_on_confluent_result() {
         let initial: ElementBag = (1..=20).map(|v| e(v, "n", 0)).collect();
         for seed in 0..5 {
-            let result = SeqInterpreter::with_seed(&min_program(), initial.clone(), seed)
-                .run()
+            let result = Session::build(&min_program())
+                .selection(Selection::Seeded(seed))
+                .run(initial.clone())
                 .unwrap();
             assert_eq!(result.multiset.sorted_elements(), vec![e(1, "n", 0)]);
         }
@@ -399,8 +286,9 @@ mod tests {
     #[test]
     fn deterministic_mode_matches_seeded_outcome() {
         let initial: ElementBag = (1..=10).map(|v| e(v, "n", 0)).collect();
-        let result = SeqInterpreter::deterministic(&min_program(), initial)
-            .run()
+        let result = Session::build(&min_program())
+            .selection(Selection::Deterministic)
+            .run(initial)
             .unwrap();
         assert_eq!(result.multiset.sorted_elements(), vec![e(1, "n", 0)]);
     }
@@ -408,8 +296,8 @@ mod tests {
     #[test]
     fn empty_program_is_immediately_stable() {
         let initial: ElementBag = [e(1, "n", 0)].into_iter().collect();
-        let result = SeqInterpreter::with_seed(&GammaProgram::default(), initial.clone(), 0)
-            .run()
+        let result = Session::build(&GammaProgram::default())
+            .run(initial.clone())
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, initial);
@@ -426,14 +314,7 @@ mod tests {
                 "n",
             )])]);
         let initial: ElementBag = [e(0, "n", 0)].into_iter().collect();
-        let config = ExecConfig {
-            max_steps: 100,
-            ..ExecConfig::default()
-        };
-        let result = SeqInterpreter::with_config(&diverge, initial, config)
-            .unwrap()
-            .run()
-            .unwrap();
+        let result = Session::build(&diverge).budget(100).run(initial).unwrap();
         assert_eq!(result.status, Status::BudgetExhausted);
         assert_eq!(result.stats.firings_total(), 100);
         assert!(result.multiset.contains(&e(100, "n", 0)));
@@ -442,13 +323,9 @@ mod tests {
     #[test]
     fn trace_records_every_firing() {
         let initial: ElementBag = [4, 2, 9].into_iter().map(|v| e(v, "n", 0)).collect();
-        let config = ExecConfig {
-            record_trace: true,
-            ..ExecConfig::default()
-        };
-        let result = SeqInterpreter::with_config(&min_program(), initial, config)
-            .unwrap()
-            .run()
+        let result = Session::build(&min_program())
+            .record_trace(true)
+            .run(initial)
             .unwrap();
         let trace = result.trace.unwrap();
         assert_eq!(trace.len() as u64, result.stats.firings_total());
@@ -471,9 +348,9 @@ mod tests {
                 "n",
             )])]);
         let initial: ElementBag = (1..=8).map(|v| e(v, "n", 0)).collect();
-        let (result, profile) = SeqInterpreter::with_seed(&sum, initial, 0)
-            .run_max_parallel_steps()
-            .unwrap();
+        let mut session = Session::build(&sum).start(initial).unwrap();
+        let (_, profile) = session.run_to_stable_max_parallel().unwrap();
+        let result = session.finish();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset.len(), 1);
         assert!(result.multiset.contains(&e(36, "n", 0)));
@@ -498,7 +375,7 @@ mod tests {
         let result = run_pipeline(
             &Pipeline::new(vec![stage1, stage2]),
             initial,
-            &ExecConfig::default(),
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(result.status, Status::Stable);

@@ -7,15 +7,13 @@
 //! machinery of the delta scheduler ([`crate::schedule`]) and the Rete
 //! join network ([`crate::rete`]) already maintains exact match memory
 //! across firings — the same insight as classic incremental production
-//! systems and differential dataflow — yet the historical entry points
-//! ([`SeqInterpreter::run`](crate::seq::SeqInterpreter::run), [`run_parallel`](crate::parallel::run_parallel))
-//! were one-shot: every call recompiled reactions, rebuilt alpha/beta
-//! memories and shard slices, and discarded them at stability.
+//! systems and differential dataflow — so rebuilding it per batch would
+//! throw the O(delta) away.
 //!
-//! A [`Session`] owns the compiled program **and the live matcher state**
-//! (the [`ReteNetwork`], the [`DeltaScheduler`] worklist, or the parallel
-//! engine's sharded slices + bag + key directory) across any number of
-//! **waves**:
+//! A [`Session`] is the one way to run Γ. It owns the compiled program
+//! **and the live matcher state** (the [`ReteNetwork`], the
+//! [`DeltaScheduler`] worklist, or the parallel engine's sharded slices +
+//! bag + key directory) across any number of **waves**:
 //!
 //! ```text
 //! Session::build(&program)           // compile once
@@ -40,13 +38,9 @@
 //! of a full rebuild (harness step `S5` records the margin in
 //! `BENCH_streaming.json`).
 //!
-//! The historical entry points survive as thin wrappers over one-wave
-//! sessions — [`SeqInterpreter::run`](crate::seq::SeqInterpreter::run), `run_max_parallel_steps`,
-//! [`run_parallel`](crate::parallel::run_parallel), and
-//! [`run_pipeline`](crate::seq::run_pipeline) (stages are sessions
-//! chained by [`Session::drain_stable`]) — with unchanged deterministic
-//! traces; [`EngineConfig`] unifies the legacy `ExecConfig`/`ParConfig`
-//! pair and both convert [`From`] it.
+//! One-shot callers use [`SessionBuilder::run`] (`start` +
+//! `run_to_stable` + `finish`); [`run_pipeline`](crate::seq::run_pipeline)
+//! chains one session per stage through [`Session::drain_stable`].
 //!
 //! # Which state survives a wave
 //!
@@ -66,7 +60,7 @@ use crate::parallel::{
 use crate::pool::WaveDispatch;
 use crate::rete::{ReteNetwork, ReteStats};
 use crate::schedule::{DeltaScheduler, SchedStats};
-use crate::seq::{ExecConfig, ExecError, ExecResult, Scheduling, Selection, Status};
+use crate::seq::{ExecError, ExecResult, Scheduling, Selection, Status};
 use crate::spec::GammaProgram;
 use crate::telemetry::{
     firing_event, MetricsRegistry, ProfTimes, ProfileTable, Telemetry, TraceEvent, TraceSink,
@@ -95,10 +89,8 @@ pub enum Engine {
     Parallel(ParEngine),
 }
 
-/// Unified engine configuration consumed by the [`Session`] builder —
-/// the merge of the legacy [`ExecConfig`] (sequential) and
-/// [`ParConfig`](crate::parallel::ParConfig) (parallel) pair, either of
-/// which converts [`From`] into it for migration.
+/// The engine configuration consumed by the [`Session`] builder: one
+/// struct for the sequential and the parallel engines alike.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Which engine runs the waves.
@@ -116,8 +108,10 @@ pub struct EngineConfig {
     /// (sequential engines only).
     pub record_trace: bool,
     /// Per-reaction live-token budget for Rete memories (sequential
-    /// network and per-worker slices alike); see
-    /// [`ExecConfig::rete_watermark`].
+    /// network and per-worker slices alike): past it, the deepest join
+    /// levels spill to on-demand search (see [`crate::rete`]). Exactness
+    /// does not depend on the value; it only trades memory for
+    /// recomputation.
     pub rete_watermark: usize,
     /// Worker threads (parallel engines).
     pub workers: usize,
@@ -198,52 +192,6 @@ impl Default for EngineConfig {
     }
 }
 
-impl From<&ExecConfig> for EngineConfig {
-    fn from(c: &ExecConfig) -> Self {
-        EngineConfig {
-            engine: Engine::Seq,
-            scheduling: c.scheduling,
-            selection: c.selection,
-            max_steps: c.max_steps,
-            record_trace: c.record_trace,
-            rete_watermark: c.rete_watermark,
-            guard_eval: c.guard_eval,
-            vm_tier_threshold: c.vm_tier_threshold,
-            ..EngineConfig::default()
-        }
-    }
-}
-
-impl From<ExecConfig> for EngineConfig {
-    fn from(c: ExecConfig) -> Self {
-        EngineConfig::from(&c)
-    }
-}
-
-impl From<&crate::parallel::ParConfig> for EngineConfig {
-    fn from(c: &crate::parallel::ParConfig) -> Self {
-        EngineConfig {
-            engine: Engine::Parallel(c.engine),
-            selection: Selection::Seeded(c.seed),
-            max_steps: c.max_firings,
-            rete_watermark: c.rete_watermark,
-            workers: c.workers,
-            shards: c.shards,
-            sample_cap: c.sample_cap,
-            seed: c.seed,
-            guard_eval: c.guard_eval,
-            vm_tier_threshold: c.vm_tier_threshold,
-            ..EngineConfig::default()
-        }
-    }
-}
-
-impl From<crate::parallel::ParConfig> for EngineConfig {
-    fn from(c: crate::parallel::ParConfig) -> Self {
-        EngineConfig::from(&c)
-    }
-}
-
 /// What happened to a [`Session::inject`] call under the configured
 /// [`EngineConfig::bag_budget`]. Marked `#[must_use]`: dropping a
 /// `Spilled` overflow silently loses input.
@@ -299,9 +247,7 @@ pub struct SessionBuilder<'a> {
 }
 
 impl<'a> SessionBuilder<'a> {
-    /// Replace the whole configuration (migration path from
-    /// [`ExecConfig`]/[`ParConfig`](crate::parallel::ParConfig) via
-    /// their [`From`] conversions).
+    /// Replace the whole configuration.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -331,7 +277,7 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Rete spill watermark (see [`ExecConfig::rete_watermark`]).
+    /// Rete spill watermark (see [`EngineConfig::rete_watermark`]).
     pub fn watermark(mut self, watermark: usize) -> Self {
         self.config.rete_watermark = watermark;
         self
@@ -419,10 +365,19 @@ impl<'a> SessionBuilder<'a> {
     /// return the live session.
     pub fn start(self, initial: ElementBag) -> Result<Session, ExecError> {
         let compiled = CompiledProgram::compile(self.program)?;
-        let mut session =
-            Session::from_compiled_with_observer(compiled, initial, self.config, self.observer);
+        let mut session = Session::assemble(compiled, self.config, initial);
+        session.observer = self.observer;
         session.dispatch = self.dispatch;
+        session.emit_build_events();
         Ok(session)
+    }
+
+    /// One-shot execution: [`start`](Self::start), one
+    /// [`Session::run_to_stable`] wave, [`Session::finish`].
+    pub fn run(self, initial: ElementBag) -> Result<ExecResult, ExecError> {
+        let mut session = self.start(initial)?;
+        session.run_to_stable()?;
+        Ok(session.finish())
     }
 }
 
@@ -437,6 +392,117 @@ enum SeqMatcher {
     /// re-promotion state.
     Rete(Box<ReteNetwork>),
 }
+
+impl SeqMatcher {
+    fn build(compiled: &CompiledProgram, bag: &ElementBag, config: &EngineConfig) -> SeqMatcher {
+        match config.scheduling {
+            Scheduling::Rescan => SeqMatcher::Rescan {
+                order: (0..compiled.reactions.len()).collect(),
+            },
+            Scheduling::Delta => SeqMatcher::Delta(Box::new(DeltaScheduler::new(compiled))),
+            Scheduling::Rete => SeqMatcher::Rete(Box::new(ReteNetwork::with_watermark(
+                compiled,
+                bag,
+                config.rete_watermark,
+            ))),
+        }
+    }
+
+    /// Eq. (1)'s *pick*: an enabled `(reaction, tuple)` of the visible
+    /// multiset under the selection policy (`rng == None` is
+    /// deterministic first-match), or `None` when nothing is enabled.
+    ///
+    /// * Rescan searches every reaction from scratch — the reference.
+    /// * Delta re-searches only reactions reachable from elements
+    ///   produced since they last failed (see [`crate::schedule`]).
+    /// * Rete reads enabledness off the join network; a drained network
+    ///   *is* the stability proof. Under deterministic selection the
+    ///   network only answers *which reaction*, and the tuple comes from
+    ///   the same index search the reference runs, so the trace is
+    ///   identical by construction; under seeded selection the firing is
+    ///   read off a random terminal token.
+    fn next_firing(
+        &mut self,
+        compiled: &CompiledProgram,
+        multiset: &ElementBag,
+        mut rng: Option<&mut ChaCha8Rng>,
+        scratch: &mut SearchScratch,
+    ) -> Result<Option<Firing>, ExecError> {
+        match self {
+            SeqMatcher::Rescan { order } => {
+                if let Some(r) = rng.as_deref_mut() {
+                    order.shuffle(r);
+                }
+                Ok(compiled.find_any(order, multiset, rng)?)
+            }
+            SeqMatcher::Delta(scheduler) => Ok(scheduler.next_firing(compiled, multiset, rng)?),
+            SeqMatcher::Rete(network) => {
+                let picked = match rng.as_deref_mut() {
+                    None => network.first_ready(compiled, multiset),
+                    Some(r) => network.pick_ready(compiled, multiset, r),
+                };
+                let Some(reaction) = picked else {
+                    return Ok(None);
+                };
+                let found = match rng.as_deref_mut() {
+                    Some(r) => network.pick_firing(compiled, multiset, reaction, r)?,
+                    None => compiled.reactions[reaction]
+                        .find_match_fast(reaction, multiset, None, scratch)?,
+                };
+                if found.is_some() {
+                    return Ok(found);
+                }
+                // The network over-approximated: a maintenance bug, not a
+                // semantics hazard, because the exact whole-program search
+                // has the last word on stability.
+                debug_assert!(
+                    false,
+                    "rete memory disagrees with search for reaction {reaction}"
+                );
+                let order: Vec<usize> = (0..compiled.reactions.len()).collect();
+                Ok(compiled.find_any_fast(&order, multiset, rng, scratch)?)
+            }
+        }
+    }
+
+    /// `firing` has been applied to `multiset` in full.
+    fn on_fired(&mut self, compiled: &CompiledProgram, multiset: &ElementBag, firing: &Firing) {
+        match self {
+            SeqMatcher::Rescan { .. } => {}
+            SeqMatcher::Delta(scheduler) => scheduler.on_fired(firing, USE_ANCHORS),
+            SeqMatcher::Rete(network) => network.on_firing_applied(compiled, multiset, firing),
+        }
+    }
+
+    /// `firing`'s consumed tuple has left `multiset` while its products
+    /// are withheld (maximal-parallel stepping); they arrive through
+    /// [`SeqMatcher::on_inserted`] at the step barrier.
+    fn on_removed(&mut self, compiled: &CompiledProgram, multiset: &ElementBag, firing: &Firing) {
+        match self {
+            SeqMatcher::Rescan { .. } => {}
+            SeqMatcher::Delta(scheduler) => scheduler.on_fired_consumed_only(firing),
+            SeqMatcher::Rete(network) => network.on_removed(compiled, multiset, &firing.consumed),
+        }
+    }
+
+    /// `elements` have been added to `multiset` (injection, step barrier).
+    fn on_inserted(
+        &mut self,
+        compiled: &CompiledProgram,
+        multiset: &ElementBag,
+        elements: &[Element],
+    ) {
+        match self {
+            SeqMatcher::Rescan { .. } => {}
+            SeqMatcher::Delta(scheduler) => scheduler.on_inserted(elements, USE_ANCHORS),
+            SeqMatcher::Rete(network) => network.on_inserted(compiled, multiset, elements),
+        }
+    }
+}
+
+/// Anchored probing is trace-preserving in both selection modes (see
+/// [`DeltaScheduler::next_firing`]), so the session always uses it.
+const USE_ANCHORS: bool = true;
 
 /// Engine state, persistent across waves.
 enum State {
@@ -500,24 +566,18 @@ impl Session {
         }
     }
 
-    /// Build a session from an already-compiled program (the wrappers'
-    /// entry: [`SeqInterpreter`](crate::seq::SeqInterpreter) compiles at construction time).
-    pub(crate) fn from_compiled(
-        compiled: CompiledProgram,
-        initial: ElementBag,
-        config: EngineConfig,
-    ) -> Session {
-        Self::from_compiled_with_observer(compiled, initial, config, None)
-    }
-
-    fn from_compiled_with_observer(
+    /// A fresh session over `bag`: matcher state built, counters zero,
+    /// no observer, default dispatch. Shared by [`SessionBuilder::start`]
+    /// and [`Session::restore`], which layers the snapshot's counters on
+    /// top.
+    fn assemble(
         mut compiled: CompiledProgram,
-        initial: ElementBag,
         mut config: EngineConfig,
-        observer: Option<WaveObserver>,
+        bag: ElementBag,
     ) -> Session {
         if !config.telemetry.enabled() {
-            // No sink installed explicitly: honour GAMMAFLOW_TRACE.
+            // No sink installed explicitly (or the config crossed serde,
+            // where telemetry serializes as null): honour GAMMAFLOW_TRACE.
             config.telemetry = Telemetry::from_env();
         }
         // Stamp the evaluation mode before any matcher state is built, so
@@ -531,44 +591,20 @@ impl Session {
             _ => None,
         };
         let state = match config.engine {
-            Engine::Seq => {
-                let matcher =
-                    match config.scheduling {
-                        Scheduling::Rescan => SeqMatcher::Rescan {
-                            order: (0..nreactions).collect(),
-                        },
-                        Scheduling::Delta => {
-                            SeqMatcher::Delta(Box::new(DeltaScheduler::new(&compiled)))
-                        }
-                        Scheduling::Rete => SeqMatcher::Rete(Box::new(
-                            ReteNetwork::with_watermark(&compiled, &initial, config.rete_watermark),
-                        )),
-                    };
-                State::Seq {
-                    multiset: initial,
-                    matcher,
-                }
-            }
+            Engine::Seq => State::Seq {
+                matcher: SeqMatcher::build(&compiled, &bag, &config),
+                multiset: bag,
+            },
             Engine::Parallel(ParEngine::ShardedRete) => {
-                State::Sharded(ShardedState::build(&compiled, initial, &config))
+                State::Sharded(ShardedState::build(&compiled, bag, &config))
             }
             Engine::Parallel(ParEngine::ProbeRetry) => {
-                State::Probe(ProbeState::build(&compiled, initial, &config))
+                State::Probe(ProbeState::build(&compiled, bag, &config))
             }
         };
         let trace = (config.record_trace && matches!(config.engine, Engine::Seq)).then(Vec::new);
-        // Wave-aggregate baselines: building the matcher over the
-        // initial bag may already demote memories to spill; only deltas
-        // past these values are reported as per-wave activity.
-        let seen_spill = match &state {
-            State::Seq {
-                matcher: SeqMatcher::Rete(n),
-                ..
-            } => (n.stats.spill_demotions, n.stats.spill_repromotions),
-            _ => (0, 0),
-        };
         let profiles = ProfileTable::new(compiled.reactions.iter().map(|r| r.name.as_str()));
-        let session = Session {
+        let mut session = Session {
             compiled,
             config,
             state,
@@ -582,14 +618,29 @@ impl Session {
             observer: None,
             ev: Cell::new(0),
             profiles,
-            seen_spill,
+            seen_spill: (0, 0),
             seen_confirms: 0,
             tier_ups: 0,
             dispatch: WaveDispatch::default(),
-        }
-        .with_observer(observer);
-        session.emit_build_events();
+        };
+        session.rebase_wave_aggregates();
         session
+    }
+
+    /// Re-base the wave-aggregate deltas on the matcher's lifetime
+    /// counters: building the matcher may already demote memories to
+    /// spill, and a restored matcher resumes from the snapshot's figures;
+    /// only activity past these values is reported per wave.
+    fn rebase_wave_aggregates(&mut self) {
+        if let State::Seq { matcher, .. } = &self.state {
+            match matcher {
+                SeqMatcher::Rescan { .. } => {}
+                SeqMatcher::Delta(s) => self.seen_confirms = s.stats.anchored_confirm_searches,
+                SeqMatcher::Rete(n) => {
+                    self.seen_spill = (n.stats.spill_demotions, n.stats.spill_repromotions)
+                }
+            }
+        }
     }
 
     /// Emit a main-thread trace event under the session's `wseq`
@@ -639,11 +690,6 @@ impl Session {
             });
         }
         self.config.telemetry.flush();
-    }
-
-    fn with_observer(mut self, observer: Option<WaveObserver>) -> Session {
-        self.observer = observer;
-        self
     }
 
     /// The active configuration.
@@ -731,13 +777,7 @@ impl Session {
                 for e in &elements {
                     multiset.insert(e.clone());
                 }
-                match matcher {
-                    SeqMatcher::Rescan { .. } => {}
-                    // Anchored probing stays trace-preserving in both
-                    // selection modes (see `DeltaScheduler::on_fired`).
-                    SeqMatcher::Delta(s) => s.on_inserted(&elements, true),
-                    SeqMatcher::Rete(n) => n.on_inserted(&self.compiled, multiset, &elements),
-                }
+                matcher.on_inserted(&self.compiled, multiset, &elements);
             }
             State::Sharded(st) => st.inject(&self.compiled, &elements),
             State::Probe(st) => st.inject(&elements),
@@ -772,24 +812,20 @@ impl Session {
     pub fn drain_stable(&mut self) -> ElementBag {
         let drained = match &mut self.state {
             State::Seq { multiset, matcher } => {
-                let out = std::mem::take(multiset);
-                match matcher {
-                    SeqMatcher::Rescan { .. } => {}
-                    // The scheduler's "clean" proofs survive draining:
-                    // removals never enable a reaction, so a reaction
-                    // with no match keeps having none in the empty bag.
-                    SeqMatcher::Delta(_) => {}
-                    SeqMatcher::Rete(n) => {
-                        let stats = n.stats.clone();
-                        **n = ReteNetwork::with_watermark(
-                            &self.compiled,
-                            &ElementBag::new(),
-                            self.config.rete_watermark,
-                        );
-                        n.stats = stats;
-                    }
+                // Only the Rete memories need resetting. The delta
+                // scheduler's "clean" proofs survive draining: removals
+                // never enable a reaction, so a reaction with no match
+                // keeps having none in the empty bag.
+                if let SeqMatcher::Rete(n) = matcher {
+                    let stats = std::mem::take(&mut n.stats);
+                    **n = ReteNetwork::with_watermark(
+                        &self.compiled,
+                        &ElementBag::new(),
+                        self.config.rete_watermark,
+                    );
+                    n.stats = stats;
                 }
-                out
+                std::mem::take(multiset)
             }
             State::Sharded(st) => st.drain_reset(&self.compiled),
             State::Probe(st) => st.drain(),
@@ -808,9 +844,32 @@ impl Session {
     /// An `Err` (a runtime action failure, e.g. division by zero) marks
     /// the session unusable: the failed wave's firings are not recorded
     /// and the matcher state may be out of step with the multiset.
-    /// Discard the session — exactly as the one-shot entry points
-    /// discard their run.
+    /// Discard the session.
     pub fn run_to_stable(&mut self) -> Result<Wave, ExecError> {
+        self.run_wave(None)
+    }
+
+    /// Run one wave in *maximal parallel steps*: each step fires a
+    /// maximal set of disjoint enabled tuples "simultaneously" (products
+    /// stay invisible until the step ends) — one "chemical tick" of the
+    /// idealised machine with unbounded processors. Returns the wave plus
+    /// the per-step firing counts, the parallelism profile. A sequential
+    /// execution mode: [`ExecError::Unsupported`] on an
+    /// [`Engine::Parallel`] session.
+    pub fn run_to_stable_max_parallel(&mut self) -> Result<(Wave, Vec<usize>), ExecError> {
+        if !matches!(self.state, State::Seq { .. }) {
+            return Err(ExecError::Unsupported(
+                "maximal parallel steps are a sequential execution mode (Engine::Seq)",
+            ));
+        }
+        let mut steps = Vec::new();
+        let wave = self.run_wave(Some(&mut steps))?;
+        Ok((wave, steps))
+    }
+
+    /// One wave. `steps`, when given, selects maximal-parallel stepping
+    /// (sequential engines only) and receives the per-step firing counts.
+    fn run_wave(&mut self, steps: Option<&mut Vec<usize>>) -> Result<Wave, ExecError> {
         let mut budget = self.budget_left();
         // The snapshot-mid-wave fault point: an armed `PauseMidWave` caps
         // this wave so it returns `BudgetExhausted` at a deterministic
@@ -827,151 +886,50 @@ impl Session {
             budget = budget.min(cap);
         }
         if self.config.telemetry.enabled() {
+            let mut engine = engine_desc(&self.config);
+            if steps.is_some() {
+                engine.push_str("/max-parallel");
+            }
             self.emit(TraceEvent::WaveStart {
                 wave: self.waves_run,
-                engine: engine_desc(&self.config),
+                engine,
             });
         }
-        let nreactions = self.compiled.reactions.len();
-        let mut wave_stats = ExecStats::new(nreactions);
         let mut prof = ProfTimes::new(
             self.config.profile && matches!(self.config.engine, Engine::Seq),
-            nreactions,
+            self.compiled.reactions.len(),
         );
-        let status = match &mut self.state {
-            State::Seq { multiset, matcher } => {
-                let ctx = SeqWaveCtx {
-                    compiled: &self.compiled,
-                    budget,
-                    step_base: self.stats.firings_total(),
-                    tel: &self.config.telemetry,
-                    ev: &self.ev,
-                    wave: self.waves_run,
-                };
-                match matcher {
-                    SeqMatcher::Rescan { order } => wave_rescan(
-                        &ctx,
-                        multiset,
-                        order,
-                        self.rng.as_mut(),
-                        &mut wave_stats,
-                        self.trace.as_mut(),
-                        &mut prof,
-                    )?,
-                    SeqMatcher::Delta(scheduler) => wave_delta(
-                        &ctx,
-                        multiset,
-                        scheduler,
-                        self.rng.as_mut(),
-                        &mut wave_stats,
-                        self.trace.as_mut(),
-                        &mut prof,
-                    )?,
-                    SeqMatcher::Rete(network) => wave_rete(
-                        &ctx,
-                        multiset,
-                        network,
-                        self.rng.as_mut(),
-                        &mut self.scratch,
-                        &mut wave_stats,
-                        self.trace.as_mut(),
-                        &mut prof,
-                    )?,
-                }
+        let ctl = WaveCtl {
+            recovery: &self.config.recovery,
+            faults: &self.config.faults,
+            tel: &self.config.telemetry,
+            ev: &self.ev,
+            dispatch: &self.dispatch,
+        };
+        let (wave_stats, status) = match &mut self.state {
+            State::Seq { multiset, matcher } => SeqWave {
+                compiled: &self.compiled,
+                multiset,
+                matcher,
+                rng: self.rng.as_mut(),
+                scratch: &mut self.scratch,
+                budget,
+                step_base: self.stats.firings_total(),
+                trace: self.trace.as_mut(),
+                prof: &mut prof,
+                ctl: &ctl,
+                wave: self.waves_run,
+                steps,
             }
+            .run()?,
             State::Sharded(st) => {
-                let ctl = WaveCtl {
-                    recovery: &self.config.recovery,
-                    faults: &self.config.faults,
-                    tel: &self.config.telemetry,
-                    ev: &self.ev,
-                    dispatch: &self.dispatch,
-                };
-                let (stats, status) =
-                    st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?;
-                wave_stats = stats;
-                status
+                st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?
             }
             State::Probe(st) => {
-                let ctl = WaveCtl {
-                    recovery: &self.config.recovery,
-                    faults: &self.config.faults,
-                    tel: &self.config.telemetry,
-                    ev: &self.ev,
-                    dispatch: &self.dispatch,
-                };
-                let (stats, status) =
-                    st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?;
-                wave_stats = stats;
-                status
+                st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?
             }
         };
         self.finish_wave(wave_stats, status, prof)
-    }
-
-    /// Run one wave in *maximal parallel steps* (each step fires a
-    /// maximal set of disjoint enabled tuples "simultaneously"),
-    /// returning the wave plus the per-step firing counts. Sequential
-    /// engines only.
-    ///
-    /// # Panics
-    ///
-    /// If the session was built with [`Engine::Parallel`] — the
-    /// maximal-step semantics is an idealised sequential execution mode.
-    pub fn run_to_stable_max_parallel(&mut self) -> Result<(Wave, Vec<usize>), ExecError> {
-        let budget = self.budget_left();
-        if self.config.telemetry.enabled() {
-            self.emit(TraceEvent::WaveStart {
-                wave: self.waves_run,
-                engine: format!("{}/max-parallel", engine_desc(&self.config)),
-            });
-        }
-        let nreactions = self.compiled.reactions.len();
-        let mut wave_stats = ExecStats::new(nreactions);
-        let mut prof = ProfTimes::new(self.config.profile, nreactions);
-        let State::Seq { multiset, matcher } = &mut self.state else {
-            panic!("maximal parallel steps are a sequential execution mode (Engine::Seq)");
-        };
-        let ctx = SeqWaveCtx {
-            compiled: &self.compiled,
-            budget,
-            step_base: self.stats.firings_total(),
-            tel: &self.config.telemetry,
-            ev: &self.ev,
-            wave: self.waves_run,
-        };
-        let (status, profile) = match matcher {
-            SeqMatcher::Rescan { order } => wave_rescan_steps(
-                &ctx,
-                multiset,
-                order,
-                self.rng.as_mut(),
-                &mut wave_stats,
-                self.trace.as_mut(),
-                &mut prof,
-            )?,
-            SeqMatcher::Delta(scheduler) => wave_delta_steps(
-                &ctx,
-                multiset,
-                scheduler,
-                self.rng.as_mut(),
-                &mut wave_stats,
-                self.trace.as_mut(),
-                &mut prof,
-            )?,
-            SeqMatcher::Rete(network) => wave_rete_steps(
-                &ctx,
-                multiset,
-                network,
-                self.rng.as_mut(),
-                &mut self.scratch,
-                &mut wave_stats,
-                self.trace.as_mut(),
-                &mut prof,
-            )?,
-        };
-        let wave = self.finish_wave(wave_stats, status, prof)?;
-        Ok((wave, profile))
     }
 
     /// Common wave epilogue: absorb the wave's per-reaction profile
@@ -1100,34 +1058,19 @@ impl Session {
     /// activity and delta-scheduler anchored-confirm searches — as
     /// deltas against the lifetime counters already reported.
     fn emit_wave_aggregates(&mut self) {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Rete(n),
-                ..
-            } => {
-                let demotions = n.stats.spill_demotions - self.seen_spill.0;
-                let repromotions = n.stats.spill_repromotions - self.seen_spill.1;
-                let lifetime = (n.stats.spill_demotions, n.stats.spill_repromotions);
-                if demotions + repromotions > 0 {
-                    self.emit(TraceEvent::SpillActivity {
-                        demotions,
-                        repromotions,
-                    });
-                }
-                self.seen_spill = lifetime;
-            }
-            State::Seq {
-                matcher: SeqMatcher::Delta(s),
-                ..
-            } => {
-                let searches = s.stats.anchored_confirm_searches - self.seen_confirms;
-                let lifetime = s.stats.anchored_confirm_searches;
-                if searches > 0 {
-                    self.emit(TraceEvent::AnchoredConfirms { searches });
-                }
-                self.seen_confirms = lifetime;
-            }
-            _ => {}
+        let (spill, confirms) = (self.seen_spill, self.seen_confirms);
+        self.rebase_wave_aggregates();
+        let demotions = self.seen_spill.0 - spill.0;
+        let repromotions = self.seen_spill.1 - spill.1;
+        if demotions + repromotions > 0 {
+            self.emit(TraceEvent::SpillActivity {
+                demotions,
+                repromotions,
+            });
+        }
+        let searches = self.seen_confirms - confirms;
+        if searches > 0 {
+            self.emit(TraceEvent::AnchoredConfirms { searches });
         }
     }
 
@@ -1135,17 +1078,13 @@ impl Session {
     /// and the cumulative counters across all waves (including the
     /// scheduler/network totals under `sched`/`rete`).
     pub fn finish(self) -> ExecResult {
-        let (multiset, sched, rete) = match self.state {
-            State::Seq { multiset, matcher } => match matcher {
-                SeqMatcher::Rescan { .. } => (multiset, None, None),
-                SeqMatcher::Delta(s) => (multiset, Some(s.stats.clone()), None),
-                SeqMatcher::Rete(n) => (multiset, None, Some(n.stats.clone())),
-            },
-            State::Sharded(st) => (st.into_bag(), None, None),
-            State::Probe(st) => (st.into_bag(), None, None),
-        };
+        let (sched, rete) = (self.sched_stats(), self.rete_stats());
         ExecResult {
-            multiset,
+            multiset: match self.state {
+                State::Seq { multiset, .. } => multiset,
+                State::Sharded(st) => st.into_bag(),
+                State::Probe(st) => st.into_bag(),
+            },
             status: self.last_status,
             stats: self.stats,
             trace: self.trace,
@@ -1155,9 +1094,7 @@ impl Session {
     }
 
     /// Like [`Session::finish`], additionally reporting the parallel
-    /// engine counters (the [`run_parallel`](crate::parallel::run_parallel)
-    /// wrapper's result shape). For a sequential session the parallel
-    /// counters are all zero.
+    /// engine counters. For a sequential session they are all zero.
     pub fn finish_parallel(self) -> ParResult {
         let par = self.par_stats();
         let exec = self.finish();
@@ -1360,7 +1297,7 @@ impl Session {
         program: &GammaProgram,
         snapshot: SessionSnapshot,
     ) -> Result<Session, ExecError> {
-        let mut compiled = CompiledProgram::compile(program)?;
+        let compiled = CompiledProgram::compile(program)?;
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(ExecError::Snapshot(format!(
                 "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
@@ -1374,105 +1311,43 @@ impl Session {
                 snapshot.reactions
             )));
         }
-        let mut config = snapshot.config;
-        if !config.telemetry.enabled() {
-            // A snapshot that crossed serde carries no sink (telemetry
-            // serializes as null); honour GAMMAFLOW_TRACE on the restore
-            // side. An in-process snapshot keeps its live handle.
-            config.telemetry = Telemetry::from_env();
+        // Matcher state is a pure function of the bag, so a fresh build
+        // over the snapshot's multiset reproduces it exactly. (A fresh
+        // delta scheduler starts all-dirty, which preserves deterministic
+        // traces — the lowest-indexed enabled reaction is in the dirty
+        // set either way — and only costs one extra search per
+        // reaction.) VM tiers restart at baseline and re-tier at the next
+        // wave boundary off the restored profile counts: tier is a pure
+        // performance state, never behaviour, so the resumed run stays
+        // byte-identical to the uninterrupted one.
+        let mut session = Session::assemble(compiled, snapshot.config, snapshot.bag);
+        if let (Some(rng), Some(state)) = (session.rng.as_mut(), snapshot.rng) {
+            *rng = ChaCha8Rng::from_state(state);
         }
-        // Stamp the evaluation mode before matcher state builds. Tiers
-        // restart at baseline (chunks are freshly compiled) and re-tier
-        // at the next wave boundary off the restored profile counts —
-        // tier is a pure performance state, never behaviour, so the
-        // resumed run stays byte-identical to the uninterrupted one.
-        compiled.set_guard_eval_mode(config.guard_eval);
-        let rng = match (config.engine, config.selection) {
-            (Engine::Seq, Selection::Seeded(seed)) => Some(match snapshot.rng {
-                Some(s) => ChaCha8Rng::from_state(s),
-                None => ChaCha8Rng::seed_from_u64(seed),
-            }),
-            _ => None,
-        };
-        let state = match config.engine {
-            Engine::Seq => {
-                let matcher = match config.scheduling {
-                    Scheduling::Rescan => SeqMatcher::Rescan {
-                        order: (0..nreactions).collect(),
-                    },
-                    // A fresh scheduler starts all-dirty, which preserves
-                    // deterministic traces (the lowest-indexed enabled
-                    // reaction is in the dirty set either way) and only
-                    // costs one extra search per reaction.
-                    Scheduling::Delta => {
-                        let mut s = Box::new(DeltaScheduler::new(&compiled));
-                        if let Some(stats) = &snapshot.sched {
-                            s.stats = stats.clone();
-                        }
-                        SeqMatcher::Delta(s)
+        match &mut session.state {
+            State::Seq { matcher, .. } => match matcher {
+                SeqMatcher::Rescan { .. } => {}
+                SeqMatcher::Delta(s) => {
+                    if let Some(stats) = snapshot.sched {
+                        s.stats = stats;
                     }
-                    // Rebuilding the network over the restored multiset
-                    // reproduces the memories exactly: they are a pure
-                    // function of the bag.
-                    Scheduling::Rete => {
-                        let mut n = Box::new(ReteNetwork::with_watermark(
-                            &compiled,
-                            &snapshot.bag,
-                            config.rete_watermark,
-                        ));
-                        if let Some(stats) = &snapshot.rete {
-                            n.stats = stats.clone();
-                        }
-                        SeqMatcher::Rete(n)
-                    }
-                };
-                State::Seq {
-                    multiset: snapshot.bag,
-                    matcher,
                 }
-            }
-            Engine::Parallel(ParEngine::ShardedRete) => {
-                let st = ShardedState::build(&compiled, snapshot.bag, &config);
-                st.directory_preload(&snapshot.directory);
-                State::Sharded(st)
-            }
-            Engine::Parallel(ParEngine::ProbeRetry) => {
-                let st = ProbeState::build(&compiled, snapshot.bag, &config);
-                st.directory_preload(&snapshot.directory);
-                State::Probe(st)
-            }
-        };
-        // Wave-aggregate baselines: restored matcher stats start at the
-        // snapshot's lifetime figures, so deltas resume from there.
-        let seen_spill = snapshot
-            .rete
-            .as_ref()
-            .map(|r| (r.spill_demotions, r.spill_repromotions))
-            .unwrap_or((0, 0));
-        let seen_confirms = snapshot
-            .sched
-            .as_ref()
-            .map(|s| s.anchored_confirm_searches)
-            .unwrap_or(0);
-        let session = Session {
-            compiled,
-            config,
-            state,
-            rng,
-            scratch: SearchScratch::new(),
-            stats: snapshot.stats,
-            trace: snapshot.trace,
-            par: snapshot.par,
-            last_status: snapshot.last_status,
-            waves_run: snapshot.waves_run,
-            observer: None,
-            ev: Cell::new(0),
-            profiles: snapshot.profiles,
-            seen_spill,
-            seen_confirms,
-            tier_ups: 0,
-            dispatch: WaveDispatch::default(),
-        };
+                SeqMatcher::Rete(n) => {
+                    if let Some(stats) = snapshot.rete {
+                        n.stats = stats;
+                    }
+                }
+            },
+            State::Sharded(st) => st.directory_preload(&snapshot.directory),
+            State::Probe(st) => st.directory_preload(&snapshot.directory),
+        }
+        session.rebase_wave_aggregates();
+        session.stats = snapshot.stats;
+        session.trace = snapshot.trace;
+        session.par = snapshot.par;
+        session.last_status = snapshot.last_status;
+        session.waves_run = snapshot.waves_run;
+        session.profiles = snapshot.profiles;
         if session.config.telemetry.enabled() {
             session.emit(TraceEvent::SessionRestored {
                 waves_run: session.waves_run,
@@ -1556,449 +1431,169 @@ pub struct SessionSnapshot {
     pub profiles: ProfileTable,
 }
 
-/// Per-wave context shared by the sequential loops.
-struct SeqWaveCtx<'a> {
+/// One sequential wave — the executable reading of Eq. (1): *if no
+/// reaction is enabled return M, else pick, apply, recurse*. The three
+/// schedulers differ only in how [`SeqMatcher::next_firing`] finds the
+/// pick; the loop around them exists once.
+///
+/// Maximal-parallel stepping (`steps` is `Some`) is a mode of the same
+/// loop: consumed tuples leave the multiset at once, products are
+/// withheld until no further disjoint tuple is enabled, and that barrier
+/// ends the step.
+struct SeqWave<'a> {
     compiled: &'a CompiledProgram,
+    multiset: &'a mut ElementBag,
+    matcher: &'a mut SeqMatcher,
+    rng: Option<&'a mut ChaCha8Rng>,
+    scratch: &'a mut SearchScratch,
     /// Firings allowed this wave (the session's cumulative budget minus
     /// what previous waves spent).
     budget: u64,
     /// Global step offset for trace records (the trace numbers firings
     /// continuously across waves).
     step_base: u64,
-    /// Telemetry handle for `Firing` events.
-    tel: &'a Telemetry,
-    /// The session's main-thread event counter.
-    ev: &'a Cell<u64>,
+    trace: Option<&'a mut Vec<FiringRecord>>,
+    prof: &'a mut ProfTimes,
+    /// The session's main-thread event stream, for `Firing` events.
+    ctl: &'a WaveCtl<'a>,
     /// Wave index stamped on emitted records.
     wave: u64,
+    /// Per-step firing counts out; `Some` selects maximal-parallel mode.
+    steps: Option<&'a mut Vec<usize>>,
 }
 
-impl SeqWaveCtx<'_> {
-    fn record(
-        &self,
-        firing: &Firing,
-        fired: u64,
-        match_ns: u64,
-        stats: &mut ExecStats,
-        trace: &mut Option<&mut Vec<FiringRecord>>,
-    ) {
-        stats.record_firing(firing.reaction, firing);
+impl SeqWave<'_> {
+    fn run(mut self) -> Result<(ExecStats, Status), ExecError> {
+        let mut stats = ExecStats::new(self.compiled.reactions.len());
+        let mut fired = 0u64;
+        // Maximal-parallel mode only: this step's withheld products and
+        // firing count.
+        let mut withheld: Vec<Element> = Vec::new();
+        let mut fired_this_step = 0usize;
+        let status = loop {
+            let exhausted = fired >= self.budget;
+            let m0 = self.prof.begin();
+            let next = if exhausted {
+                None
+            } else {
+                self.matcher.next_firing(
+                    self.compiled,
+                    self.multiset,
+                    self.rng.as_deref_mut(),
+                    self.scratch,
+                )?
+            };
+            let Some(firing) = next else {
+                // Step barrier: products become visible and reach the
+                // matcher; a step that fired nothing is the fixpoint.
+                if fired_this_step > 0 {
+                    if let Some(steps) = self.steps.as_deref_mut() {
+                        steps.push(fired_this_step);
+                    }
+                    fired_this_step = 0;
+                    for e in &withheld {
+                        self.multiset.insert(e.clone());
+                    }
+                    self.matcher
+                        .on_inserted(self.compiled, self.multiset, &withheld);
+                    withheld.clear();
+                    if !exhausted {
+                        continue;
+                    }
+                }
+                break if exhausted {
+                    Status::BudgetExhausted
+                } else {
+                    Status::Stable
+                };
+            };
+            let a0 = self.prof.begin();
+            let ok = self.multiset.remove_all(&firing.consumed);
+            debug_assert!(ok, "matched elements must be present");
+            if self.steps.is_some() {
+                self.matcher
+                    .on_removed(self.compiled, self.multiset, &firing);
+                withheld.extend(firing.produced.iter().cloned());
+                fired_this_step += 1;
+            } else {
+                for e in &firing.produced {
+                    self.multiset.insert(e.clone());
+                }
+                self.matcher.on_fired(self.compiled, self.multiset, &firing);
+            }
+            let match_ns = self.prof.note(firing.reaction, m0, a0);
+            stats.record_firing(firing.reaction, &firing);
+            self.record(&firing, fired, match_ns);
+            fired += 1;
+        };
+
+        // A drained Rete network replaced the drain-time rescan as the
+        // stability proof; debug builds still cross-check it against the
+        // exact search.
+        #[cfg(debug_assertions)]
+        if status == Status::Stable && matches!(self.matcher, SeqMatcher::Rete(_)) {
+            let order: Vec<usize> = (0..self.compiled.reactions.len()).collect();
+            let confirm = self
+                .compiled
+                .find_any_fast(&order, self.multiset, None, self.scratch)?;
+            debug_assert!(
+                confirm.is_none(),
+                "rete network drained while a reaction was enabled"
+            );
+        }
+        Ok((stats, status))
+    }
+
+    /// Append `firing` to the trace and the telemetry stream.
+    fn record(&mut self, firing: &Firing, fired: u64, match_ns: u64) {
         let name = &self.compiled.reactions[firing.reaction].name;
-        if let Some(t) = trace.as_mut() {
+        if let Some(t) = self.trace.as_deref_mut() {
             t.push(FiringRecord::from_firing(
                 self.step_base + fired,
                 name,
                 firing,
             ));
         }
-        if self.tel.enabled() {
-            let wseq = self.ev.get();
-            self.ev.set(wseq + 1);
-            self.tel.emit(
-                MAIN_WORKER,
-                wseq,
-                self.wave,
-                firing_event(name, firing, match_ns, false),
-            );
+        if self.ctl.tel.enabled() {
+            self.ctl
+                .emit(self.wave, firing_event(name, firing, match_ns, false));
         }
     }
 }
 
-fn apply(multiset: &mut ElementBag, firing: &Firing) {
-    let ok = multiset.remove_all(&firing.consumed);
-    debug_assert!(ok, "matched elements must be present");
-    for e in &firing.produced {
-        multiset.insert(e.clone());
-    }
-}
-
-/// The reference rescanning wave: a full `find_any` over every reaction
-/// after every firing. Kept verbatim as the differential baseline.
-fn wave_rescan(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    order: &mut [usize],
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<Status, ExecError> {
-    let mut fired = 0u64;
-    loop {
-        if fired >= ctx.budget {
-            return Ok(Status::BudgetExhausted);
-        }
-        if let Some(r) = rng.as_deref_mut() {
-            order.shuffle(r);
-        }
-        let m0 = prof.begin();
-        match ctx.compiled.find_any(order, multiset, rng.as_deref_mut())? {
-            None => return Ok(Status::Stable),
-            Some(firing) => {
-                let a0 = prof.begin();
-                apply(multiset, &firing);
-                let match_ns = prof.note(firing.reaction, m0, a0);
-                ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                fired += 1;
-            }
-        }
-    }
-}
-
-/// The delta-scheduled wave: after a firing, only reactions reachable
-/// from the produced elements through the dependency index are
-/// re-searched. See [`crate::schedule`] for the invariants.
-fn wave_delta(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    scheduler: &mut DeltaScheduler,
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<Status, ExecError> {
-    // Anchored probes are trace-preserving in both modes; see
-    // `DeltaScheduler::next_firing`.
-    let use_anchors = true;
-    let mut fired = 0u64;
-    loop {
-        if fired >= ctx.budget {
-            return Ok(Status::BudgetExhausted);
-        }
-        let m0 = prof.begin();
-        match scheduler.next_firing(ctx.compiled, multiset, rng.as_deref_mut())? {
-            None => return Ok(Status::Stable),
-            Some(firing) => {
-                let a0 = prof.begin();
-                apply(multiset, &firing);
-                scheduler.on_fired(&firing, use_anchors);
-                let match_ns = prof.note(firing.reaction, m0, a0);
-                ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                fired += 1;
-            }
-        }
-    }
-}
-
-/// Deterministic-mode firing selection for a reaction the rete network
-/// reports enabled: the exact per-reaction index search (the
-/// trace-preserving tuple choice). If the network over-approximated (a
-/// maintenance bug, not a semantics hazard — debug builds assert), fall
-/// back to the exact whole-program search; `Ok(None)` means even that
-/// came up dry.
-fn rete_deterministic_firing(
+/// One sequential, exact wave over a plain bag — the parallel engines'
+/// [`OnExhausted::DegradeToSeq`](crate::parallel::OnExhausted) fallback,
+/// run on the same loop as every sequential session (deterministic
+/// rescanning). The confluence of terminating Gamma programs (the same
+/// argument the cross-engine equivalence suite leans on) is what makes
+/// the degraded wave land on the same stable multiset. Its firings are
+/// emitted on the session thread, which keeps per-reaction conservation
+/// in the trace across recovery.
+pub(crate) fn seq_fallback_wave(
     compiled: &CompiledProgram,
-    multiset: &ElementBag,
-    reaction: usize,
-    scratch: &mut SearchScratch,
-) -> Result<Option<Firing>, ExecError> {
-    if let Some(f) =
-        compiled.reactions[reaction].find_match_fast(reaction, multiset, None, scratch)?
-    {
-        return Ok(Some(f));
+    bag: &mut ElementBag,
+    budget: u64,
+    wave: u64,
+    ctl: &WaveCtl<'_>,
+) -> Result<(ExecStats, Status), ExecError> {
+    let nreactions = compiled.reactions.len();
+    SeqWave {
+        compiled,
+        multiset: bag,
+        matcher: &mut SeqMatcher::Rescan {
+            order: (0..nreactions).collect(),
+        },
+        rng: None,
+        scratch: &mut SearchScratch::new(),
+        budget,
+        step_base: 0,
+        trace: None,
+        prof: &mut ProfTimes::new(false, nreactions),
+        ctl,
+        wave,
+        steps: None,
     }
-    debug_assert!(
-        false,
-        "rete memory disagrees with search for reaction {reaction}"
-    );
-    let order: Vec<usize> = (0..compiled.reactions.len()).collect();
-    Ok(compiled.find_any_fast(&order, multiset, None, scratch)?)
-}
-
-/// Seeded-mode recovery mirror of [`rete_deterministic_firing`]:
-/// [`ReteNetwork::pick_firing`] returned `Ok(None)` (a maintenance bug,
-/// not a semantics hazard — debug builds have already asserted), so fall
-/// back to the exact whole-program search before concluding anything
-/// about stability.
-fn rete_seeded_fallback(
-    compiled: &CompiledProgram,
-    multiset: &ElementBag,
-    rng: &mut ChaCha8Rng,
-    scratch: &mut SearchScratch,
-) -> Result<Option<Firing>, ExecError> {
-    let order: Vec<usize> = (0..compiled.reactions.len()).collect();
-    Ok(compiled.find_any_fast(&order, multiset, Some(rng), scratch)?)
-}
-
-/// The rete-scheduled wave: the join network memorises partial and
-/// complete matches (bounded by the spill watermark), the engine feeds
-/// it each firing's net delta, and a drained network *is* the stability
-/// proof — no authoritative rescan. Under deterministic selection the
-/// network only answers "which reaction is enabled" and the tuple comes
-/// from the same deterministic index search, so the firing trace is
-/// identical to the rescanning reference by construction. Under seeded
-/// selection the firing is read straight off a random terminal token.
-#[allow(clippy::too_many_arguments)]
-fn wave_rete(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    network: &mut ReteNetwork,
-    mut rng: Option<&mut ChaCha8Rng>,
-    scratch: &mut SearchScratch,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<Status, ExecError> {
-    let mut fired = 0u64;
-    let status = loop {
-        if fired >= ctx.budget {
-            break Status::BudgetExhausted;
-        }
-        let m0 = prof.begin();
-        let picked = match rng.as_deref_mut() {
-            None => network.first_ready(ctx.compiled, multiset),
-            Some(r) => network.pick_ready(ctx.compiled, multiset, r),
-        };
-        let Some(reaction) = picked else {
-            break Status::Stable;
-        };
-        let firing = match rng.as_deref_mut() {
-            Some(r) => match network.pick_firing(ctx.compiled, multiset, reaction, r)? {
-                Some(f) => f,
-                // The exact search has the last word on stability.
-                None => match rete_seeded_fallback(ctx.compiled, multiset, r, scratch)? {
-                    Some(f) => f,
-                    None => break Status::Stable,
-                },
-            },
-            None => match rete_deterministic_firing(ctx.compiled, multiset, reaction, scratch)? {
-                Some(f) => f,
-                None => break Status::Stable,
-            },
-        };
-        let a0 = prof.begin();
-        apply(multiset, &firing);
-        network.on_firing_applied(ctx.compiled, multiset, &firing);
-        let match_ns = prof.note(firing.reaction, m0, a0);
-        ctx.record(&firing, fired, match_ns, stats, &mut trace);
-        fired += 1;
-    };
-
-    // The emptiness proof replaced the drain-time rescan; debug builds
-    // still cross-check it against the exact search.
-    #[cfg(debug_assertions)]
-    if status == Status::Stable {
-        let order: Vec<usize> = (0..ctx.compiled.reactions.len()).collect();
-        let confirm = ctx
-            .compiled
-            .find_any_fast(&order, multiset, None, scratch)?;
-        debug_assert!(
-            confirm.is_none(),
-            "rete network drained while a reaction was enabled"
-        );
-    }
-    Ok(status)
-}
-
-/// Rete-scheduled maximal parallel steps: consumed tuples are fed to the
-/// network as they are removed (the visible multiset shrinks within a
-/// step), and withheld products are fed at the step barrier together
-/// with their insertion.
-#[allow(clippy::too_many_arguments)]
-fn wave_rete_steps(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    network: &mut ReteNetwork,
-    mut rng: Option<&mut ChaCha8Rng>,
-    scratch: &mut SearchScratch,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<(Status, Vec<usize>), ExecError> {
-    let mut profile = Vec::new();
-    let mut fired = 0u64;
-    let status = 'outer: loop {
-        let mut fired_this_step = 0usize;
-        let mut products: Vec<Firing> = Vec::new();
-        loop {
-            if fired >= ctx.budget {
-                let mut inserted: Vec<Element> = Vec::new();
-                for f in &products {
-                    for e in &f.produced {
-                        multiset.insert(e.clone());
-                        inserted.push(e.clone());
-                    }
-                }
-                network.on_inserted(ctx.compiled, multiset, &inserted);
-                if fired_this_step > 0 {
-                    profile.push(fired_this_step);
-                }
-                break 'outer Status::BudgetExhausted;
-            }
-            let m0 = prof.begin();
-            let picked = match rng.as_deref_mut() {
-                None => network.first_ready(ctx.compiled, multiset),
-                Some(r) => network.pick_ready(ctx.compiled, multiset, r),
-            };
-            let Some(reaction) = picked else { break };
-            // A dry fallback result just ends the step (products of this
-            // step are still withheld, so the next step's barrier
-            // re-checks).
-            let firing = match rng.as_deref_mut() {
-                Some(r) => match network.pick_firing(ctx.compiled, multiset, reaction, r)? {
-                    Some(f) => f,
-                    None => match rete_seeded_fallback(ctx.compiled, multiset, r, scratch)? {
-                        Some(f) => f,
-                        None => break,
-                    },
-                },
-                None => match rete_deterministic_firing(ctx.compiled, multiset, reaction, scratch)?
-                {
-                    Some(f) => f,
-                    None => break,
-                },
-            };
-            let a0 = prof.begin();
-            let ok = multiset.remove_all(&firing.consumed);
-            debug_assert!(ok);
-            network.on_removed(ctx.compiled, multiset, &firing.consumed);
-            let match_ns = prof.note(firing.reaction, m0, a0);
-            ctx.record(&firing, fired, match_ns, stats, &mut trace);
-            fired += 1;
-            fired_this_step += 1;
-            products.push(firing);
-        }
-        if fired_this_step == 0 {
-            break Status::Stable;
-        }
-        profile.push(fired_this_step);
-        // Step barrier: products become visible and join the network.
-        let mut inserted: Vec<Element> = Vec::new();
-        for f in &products {
-            for e in &f.produced {
-                multiset.insert(e.clone());
-                inserted.push(e.clone());
-            }
-        }
-        network.on_inserted(ctx.compiled, multiset, &inserted);
-    };
-    Ok((status, profile))
-}
-
-/// Delta-scheduled maximal parallel steps: within a step the visible
-/// multiset only shrinks (products are withheld), so a reaction that
-/// fails a search stays matchless for the rest of the step; products
-/// wake their dependents at the step barrier.
-fn wave_delta_steps(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    scheduler: &mut DeltaScheduler,
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<(Status, Vec<usize>), ExecError> {
-    // Trace-preserving in both modes; see `wave_delta`.
-    let use_anchors = true;
-    let mut profile = Vec::new();
-    let mut fired = 0u64;
-    let status = 'outer: loop {
-        let mut fired_this_step = 0usize;
-        let mut products: Vec<Firing> = Vec::new();
-        loop {
-            if fired >= ctx.budget {
-                for f in &products {
-                    for e in &f.produced {
-                        multiset.insert(e.clone());
-                    }
-                    scheduler.on_inserted(&f.produced, use_anchors);
-                }
-                if fired_this_step > 0 {
-                    profile.push(fired_this_step);
-                }
-                break 'outer Status::BudgetExhausted;
-            }
-            let m0 = prof.begin();
-            match scheduler.next_firing(ctx.compiled, multiset, rng.as_deref_mut())? {
-                None => break,
-                Some(firing) => {
-                    let a0 = prof.begin();
-                    let ok = multiset.remove_all(&firing.consumed);
-                    debug_assert!(ok);
-                    scheduler.on_fired_consumed_only(&firing);
-                    let match_ns = prof.note(firing.reaction, m0, a0);
-                    ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                    fired += 1;
-                    fired_this_step += 1;
-                    products.push(firing);
-                }
-            }
-        }
-        if fired_this_step == 0 {
-            break Status::Stable;
-        }
-        profile.push(fired_this_step);
-        // Step barrier: products become visible and wake dependents.
-        for f in &products {
-            for e in &f.produced {
-                multiset.insert(e.clone());
-            }
-            scheduler.on_inserted(&f.produced, use_anchors);
-        }
-    };
-    Ok((status, profile))
-}
-
-/// The rescanning reference for the maximal-parallel-step mode.
-fn wave_rescan_steps(
-    ctx: &SeqWaveCtx<'_>,
-    multiset: &mut ElementBag,
-    order: &mut [usize],
-    mut rng: Option<&mut ChaCha8Rng>,
-    stats: &mut ExecStats,
-    mut trace: Option<&mut Vec<FiringRecord>>,
-    prof: &mut ProfTimes,
-) -> Result<(Status, Vec<usize>), ExecError> {
-    let mut profile = Vec::new();
-    let mut fired = 0u64;
-    let status = 'outer: loop {
-        // One maximal step: repeatedly match against a *shadow* bag from
-        // which we remove consumed elements but to which we do NOT add
-        // products (products only become visible next step).
-        let mut fired_this_step = 0usize;
-        let mut products: Vec<Firing> = Vec::new();
-        loop {
-            if fired >= ctx.budget {
-                // Apply what we have, then stop.
-                for f in &products {
-                    for e in &f.produced {
-                        multiset.insert(e.clone());
-                    }
-                }
-                if fired_this_step > 0 {
-                    profile.push(fired_this_step);
-                }
-                break 'outer Status::BudgetExhausted;
-            }
-            if let Some(r) = rng.as_deref_mut() {
-                order.shuffle(r);
-            }
-            let m0 = prof.begin();
-            match ctx.compiled.find_any(order, multiset, rng.as_deref_mut())? {
-                None => break,
-                Some(firing) => {
-                    let a0 = prof.begin();
-                    let ok = multiset.remove_all(&firing.consumed);
-                    debug_assert!(ok);
-                    let match_ns = prof.note(firing.reaction, m0, a0);
-                    ctx.record(&firing, fired, match_ns, stats, &mut trace);
-                    fired += 1;
-                    fired_this_step += 1;
-                    products.push(firing);
-                }
-            }
-        }
-        if fired_this_step == 0 {
-            break Status::Stable;
-        }
-        profile.push(fired_this_step);
-        for f in &products {
-            for e in &f.produced {
-                multiset.insert(e.clone());
-            }
-        }
-    };
-    Ok((status, profile))
+    .run()
 }
 
 #[cfg(test)]

@@ -702,7 +702,7 @@ impl ReactionVm {
     }
 
     /// Join level `k`'s conjunct evaluation order (indices into
-    /// `level_conjuncts[k]` / the tree evaluator's `level_guards[k]`).
+    /// `level_conjuncts[k]`, chunk set and [`GuardPlan`] alike).
     pub(crate) fn dispatch_order(&self, k: usize) -> &[u16] {
         &self.dispatch[k]
     }

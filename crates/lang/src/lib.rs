@@ -36,7 +36,7 @@ pub use pretty::{pretty_pipeline, pretty_program, pretty_reaction};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{SeqInterpreter, Status};
+    use gammaflow_gamma::{Selection, Session, Status};
     use gammaflow_multiset::{Element, ElementBag};
 
     /// End-to-end: parse the paper's Example-1 program and run it on the
@@ -62,7 +62,7 @@ R3 = replace [id1, 'B2'], [id2, 'C2']
         ]
         .into_iter()
         .collect();
-        let result = SeqInterpreter::with_seed(&prog, initial, 0).run().unwrap();
+        let result = Session::build(&prog).run(initial).unwrap();
         assert_eq!(result.status, Status::Stable);
         // m = (1+5) - (3*2) = 0.
         assert_eq!(
@@ -88,7 +88,7 @@ Rd1 = replace [id1,'A1'], [id2,'B1'], [id3,'C1'], [id4,'D1']
         ]
         .into_iter()
         .collect();
-        let result = SeqInterpreter::with_seed(&prog, initial, 0).run().unwrap();
+        let result = Session::build(&prog).run(initial).unwrap();
         assert_eq!(
             result.multiset.sorted_elements(),
             vec![Element::pair(0, "m")]
@@ -128,7 +128,10 @@ R19 = replace [id1,'A13',v], [id2,'C13',v] by [id1+id2,'C11',v]
         ]
         .into_iter()
         .collect();
-        let result = SeqInterpreter::with_seed(&prog, initial, 7).run().unwrap();
+        let result = Session::build(&prog)
+            .selection(Selection::Seeded(7))
+            .run(initial)
+            .unwrap();
         assert_eq!(result.status, Status::Stable);
         // As the paper writes Example 2, every steer discards its data on
         // the final (false) test, so the steady state is an empty multiset.

@@ -199,11 +199,12 @@ pub fn exchange_sort(values: &[i64], seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{run_parallel, ParConfig, SeqInterpreter, Status};
+    use gammaflow_gamma::{Engine, ParEngine, Selection, Session, Status};
 
     fn run_and_check(w: &Workload, seed: u64) {
-        let result = SeqInterpreter::with_seed(&w.program, w.initial.clone(), seed)
-            .run()
+        let result = Session::build(&w.program)
+            .selection(Selection::Seeded(seed))
+            .run(w.initial.clone())
             .unwrap();
         assert_eq!(result.status, Status::Stable, "{} diverged", w.name);
         assert_eq!(
@@ -260,18 +261,24 @@ mod tests {
     #[test]
     fn sort_runs_in_parallel_engine() {
         let w = exchange_sort(&(0..20).rev().collect::<Vec<_>>(), 3);
-        let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
-        assert_eq!(result.exec.status, Status::Stable);
-        assert_eq!(result.exec.multiset, w.expected);
+        let result = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(4)
+            .run(w.initial.clone())
+            .unwrap();
+        assert_eq!(result.status, Status::Stable);
+        assert_eq!(result.multiset, w.expected);
     }
 
     #[test]
     fn primes_runs_in_parallel_engine() {
         let w = primes(60);
-        let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
-        assert_eq!(result.exec.status, Status::Stable);
-        assert_eq!(result.exec.multiset, w.expected);
+        let result = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(4)
+            .run(w.initial.clone())
+            .unwrap();
+        assert_eq!(result.status, Status::Stable);
+        assert_eq!(result.multiset, w.expected);
     }
 }

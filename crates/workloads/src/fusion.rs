@@ -105,14 +105,14 @@ pub fn scenario(seed: u64, targets: usize, measurements_per_target: usize) -> Fu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::seq::{run_pipeline, ExecConfig, Selection, Status};
+    use gammaflow_gamma::{run_pipeline, EngineConfig, Selection, Status};
 
     #[test]
     fn fusion_reaches_exact_means() {
         for seed in 0..5 {
             let s = scenario(seed, 6, 8);
             let result =
-                run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+                run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
             assert_eq!(result.status, Status::Stable);
             assert_eq!(
                 result.multiset, s.expected,
@@ -127,9 +127,9 @@ mod tests {
         let s = scenario(3, 4, 7);
         let mut results = Vec::new();
         for exec_seed in [0u64, 9, 1234] {
-            let config = ExecConfig {
+            let config = EngineConfig {
                 selection: Selection::Seeded(exec_seed),
-                ..ExecConfig::default()
+                ..EngineConfig::default()
             };
             let r = run_pipeline(&s.pipeline, s.initial.clone(), &config).unwrap();
             results.push(r.multiset);
@@ -142,7 +142,8 @@ mod tests {
     #[test]
     fn targets_never_mix() {
         let s = scenario(42, 2, 4);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         let tracks: Vec<_> = result
             .multiset
             .iter()
@@ -155,7 +156,8 @@ mod tests {
     #[test]
     fn alerts_fire_only_above_threshold() {
         let s = scenario(7, 10, 4);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         for e in result.multiset.iter() {
             if e.label.as_str() == "alert" {
                 let track = result
@@ -171,7 +173,8 @@ mod tests {
     #[test]
     fn single_measurement_targets_skip_fusion() {
         let s = scenario(1, 3, 1);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         assert_eq!(result.multiset, s.expected);
     }
 }

@@ -107,14 +107,14 @@ pub fn scenario(seed: u64, pixels: usize) -> ImageScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::seq::{run_pipeline, ExecConfig, Status};
+    use gammaflow_gamma::{run_pipeline, EngineConfig, Status};
 
     #[test]
     fn segmentation_and_count_are_exact() {
         for seed in [0, 5] {
             let s = scenario(seed, 64);
             let result =
-                run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+                run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
             assert_eq!(result.status, Status::Stable);
             assert_eq!(result.multiset, s.expected, "seed {seed}");
         }
@@ -123,7 +123,8 @@ mod tests {
     #[test]
     fn all_pixels_segmented() {
         let s = scenario(1, 100);
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         let segs = result
             .multiset
             .iter()
@@ -140,7 +141,8 @@ mod tests {
             pixels: 1,
             ..scenario(0, 1)
         };
-        let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+        let result =
+            run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
         assert!(result.multiset.iter().any(|e| e.label.as_str() == "fg"));
     }
 }

@@ -237,23 +237,14 @@ pub fn interval_merge(intervals: &[(i64, i64)]) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{
-        run_parallel, ExecConfig, ParConfig, Scheduling, Selection, SeqInterpreter, Status,
-    };
+    use gammaflow_gamma::{Engine, ParEngine, Scheduling, Selection, Session, Status};
 
     fn run_scheduling(w: &Workload, scheduling: Scheduling, selection: Selection) {
-        let result = SeqInterpreter::with_config(
-            &w.program,
-            w.initial.clone(),
-            ExecConfig {
-                selection,
-                scheduling,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let result = Session::build(&w.program)
+            .selection(selection)
+            .scheduling(scheduling)
+            .run(w.initial.clone())
+            .unwrap();
         assert_eq!(result.status, Status::Stable, "{} diverged", w.name);
         assert_eq!(
             result.multiset, w.expected,
@@ -305,10 +296,13 @@ mod tests {
     #[test]
     fn triangle_workload_runs_in_parallel_engine() {
         let w = triangles(4, 6);
-        let result =
-            run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
-        assert_eq!(result.exec.status, Status::Stable);
-        assert_eq!(result.exec.multiset, w.expected);
+        let result = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(4)
+            .run(w.initial.clone())
+            .unwrap();
+        assert_eq!(result.status, Status::Stable);
+        assert_eq!(result.multiset, w.expected);
     }
 
     #[test]

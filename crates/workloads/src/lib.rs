@@ -28,12 +28,13 @@
 //! asserted against it. The primes sieve, run to stability:
 //!
 //! ```
-//! use gammaflow_gamma::{SeqInterpreter, Status};
+//! use gammaflow_gamma::{Selection, Session, Status};
 //! use gammaflow_workloads::primes;
 //!
 //! let w = primes(30);
-//! let result = SeqInterpreter::with_seed(&w.program, w.initial.clone(), 7)
-//!     .run()
+//! let result = Session::build(&w.program)
+//!     .selection(Selection::Seeded(7))
+//!     .run(w.initial.clone())
 //!     .unwrap();
 //! assert_eq!(result.status, Status::Stable);
 //! assert_eq!(result.multiset, w.expected); // {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}

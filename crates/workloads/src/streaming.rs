@@ -280,13 +280,14 @@ pub fn burst_drain(bursts: usize, burst_size: usize, seed: u64) -> StreamingWork
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gammaflow_gamma::{Selection, SeqInterpreter, Session, Status};
+    use gammaflow_gamma::{Selection, Session, Status};
 
     #[test]
     fn one_shot_merged_reaches_expected() {
         let w = rolling_topk(8, 3, 16, 7);
-        let result = SeqInterpreter::with_seed(&w.program, w.merged(), 3)
-            .run()
+        let result = Session::build(&w.program)
+            .selection(Selection::Seeded(3))
+            .run(w.merged())
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected);
@@ -314,8 +315,9 @@ mod tests {
         let expected_firings = (3 * 4 * (5 - 1)) as u64;
         // One-shot merged, several seeds: same firing count, same final.
         for seed in 0..3 {
-            let result = SeqInterpreter::with_seed(&w.program, w.merged(), seed)
-                .run()
+            let result = Session::build(&w.program)
+                .selection(Selection::Seeded(seed))
+                .run(w.merged())
                 .unwrap();
             assert_eq!(result.status, Status::Stable);
             assert_eq!(result.stats.firings_total(), expected_firings);
@@ -336,8 +338,9 @@ mod tests {
     fn burst_drain_collapses_each_burst_to_its_total() {
         let w = burst_drain(4, 8, 17);
         assert_eq!(w.waves.len(), 4);
-        let result = SeqInterpreter::with_seed(&w.program, w.merged(), 5)
-            .run()
+        let result = Session::build(&w.program)
+            .selection(Selection::Seeded(5))
+            .run(w.merged())
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected);
@@ -361,8 +364,9 @@ mod tests {
         expected.insert(Element::pair(1, "cand"));
         expected.insert_n(Element::pair(0, "cand"), 2);
         for seed in 0..4 {
-            let result = SeqInterpreter::with_seed(&program, initial.clone(), seed)
-                .run()
+            let result = Session::build(&program)
+                .selection(Selection::Seeded(seed))
+                .run(initial.clone())
                 .unwrap();
             assert_eq!(result.multiset, expected, "seed {seed}");
         }

@@ -6,7 +6,7 @@
 //! cargo run --release --example image_pipeline [pixels]
 //! ```
 
-use gammaflow::gamma::{run_pipeline, ExecConfig, Status};
+use gammaflow::gamma::{run_pipeline, EngineConfig, Status};
 use gammaflow::workloads::image_scenario;
 use std::time::Instant;
 
@@ -19,7 +19,7 @@ fn main() {
     println!("synthetic image: {pixels} pixels, threshold 128");
 
     let t0 = Instant::now();
-    let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let result = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     let elapsed = t0.elapsed();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, s.expected);

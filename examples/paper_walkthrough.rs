@@ -12,7 +12,7 @@ use gammaflow::core::{
 use gammaflow::dataflow::engine::SeqEngine;
 use gammaflow::dataflow::graph::{GraphBuilder, OutPort};
 use gammaflow::dataflow::node::{Imm, NodeKind};
-use gammaflow::gamma::{SeqInterpreter, Status};
+use gammaflow::gamma::{Selection, Session, Status};
 use gammaflow::lang::{parse_reaction, pretty_program, pretty_reaction};
 use gammaflow::multiset::value::{BinOp, CmpOp};
 use gammaflow::multiset::{Element, ElementBag, Symbol};
@@ -110,8 +110,9 @@ fn main() {
     println!("{}", pretty_program(&conv2.program));
     println!("\ninitial multiset M = {}", conv2.initial);
 
-    let gm = SeqInterpreter::with_seed(&conv2.program, conv2.initial.clone(), 7)
-        .run()
+    let gm = Session::build(&conv2.program)
+        .selection(Selection::Seeded(7))
+        .run(conv2.initial.clone())
         .unwrap();
     println!(
         "\ngamma execution: status {:?}, {} firings, final multiset {}",

@@ -1,5 +1,5 @@
 //! The classic Gamma prime sieve (`replace x, y by y where x % y == 0`)
-//! on the sequential and parallel interpreters.
+//! on the sequential and parallel engines.
 //!
 //! This is the stress test for *matching*: every element shares one label,
 //! so the `(label, tag)` index degenerates and the backtracking matcher
@@ -9,7 +9,7 @@
 //! cargo run --release --example primes_parallel [n]
 //! ```
 
-use gammaflow::gamma::{run_parallel, ParConfig, SeqInterpreter, Status};
+use gammaflow::gamma::{Engine, EngineConfig, ParEngine, Selection, Session, Status};
 use gammaflow::lang::pretty_program;
 use gammaflow::workloads::primes;
 use std::time::Instant;
@@ -26,8 +26,9 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let seq = SeqInterpreter::with_seed(&w.program, w.initial.clone(), 1)
-        .run()
+    let seq = Session::build(&w.program)
+        .selection(Selection::Seeded(1))
+        .run(w.initial.clone())
         .unwrap();
     let seq_time = t0.elapsed();
     assert_eq!(seq.status, Status::Stable);
@@ -40,16 +41,17 @@ fn main() {
 
     for workers in [1, 2, 4, 8] {
         let t0 = Instant::now();
-        let par = run_parallel(
-            &w.program,
-            w.initial.clone(),
-            &ParConfig {
+        let mut session = Session::build(&w.program)
+            .config(EngineConfig {
+                engine: Engine::Parallel(ParEngine::ShardedRete),
                 workers,
                 seed: 1,
-                ..ParConfig::default()
-            },
-        )
-        .unwrap();
+                ..EngineConfig::default()
+            })
+            .start(w.initial.clone())
+            .unwrap();
+        session.run_to_stable().unwrap();
+        let par = session.finish_parallel();
         let elapsed = t0.elapsed();
         assert_eq!(par.exec.multiset, w.expected, "{workers} workers");
         println!(

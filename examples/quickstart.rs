@@ -8,7 +8,7 @@
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::dataflow::SeqEngine;
-use gammaflow::gamma::SeqInterpreter;
+use gammaflow::gamma::{Selection, Session};
 use gammaflow::lang::pretty_program;
 use gammaflow::multiset::Symbol;
 
@@ -38,8 +38,9 @@ fn main() {
     println!("initial multiset M = {}", conv.initial);
 
     // 4. Execute the Gamma program (seeded nondeterminism).
-    let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 42)
-        .run()
+    let gm = Session::build(&conv.program)
+        .selection(Selection::Seeded(42))
+        .run(conv.initial.clone())
         .expect("stabilises");
     println!("gamma steady state: {}", gm.multiset);
 

@@ -12,7 +12,7 @@
 //! cargo run --release --example streaming_session
 //! ```
 
-use gammaflow::gamma::{Engine, ParEngine, Selection, SeqInterpreter, Session, Status};
+use gammaflow::gamma::{Engine, ParEngine, Selection, Session, Status};
 use gammaflow::workloads::windowed_sum;
 use std::time::Instant;
 
@@ -50,7 +50,7 @@ fn main() {
         session_time
     );
 
-    // The same waves, rebuilding the interpreter on the accumulated bag.
+    // The same waves, rebuilding a session on the accumulated bag.
     let t = Instant::now();
     let mut bag = stream.initial.clone();
     let mut firings = 0u64;
@@ -58,8 +58,9 @@ fn main() {
         for e in wave {
             bag.insert(e.clone());
         }
-        let r = SeqInterpreter::with_seed(&stream.program, bag, 1)
-            .run()
+        let r = Session::build(&stream.program)
+            .selection(Selection::Seeded(1))
+            .run(bag)
             .expect("rebuild runs");
         firings += r.stats.firings_total();
         bag = r.multiset;

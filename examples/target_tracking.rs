@@ -1,16 +1,16 @@
-//! Target-tracking data fusion on the parallel Gamma interpreter — the
+//! Target-tracking data fusion on the parallel Gamma engine — the
 //! application domain of the paper's reference [1], synthesised per
 //! DESIGN.md's substitution rule.
 //!
 //! Sensor measurements of many targets are fused per-target (tag-grouped
 //! reactions), then classified against an alert threshold. Stage 1 runs on
-//! the shared-memory parallel interpreter to show worker scaling.
+//! the shared-memory parallel engine to show worker scaling.
 //!
 //! ```sh
 //! cargo run --release --example target_tracking
 //! ```
 
-use gammaflow::gamma::{run_parallel, run_pipeline, ExecConfig, ParConfig, SeqInterpreter};
+use gammaflow::gamma::{run_pipeline, Engine, EngineConfig, ParEngine, Session};
 use gammaflow::workloads::fusion_scenario;
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ fn main() {
 
     // Reference: the whole pipeline sequentially.
     let t0 = Instant::now();
-    let seq = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let seq = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     let seq_time = t0.elapsed();
     println!(
         "sequential pipeline: {} firings in {seq_time:?}",
@@ -37,16 +37,17 @@ fn main() {
     let fuse_stage = &s.pipeline.stages[0];
     for workers in [1, 2, 4, 8] {
         let t0 = Instant::now();
-        let par = run_parallel(
-            fuse_stage,
-            s.initial.clone(),
-            &ParConfig {
+        let mut session = Session::build(fuse_stage)
+            .config(EngineConfig {
+                engine: Engine::Parallel(ParEngine::ShardedRete),
                 workers,
                 seed: 7,
-                ..ParConfig::default()
-            },
-        )
-        .unwrap();
+                ..EngineConfig::default()
+            })
+            .start(s.initial.clone())
+            .unwrap();
+        session.run_to_stable().unwrap();
+        let par = session.finish_parallel();
         let elapsed = t0.elapsed();
         println!(
             "fusion stage, {workers} worker(s): {} firings, {} claim races, {} snapshot checks, {elapsed:?}",
@@ -56,9 +57,7 @@ fn main() {
         );
         // Finish classification sequentially and verify.
         let classify = &s.pipeline.stages[1];
-        let done = SeqInterpreter::with_seed(classify, par.exec.multiset, 0)
-            .run()
-            .unwrap();
+        let done = Session::build(classify).run(par.exec.multiset).unwrap();
         assert_eq!(done.multiset, s.expected, "{workers} workers");
     }
 

@@ -26,7 +26,7 @@ use gammaflow::core::{
     CheckConfig,
 };
 use gammaflow::dataflow::engine::{EngineConfig, SeqEngine};
-use gammaflow::gamma::{analyze_reuse, ExecConfig, Selection, SeqInterpreter};
+use gammaflow::gamma::{analyze_reuse, Selection, Session};
 use gammaflow::lang::{parse_multiset, parse_program, pretty_program};
 use gammaflow::multiset::{ElementBag, Symbol};
 use std::process::ExitCode;
@@ -180,14 +180,10 @@ fn cmd_run_gamma(args: &Args) -> Result<(), String> {
     let src = read_file(args.positional.first().ok_or("missing <file.gamma>")?)?;
     let prog = parse_program(&src).map_err(|e| e.to_string())?;
     let initial = need_multiset(args)?;
-    let config = ExecConfig {
-        record_trace: args.trace,
-        selection: Selection::Seeded(args.seed),
-        ..ExecConfig::default()
-    };
-    let result = SeqInterpreter::with_config(&prog, initial, config)
-        .map_err(|e| e.to_string())?
-        .run()
+    let result = Session::build(&prog)
+        .record_trace(args.trace)
+        .selection(Selection::Seeded(args.seed))
+        .run(initial)
         .map_err(|e| e.to_string())?;
     println!("status:       {:?}", result.status);
     println!("steady state: {}", result.multiset);
@@ -293,14 +289,10 @@ fn cmd_reuse(args: &Args) -> Result<(), String> {
     let src = read_file(args.positional.first().ok_or("missing <file.gamma>")?)?;
     let prog = parse_program(&src).map_err(|e| e.to_string())?;
     let initial = need_multiset(args)?;
-    let config = ExecConfig {
-        record_trace: true,
-        selection: Selection::Seeded(args.seed),
-        ..ExecConfig::default()
-    };
-    let result = SeqInterpreter::with_config(&prog, initial, config)
-        .map_err(|e| e.to_string())?
-        .run()
+    let result = Session::build(&prog)
+        .record_trace(true)
+        .selection(Selection::Seeded(args.seed))
+        .run(initial)
         .map_err(|e| e.to_string())?;
     let report = analyze_reuse(result.trace.as_deref().unwrap_or(&[]));
     println!(

@@ -9,8 +9,9 @@
 //!
 //! * [`multiset`] — tagged elements `[value, label, tag]`, counted bags,
 //!   indexed and concurrent multisets.
-//! * [`gamma`] — the Gamma model: reactions, the Γ operator, sequential and
-//!   parallel interpreters with steady-state termination.
+//! * [`gamma`] — the Gamma model: reactions and the Γ operator, run through
+//!   one `Session` API on sequential and parallel engines with steady-state
+//!   termination.
 //! * [`dataflow`] — the dynamic (tagged-token) dataflow model: graphs,
 //!   steer/inctag nodes, waiting–matching store, sequential and multi-PE
 //!   engines.
@@ -41,8 +42,9 @@
 //!
 //! // ...convert it with Algorithm 1 and run the Gamma program instead.
 //! let conv = gammaflow::core::dataflow_to_gamma(&graph).unwrap();
-//! let gm = gammaflow::gamma::SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 42)
-//!     .run()
+//! let gm = Session::build(&conv.program)
+//!     .selection(Selection::Seeded(42))
+//!     .run(conv.initial.clone())
 //!     .unwrap();
 //!
 //! // Both models agree on the output edge `m`.
@@ -55,8 +57,8 @@
 //!
 //! ## Streaming: sessions and incremental input
 //!
-//! For continuous traffic, hold a [`gamma::Session`] instead of calling
-//! a one-shot interpreter per batch: the compiled program and the live
+//! For continuous traffic, hold a [`gamma::Session`] across batches
+//! instead of a one-shot `run` per batch: the compiled program and the live
 //! matcher state persist, so each wave costs O(delta) instead of a
 //! rebuild (see `ARCHITECTURE.md` § "Sessions & incremental input").
 //!
@@ -88,6 +90,8 @@ pub use gammaflow_workloads as workloads;
 pub mod prelude {
     pub use gammaflow_core::{dataflow_to_gamma, gamma_to_dataflow};
     pub use gammaflow_dataflow::{GraphBuilder, SeqEngine};
-    pub use gammaflow_gamma::{Engine, EngineConfig, GammaProgram, SeqInterpreter, Session, Wave};
+    pub use gammaflow_gamma::{
+        Engine, EngineConfig, GammaProgram, Scheduling, Selection, Session, Status, Wave,
+    };
     pub use gammaflow_multiset::{Element, ElementBag, Symbol, Tag, Value};
 }

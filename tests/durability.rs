@@ -16,7 +16,7 @@
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
     Engine, ExecError, ExecResult, GammaProgram, InjectOutcome, ParEngine, Scheduling, Selection,
-    SeqInterpreter, Session, SessionSnapshot, Status,
+    Session, SessionSnapshot, Status,
 };
 use gammaflow::multiset::{Element, ElementBag};
 use gammaflow::workloads::{
@@ -165,8 +165,9 @@ fn restored_seq_sessions_match_uninterrupted_finals() {
 #[test]
 fn restored_parallel_sessions_match_uninterrupted_finals() {
     for (name, program, initial) in &confluent_workloads() {
-        let reference = SeqInterpreter::deterministic(program, initial.clone())
-            .run()
+        let reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
             .expect("reference runs");
         assert_eq!(reference.status, Status::Stable, "{name}");
         let waves = split_waves(initial, 3);
@@ -325,8 +326,9 @@ fn restore_refuses_pre_arena_v2_and_accepts_v3() {
 #[test]
 fn seq_budget_exhaustion_resumes_after_grant() {
     for (name, program, initial) in &confluent_workloads() {
-        let reference = SeqInterpreter::deterministic(program, initial.clone())
-            .run()
+        let reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
             .expect("reference runs");
         if reference.stats.firings_total() <= 5 {
             continue;
@@ -366,8 +368,9 @@ fn seq_budget_exhaustion_resumes_after_grant() {
 #[test]
 fn parallel_budget_exhaustion_resumes_after_grant() {
     for (name, program, initial) in &confluent_workloads() {
-        let reference = SeqInterpreter::deterministic(program, initial.clone())
-            .run()
+        let reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
             .expect("reference runs");
         if reference.stats.firings_total() <= 5 {
             continue;
@@ -464,8 +467,9 @@ fn restore_after_budget_exhaustion_finishes_to_the_same_final() {
                 );
             }
         }
-        let seq_reference = SeqInterpreter::deterministic(program, initial.clone())
-            .run()
+        let seq_reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
             .expect("reference runs");
         if seq_reference.stats.firings_total() <= 7 {
             continue;

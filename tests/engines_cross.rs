@@ -1,9 +1,7 @@
 //! Cross-engine integration: classic Gamma workloads and the application
 //! scenarios on every interpreter, plus language/pipeline plumbing.
 
-use gammaflow::gamma::{
-    run_parallel, run_pipeline, ExecConfig, ParConfig, Selection, SeqInterpreter, Status,
-};
+use gammaflow::gamma::{run_pipeline, Engine, EngineConfig, ParEngine, Selection, Session, Status};
 use gammaflow::lang::{parse_program, pretty_program};
 use gammaflow::workloads::{
     exchange_sort, fusion_scenario, gcd, image_scenario, maximum, minimum, primes, sum,
@@ -22,24 +20,30 @@ fn classic_workloads_on_both_gamma_engines() {
     for w in &workloads {
         // Three sequential schedules.
         for seed in [0, 1, 2] {
-            let r = SeqInterpreter::with_seed(&w.program, w.initial.clone(), seed)
-                .run()
+            let r = Session::build(&w.program)
+                .selection(Selection::Seeded(seed))
+                .run(w.initial.clone())
                 .unwrap();
             assert_eq!(r.status, Status::Stable, "{} seed {seed}", w.name);
             assert_eq!(r.multiset, w.expected, "{} seed {seed}", w.name);
         }
         // Parallel engine.
-        let r = run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(4)).unwrap();
-        assert_eq!(r.exec.status, Status::Stable, "{} parallel", w.name);
-        assert_eq!(r.exec.multiset, w.expected, "{} parallel", w.name);
+        let r = Session::build(&w.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(4)
+            .run(w.initial.clone())
+            .unwrap();
+        assert_eq!(r.status, Status::Stable, "{} parallel", w.name);
+        assert_eq!(r.multiset, w.expected, "{} parallel", w.name);
     }
 }
 
 #[test]
 fn deterministic_selection_agrees_on_confluent_programs() {
     let w = sum(&(1..=20).collect::<Vec<_>>());
-    let det = SeqInterpreter::deterministic(&w.program, w.initial.clone())
-        .run()
+    let det = Session::build(&w.program)
+        .selection(Selection::Deterministic)
+        .run(w.initial.clone())
         .unwrap();
     assert_eq!(det.multiset, w.expected);
 }
@@ -47,7 +51,7 @@ fn deterministic_selection_agrees_on_confluent_programs() {
 #[test]
 fn fusion_scenario_runs_on_pipeline() {
     let s = fusion_scenario(11, 8, 16);
-    let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let result = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, s.expected);
 }
@@ -55,7 +59,7 @@ fn fusion_scenario_runs_on_pipeline() {
 #[test]
 fn image_scenario_runs_on_pipeline() {
     let s = image_scenario(2, 128);
-    let result = run_pipeline(&s.pipeline, s.initial.clone(), &ExecConfig::default()).unwrap();
+    let result = run_pipeline(&s.pipeline, s.initial.clone(), &EngineConfig::default()).unwrap();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, s.expected);
 }
@@ -80,8 +84,12 @@ fn workload_programs_survive_pretty_parse_round_trip() {
 #[test]
 fn parallel_engine_scales_down_to_one_worker() {
     let w = primes(30);
-    let r1 = run_parallel(&w.program, w.initial.clone(), &ParConfig::with_workers(1)).unwrap();
-    assert_eq!(r1.exec.multiset, w.expected);
+    let r1 = Session::build(&w.program)
+        .engine(Engine::Parallel(ParEngine::ShardedRete))
+        .workers(1)
+        .run(w.initial.clone())
+        .unwrap();
+    assert_eq!(r1.multiset, w.expected);
 }
 
 #[test]
@@ -89,14 +97,10 @@ fn budget_exhaustion_reported_from_sequential_runs() {
     // The sum workload needs n-1 firings; a budget below that must report
     // BudgetExhausted, not hang or lie.
     let w = sum(&(1..=50).collect::<Vec<_>>());
-    let config = ExecConfig {
-        max_steps: 10,
-        selection: Selection::Seeded(0),
-        ..ExecConfig::default()
-    };
-    let r = SeqInterpreter::with_config(&w.program, w.initial.clone(), config)
-        .unwrap()
-        .run()
+    let r = Session::build(&w.program)
+        .budget(10)
+        .selection(Selection::Seeded(0))
+        .run(w.initial.clone())
         .unwrap();
     assert_eq!(r.status, Status::BudgetExhausted);
     assert_eq!(r.stats.firings_total(), 10);
@@ -105,13 +109,9 @@ fn budget_exhaustion_reported_from_sequential_runs() {
 #[test]
 fn trace_lengths_match_firing_counts() {
     let w = gcd(&[12, 8]);
-    let config = ExecConfig {
-        record_trace: true,
-        ..ExecConfig::default()
-    };
-    let r = SeqInterpreter::with_config(&w.program, w.initial.clone(), config)
-        .unwrap()
-        .run()
+    let r = Session::build(&w.program)
+        .record_trace(true)
+        .run(w.initial.clone())
         .unwrap();
     let trace = r.trace.unwrap();
     assert_eq!(trace.len() as u64, r.stats.firings_total());

@@ -9,7 +9,7 @@
 use gammaflow::core::{check_equivalence, dataflow_to_gamma, CheckConfig};
 use gammaflow::dataflow::engine::SeqEngine;
 use gammaflow::dataflow::engine_par::{run_parallel as df_parallel, ParEngineConfig};
-use gammaflow::gamma::{run_parallel as gm_parallel, ParConfig, SeqInterpreter};
+use gammaflow::gamma::{Engine, ParEngine, Selection, Session};
 use gammaflow::multiset::FxHashSet;
 use gammaflow::workloads::{accumulator_loop, parallel_loops, random_dag, wide_pairs, DagParams};
 use proptest::prelude::*;
@@ -64,15 +64,17 @@ proptest! {
     fn prop_gamma_engines_agree(seed in 0u64..10_000, workers in 1usize..5) {
         let dag = random_dag(seed, &DagParams { roots: 3, layers: 2, width: 3, range: 100 });
         let conv = dataflow_to_gamma(&dag.graph).unwrap();
-        let seq = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), seed)
-            .run()
+        let seq = Session::build(&conv.program).selection(Selection::Seeded(seed)).run(conv.initial.clone())
             .unwrap();
-        let par = gm_parallel(&conv.program, conv.initial.clone(), &ParConfig::with_workers(workers))
+        let par = Session::build(&conv.program)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(workers)
+            .run(conv.initial.clone())
             .unwrap();
         let labels: FxHashSet<_> = conv.output_labels.iter().copied().collect();
         prop_assert_eq!(
             seq.multiset.project(|l| labels.contains(&l)),
-            par.exec.multiset.project(|l| labels.contains(&l))
+            par.multiset.project(|l| labels.contains(&l))
         );
     }
 }

@@ -17,7 +17,7 @@
 
 use gammaflow::gamma::{
     Engine, ExecError, Fault, FaultPlan, OnExhausted, ParEngine, ParError, RecoveryPolicy,
-    RingSink, SeqInterpreter, Session, SessionSnapshot, Status, TraceEvent,
+    RingSink, Selection, Session, SessionSnapshot, Status, TraceEvent,
 };
 use gammaflow::multiset::ElementBag;
 use gammaflow::workloads::cross_sum;
@@ -26,8 +26,9 @@ use std::sync::Arc;
 /// The fault-free sequential reference final for `cross_sum(n)`.
 fn reference_final(n: i64) -> ElementBag {
     let w = cross_sum(n);
-    let result = SeqInterpreter::deterministic(&w.program, w.initial.clone())
-        .run()
+    let result = Session::build(&w.program)
+        .selection(Selection::Deterministic)
+        .run(w.initial.clone())
         .expect("reference runs");
     assert_eq!(result.status, Status::Stable);
     result.multiset

@@ -10,7 +10,7 @@ mod common;
 use common::{fig1, fig2, EXAMPLE1_SOURCE, EXAMPLE2_GAMMA};
 use gammaflow::core::{check_equivalence, dataflow_to_gamma, CheckConfig};
 use gammaflow::dataflow::engine::SeqEngine;
-use gammaflow::gamma::{SeqInterpreter, Status};
+use gammaflow::gamma::{Selection, Session, Status};
 use gammaflow::lang::{parse_program, pretty_program};
 use gammaflow::multiset::{Element, ElementBag, Symbol, Value};
 
@@ -146,8 +146,9 @@ fn e2_gamma_execution_drains_multiset_and_loops_z_times() {
     let z = 3;
     let conv = dataflow_to_gamma(&fig2(5, z, 10, false)).unwrap();
     for seed in [0, 7, 99] {
-        let result = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), seed)
-            .run()
+        let result = Session::build(&conv.program)
+            .selection(Selection::Seeded(seed))
+            .run(conv.initial.clone())
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         // As written in the paper, every value is eventually discarded by
@@ -222,8 +223,9 @@ fn e2_dataflow_and_gamma_firing_counts_correspond() {
     let g = fig2(5, 3, 10, false);
     let df = SeqEngine::new(&g).run().unwrap();
     let conv = dataflow_to_gamma(&g).unwrap();
-    let gm = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 4)
-        .run()
+    let gm = Session::build(&conv.program)
+        .selection(Selection::Seeded(4))
+        .run(conv.initial.clone())
         .unwrap();
     for (i, reaction) in conv.program.reactions.iter().enumerate() {
         let node = g.node_by_name(&reaction.name).unwrap();

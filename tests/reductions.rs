@@ -12,7 +12,7 @@ mod common;
 
 use common::{fig1, fig2, EXAMPLE2_GAMMA, EXAMPLE2_REDUCED_GAMMA};
 use gammaflow::core::{canonicalize_vars, dataflow_to_gamma, fuse_all, granularity};
-use gammaflow::gamma::{SeqInterpreter, Status};
+use gammaflow::gamma::{Selection, Session, Status};
 use gammaflow::lang::{parse_program, parse_reaction};
 use gammaflow::multiset::{Element, ElementBag, Symbol};
 
@@ -53,11 +53,13 @@ fn e3_fused_and_unfused_agree_on_result() {
     let conv = dataflow_to_gamma(&fig1()).unwrap();
     let (fused, _) = fuse_all(&conv.program, &protected_example1());
     for seed in [0, 3, 8] {
-        let a = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), seed)
-            .run()
+        let a = Session::build(&conv.program)
+            .selection(Selection::Seeded(seed))
+            .run(conv.initial.clone())
             .unwrap();
-        let b = SeqInterpreter::with_seed(&fused, conv.initial.clone(), seed)
-            .run()
+        let b = Session::build(&fused)
+            .selection(Selection::Seeded(seed))
+            .run(conv.initial.clone())
             .unwrap();
         assert_eq!(a.multiset, b.multiset);
         assert_eq!(a.stats.firings_total(), 3);
@@ -83,10 +85,11 @@ fn e3_max_parallel_steps_show_parallelism_loss() {
     // total as maximal parallel rounds: {R1,R2} then {R3}); the fused
     // version needs 1 round but exposes no intra-round parallelism.
     let conv = dataflow_to_gamma(&fig1()).unwrap();
-    let (result, profile) = SeqInterpreter::with_seed(&conv.program, conv.initial.clone(), 0)
-        .run_max_parallel_steps()
+    let mut session = Session::build(&conv.program)
+        .start(conv.initial.clone())
         .unwrap();
-    assert_eq!(result.status, Status::Stable);
+    let (wave, profile) = session.run_to_stable_max_parallel().unwrap();
+    assert_eq!(wave.status, Status::Stable);
     assert_eq!(profile, vec![2, 1], "R1|R2 in parallel, then R3");
 }
 
@@ -106,11 +109,13 @@ fn e3_papers_reduced_example2_runs_the_same_loop() {
     .into_iter()
     .collect();
 
-    let a = SeqInterpreter::with_seed(&full, initial.clone(), 1)
-        .run()
+    let a = Session::build(&full)
+        .selection(Selection::Seeded(1))
+        .run(initial.clone())
         .unwrap();
-    let b = SeqInterpreter::with_seed(&reduced, initial, 1)
-        .run()
+    let b = Session::build(&reduced)
+        .selection(Selection::Seeded(1))
+        .run(initial)
         .unwrap();
     assert_eq!(a.status, Status::Stable);
     assert_eq!(b.status, Status::Stable);
@@ -163,12 +168,8 @@ fn e3_reduced_example2_fires_fewer_reactions_per_iteration() {
         .into_iter()
         .collect()
     };
-    let a = SeqInterpreter::with_seed(&full, initial(5), 0)
-        .run()
-        .unwrap();
-    let b = SeqInterpreter::with_seed(&reduced, initial(5), 0)
-        .run()
-        .unwrap();
+    let a = Session::build(&full).run(initial(5)).unwrap();
+    let b = Session::build(&reduced).run(initial(5)).unwrap();
     assert!(
         b.stats.firings_total() < a.stats.firings_total(),
         "reduced {} vs full {}",

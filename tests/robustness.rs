@@ -3,7 +3,7 @@
 //! concurrent multiset must agree with the sequential one under random
 //! operation sequences.
 
-use gammaflow::gamma::{ExecConfig, SeqInterpreter};
+use gammaflow::gamma::{Engine, ParEngine, Session};
 use gammaflow::lang::{parse_multiset, parse_program, parse_reaction};
 use gammaflow::multiset::{Element, ElementBag, ShardedBag};
 use proptest::prelude::*;
@@ -68,10 +68,7 @@ fn action_fault_mid_run_stops_cleanly() {
     let prog2 = parse_program("R = replace [x,'n'] by [100 / (x - 1), 'n'] if x > 0").unwrap();
     let initial2: ElementBag = [Element::pair(2, "n")].into_iter().collect();
     // x=2: 100/1 = 100; x=100: 100/99 = 1; x=1: 100/0 -> fault.
-    let err = SeqInterpreter::with_config(&prog2, initial2, ExecConfig::default())
-        .unwrap()
-        .run()
-        .unwrap_err();
+    let err = Session::build(&prog2).run(initial2).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("division by zero"), "{msg}");
     assert!(msg.contains('R'), "{msg}");
@@ -85,11 +82,10 @@ fn engine_fault_in_parallel_interpreter_is_contained() {
     // Some elements are 0: division fault must propagate as Err from every
     // worker configuration without deadlock.
     for workers in [1, 4] {
-        let r = gammaflow::gamma::run_parallel(
-            &prog,
-            initial.clone(),
-            &gammaflow::gamma::ParConfig::with_workers(workers),
-        );
+        let r = Session::build(&prog)
+            .engine(Engine::Parallel(ParEngine::ShardedRete))
+            .workers(workers)
+            .run(initial.clone());
         assert!(r.is_err(), "{workers} workers should surface the fault");
     }
 }
@@ -163,13 +159,9 @@ proptest! {
 fn zero_budget_fires_nothing() {
     let prog = parse_program("R = replace [x,'n'] by [x,'m']").unwrap();
     let initial: ElementBag = [Element::pair(1, "n")].into_iter().collect();
-    let config = ExecConfig {
-        max_steps: 0,
-        ..ExecConfig::default()
-    };
-    let r = SeqInterpreter::with_config(&prog, initial.clone(), config)
-        .unwrap()
-        .run()
+    let r = Session::build(&prog)
+        .budget(0)
+        .run(initial.clone())
         .unwrap();
     assert_eq!(r.stats.firings_total(), 0);
     assert_eq!(r.multiset, initial);
@@ -178,9 +170,7 @@ fn zero_budget_fires_nothing() {
 #[test]
 fn empty_multiset_is_immediately_stable() {
     let prog = parse_program("R = replace [x,'n'] by [x,'m']").unwrap();
-    let r = SeqInterpreter::with_seed(&prog, ElementBag::new(), 0)
-        .run()
-        .unwrap();
+    let r = Session::build(&prog).run(ElementBag::new()).unwrap();
     assert_eq!(r.status, gammaflow::gamma::Status::Stable);
     assert!(r.multiset.is_empty());
 }

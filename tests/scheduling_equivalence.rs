@@ -15,8 +15,8 @@
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
-    run_parallel, ExecConfig, ExecResult, GammaProgram, ParConfig, ParEngine, Scheduling,
-    Selection, SeqInterpreter, Status,
+    Engine, EngineConfig, ExecResult, GammaProgram, ParEngine, Scheduling, Selection, Session,
+    SessionBuilder, Status,
 };
 use gammaflow::multiset::ElementBag;
 use gammaflow::workloads::{
@@ -31,19 +31,15 @@ fn run_with(
     selection: Selection,
     scheduling: Scheduling,
 ) -> ExecResult {
-    SeqInterpreter::with_config(
-        program,
-        initial.clone(),
-        ExecConfig {
+    Session::build(program)
+        .config(EngineConfig {
             selection,
             scheduling,
             record_trace: true,
-            ..ExecConfig::default()
-        },
-    )
-    .expect("program compiles")
-    .run()
-    .expect("run succeeds")
+            ..EngineConfig::default()
+        })
+        .run(initial.clone())
+        .expect("run succeeds")
 }
 
 /// Deterministic selection: trace-identical replay for every incremental
@@ -183,8 +179,9 @@ fn rete_is_the_default_scheduler() {
     // self-check references.
     assert_eq!(Scheduling::default(), Scheduling::Rete);
     for w in [minimum(&[6, 1, 9]), sum(&[1, 2, 3, 4]), primes(60)] {
-        let result = SeqInterpreter::with_seed(&w.program, w.initial.clone(), 3)
-            .run()
+        let result = Session::build(&w.program)
+            .selection(Selection::Seeded(3))
+            .run(w.initial.clone())
             .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected, "workload {}", w.name);
@@ -198,24 +195,28 @@ fn delta_engine_reaches_expected_results() {
     // End-to-end: the delta worklist engine computes the workloads'
     // self-check references.
     for w in [minimum(&[6, 1, 9]), sum(&[1, 2, 3, 4]), primes(60)] {
-        let result = SeqInterpreter::with_config(
-            &w.program,
-            w.initial.clone(),
-            ExecConfig {
+        let result = Session::build(&w.program)
+            .config(EngineConfig {
                 selection: Selection::Seeded(3),
                 scheduling: Scheduling::Delta,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+                ..EngineConfig::default()
+            })
+            .run(w.initial.clone())
+            .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected, "workload {}", w.name);
         let sched = result.sched.expect("delta scheduling reports its stats");
         assert!(sched.full_searches > 0);
         assert!(sched.authoritative_confirms >= 1);
     }
+}
+
+/// One wave in maximal parallel steps: the result plus the per-step
+/// firing counts.
+fn run_max_parallel(builder: SessionBuilder<'_>, initial: ElementBag) -> (ExecResult, Vec<usize>) {
+    let mut session = builder.start(initial).expect("program compiles");
+    let (_, profile) = session.run_to_stable_max_parallel().expect("run succeeds");
+    (session.finish(), profile)
 }
 
 #[test]
@@ -225,19 +226,13 @@ fn max_parallel_budget_counts_each_firing_once() {
     // check double-counted the in-step firings and stopped at 10).
     let w = sum(&(1..=64).collect::<Vec<i64>>());
     for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
-        let (result, _profile) = SeqInterpreter::with_config(
-            &w.program,
+        let (result, _profile) = run_max_parallel(
+            Session::build(&w.program)
+                .budget(20)
+                .selection(Selection::Deterministic)
+                .scheduling(scheduling),
             w.initial.clone(),
-            ExecConfig {
-                max_steps: 20,
-                selection: Selection::Deterministic,
-                scheduling,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap()
-        .run_max_parallel_steps()
-        .unwrap();
+        );
         assert_eq!(result.status, Status::BudgetExhausted);
         assert_eq!(
             result.stats.firings_total(),
@@ -251,18 +246,12 @@ fn max_parallel_budget_counts_each_firing_once() {
 fn max_parallel_steps_agree_across_schedulers() {
     let w = sum(&(1..=16).collect::<Vec<i64>>());
     let run = |scheduling| {
-        SeqInterpreter::with_config(
-            &w.program,
+        run_max_parallel(
+            Session::build(&w.program)
+                .selection(Selection::Deterministic)
+                .scheduling(scheduling),
             w.initial.clone(),
-            ExecConfig {
-                selection: Selection::Deterministic,
-                scheduling,
-                ..ExecConfig::default()
-            },
         )
-        .unwrap()
-        .run_max_parallel_steps()
-        .unwrap()
     };
     let (rescan, rescan_profile) = run(Scheduling::Rescan);
     let (delta, delta_profile) = run(Scheduling::Delta);
@@ -284,18 +273,14 @@ fn rete_engine_reaches_expected_results_with_stats() {
         triangles(3, 4),
         primes(60),
     ] {
-        let result = SeqInterpreter::with_config(
-            &w.program,
-            w.initial.clone(),
-            ExecConfig {
+        let result = Session::build(&w.program)
+            .config(EngineConfig {
                 selection: Selection::Seeded(3),
                 scheduling: Scheduling::Rete,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+                ..EngineConfig::default()
+            })
+            .run(w.initial.clone())
+            .unwrap();
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected, "workload {}", w.name);
         let rete = result.rete.expect("rete scheduling reports its stats");
@@ -354,16 +339,16 @@ fn watermark_crossing_mid_run_stays_trace_equal() {
     // spilled engine must keep replaying the rescanning reference's
     // exact trace, because frontier-completion enabledness is exact.
     let (program, initial) = expanding_sum(20);
-    let config = ExecConfig {
+    let config = EngineConfig {
         selection: Selection::Deterministic,
         scheduling: Scheduling::Rete,
         record_trace: true,
         rete_watermark: 200,
-        ..ExecConfig::default()
+        ..EngineConfig::default()
     };
-    let rete = SeqInterpreter::with_config(&program, initial.clone(), config.clone())
-        .unwrap()
-        .run()
+    let rete = Session::build(&program)
+        .config(config.clone())
+        .run(initial.clone())
         .unwrap();
     let rete_stats = rete.rete.clone().unwrap();
     assert!(
@@ -396,19 +381,15 @@ fn watermark_crossing_mid_run_agrees_seeded() {
     let (program, initial) = expanding_sum(20);
     for seed in 0..4 {
         let run = |scheduling, watermark| {
-            SeqInterpreter::with_config(
-                &program,
-                initial.clone(),
-                ExecConfig {
+            Session::build(&program)
+                .config(EngineConfig {
                     selection: Selection::Seeded(seed),
                     scheduling,
                     rete_watermark: watermark,
-                    ..ExecConfig::default()
-                },
-            )
-            .unwrap()
-            .run()
-            .unwrap()
+                    ..EngineConfig::default()
+                })
+                .run(initial.clone())
+                .unwrap()
         };
         let rescan = run(Scheduling::Rescan, 200);
         let rete = run(Scheduling::Rete, 200);
@@ -431,19 +412,15 @@ fn adversarial_cross_sum_peak_tokens_bounded_by_watermark() {
     let w = cross_sum(189);
     let n = 189u64;
     let watermark = 2_000usize;
-    let result = SeqInterpreter::with_config(
-        &w.program,
-        w.initial.clone(),
-        ExecConfig {
+    let result = Session::build(&w.program)
+        .config(EngineConfig {
             selection: Selection::Seeded(1),
             scheduling: Scheduling::Rete,
             rete_watermark: watermark,
-            ..ExecConfig::default()
-        },
-    )
-    .unwrap()
-    .run()
-    .unwrap();
+            ..EngineConfig::default()
+        })
+        .run(w.initial.clone())
+        .unwrap();
     assert_eq!(result.status, Status::Stable);
     assert_eq!(result.multiset, w.expected);
     let rete = result.rete.unwrap();
@@ -491,21 +468,23 @@ fn parallel_matrix_byte_identical_finals() {
         assert_eq!(reference.status, Status::Stable, "{name}");
         for workers in [1usize, 2, 8] {
             for engine in [ParEngine::ProbeRetry, ParEngine::ShardedRete] {
-                let config = ParConfig {
+                let config = EngineConfig {
                     workers,
-                    engine,
+                    engine: Engine::Parallel(engine),
                     seed: 7,
-                    ..ParConfig::default()
+                    ..EngineConfig::default()
                 };
-                let result = run_parallel(program, initial.clone(), &config)
+                let result = Session::build(program)
+                    .config(config)
+                    .run(initial.clone())
                     .unwrap_or_else(|e| panic!("{name} {engine:?} x{workers}: {e}"));
                 assert_eq!(
-                    result.exec.status,
+                    result.status,
                     Status::Stable,
                     "{name} {engine:?} x{workers}"
                 );
                 assert_eq!(
-                    result.exec.multiset, reference.multiset,
+                    result.multiset, reference.multiset,
                     "{name} {engine:?} x{workers}: finals diverged from the sequential reference"
                 );
             }
@@ -522,13 +501,19 @@ fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
     let n = 150i64;
     let w = cross_sum(n);
     let watermark = 1_000usize;
-    let config = ParConfig {
+    let config = EngineConfig {
+        engine: Engine::Parallel(ParEngine::ShardedRete),
         workers: 4,
         rete_watermark: watermark,
         seed: 1,
-        ..ParConfig::default()
+        ..EngineConfig::default()
     };
-    let result = run_parallel(&w.program, w.initial.clone(), &config).unwrap();
+    let mut session = Session::build(&w.program)
+        .config(config)
+        .start(w.initial.clone())
+        .unwrap();
+    session.run_to_stable().unwrap();
+    let result = session.finish_parallel();
     assert_eq!(result.exec.status, Status::Stable);
     assert_eq!(result.exec.multiset, w.expected, "cross_sum self-check");
     let par = &result.par;
@@ -549,18 +534,14 @@ fn rete_guard_pushdown_is_observable_on_triangles() {
     // join level 1; the network must reject star-edge pairs there instead
     // of enumerating the full edge³ product.
     let w = triangles(2, 10);
-    let result = SeqInterpreter::with_config(
-        &w.program,
-        w.initial.clone(),
-        ExecConfig {
+    let result = Session::build(&w.program)
+        .config(EngineConfig {
             selection: Selection::Seeded(0),
             scheduling: Scheduling::Rete,
-            ..ExecConfig::default()
-        },
-    )
-    .unwrap()
-    .run()
-    .unwrap();
+            ..EngineConfig::default()
+        })
+        .run(w.initial.clone())
+        .unwrap();
     assert_eq!(result.multiset, w.expected);
     let rete = result.rete.unwrap();
     assert!(
@@ -584,7 +565,7 @@ fn rete_guard_pushdown_is_observable_on_triangles() {
 /// identical bytes.
 #[test]
 fn large_stream_100k_elements_byte_identical() {
-    use gammaflow::gamma::{ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec, Session};
+    use gammaflow::gamma::{ElementSpec, Expr, GammaProgram, Pattern, ReactionSpec};
     use gammaflow::multiset::value::{BinOp, CmpOp};
     use gammaflow::multiset::Element;
 
@@ -630,16 +611,19 @@ fn large_stream_100k_elements_byte_identical() {
     };
     let rete = run_session(Scheduling::Rete, &initial, 100_000);
 
-    let config = ParConfig {
+    let config = EngineConfig {
         workers: 4,
-        engine: ParEngine::ShardedRete,
+        engine: Engine::Parallel(ParEngine::ShardedRete),
         seed: 7,
-        ..ParConfig::default()
+        ..EngineConfig::default()
     };
-    let par = run_parallel(&program, initial.clone(), &config).expect("parallel run succeeds");
-    assert_eq!(par.exec.status, Status::Stable);
+    let par = Session::build(&program)
+        .config(config)
+        .run(initial.clone())
+        .expect("parallel run succeeds");
+    assert_eq!(par.status, Status::Stable);
     assert_eq!(
-        par.exec.multiset, rete,
+        par.multiset, rete,
         "parallel finals diverged from the sequential reference"
     );
 

@@ -8,7 +8,7 @@ mod common;
 use common::{fig1, fig2};
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::dataflow::graph::DataflowGraph;
-use gammaflow::gamma::{ExecConfig, GammaProgram, SeqInterpreter};
+use gammaflow::gamma::{GammaProgram, Session};
 use gammaflow::multiset::{Element, ElementBag};
 
 #[test]
@@ -61,13 +61,9 @@ fn trace_round_trips_and_replays() {
     // A serialised firing trace equals the in-memory one and the final
     // multiset can be re-derived from it (the trace is complete).
     let conv = dataflow_to_gamma(&fig1()).unwrap();
-    let config = ExecConfig {
-        record_trace: true,
-        ..ExecConfig::default()
-    };
-    let result = SeqInterpreter::with_config(&conv.program, conv.initial.clone(), config)
-        .unwrap()
-        .run()
+    let result = Session::build(&conv.program)
+        .record_trace(true)
+        .run(conv.initial.clone())
         .unwrap();
     let trace = result.trace.unwrap();
     let json = serde_json::to_string(&trace).unwrap();

@@ -7,16 +7,16 @@
 //! legal firing order of the one-shot run on the merged bag — so on
 //! confluent programs the finals must be **byte-identical**, for every
 //! scheduling, selection policy, engine, and wave split. Deterministic
-//! single-wave sessions must additionally replay the interpreter's exact
+//! single-wave sessions must additionally replay the one-shot run's exact
 //! firing trace (they are the same loop), and a deterministic session's
-//! per-wave traces must equal what a freshly rebuilt interpreter would
+//! per-wave traces must equal what a freshly rebuilt session would
 //! fire on the same evolving bag — resume is a pure matcher-state
 //! optimisation, never a semantics change.
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
-    run_pipeline, Engine, ExecConfig, GammaProgram, ParEngine, Scheduling, Selection,
-    SeqInterpreter, Session, Status,
+    run_pipeline, Engine, EngineConfig, GammaProgram, ParEngine, Scheduling, Selection, Session,
+    Status,
 };
 use gammaflow::multiset::{Element, ElementBag};
 use gammaflow::workloads::{
@@ -61,25 +61,21 @@ fn confluent_workloads() -> Vec<(String, GammaProgram, ElementBag)> {
 }
 
 /// Sequential engines: a session fed the same elements in `k` waves must
-/// land on the byte-identical final the one-shot interpreter computes on
+/// land on the byte-identical final the one-shot run computes on
 /// the merged bag — for every scheduling and both selection policies.
 #[test]
 fn seq_session_waves_match_one_shot_finals() {
     for (name, program, initial) in &confluent_workloads() {
         for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
             for selection in [Selection::Deterministic, Selection::Seeded(5)] {
-                let one_shot = SeqInterpreter::with_config(
-                    program,
-                    initial.clone(),
-                    ExecConfig {
+                let one_shot = Session::build(program)
+                    .config(EngineConfig {
                         selection,
                         scheduling,
-                        ..ExecConfig::default()
-                    },
-                )
-                .expect("program compiles")
-                .run()
-                .expect("one-shot runs");
+                        ..EngineConfig::default()
+                    })
+                    .run(initial.clone())
+                    .expect("one-shot runs");
                 assert_eq!(one_shot.status, Status::Stable, "{name}");
                 for k in [1usize, 3] {
                     let mut session = Session::build(program)
@@ -109,8 +105,9 @@ fn seq_session_waves_match_one_shot_finals() {
 #[test]
 fn parallel_session_waves_match_one_shot_finals() {
     for (name, program, initial) in &confluent_workloads() {
-        let reference = SeqInterpreter::deterministic(program, initial.clone())
-            .run()
+        let reference = Session::build(program)
+            .selection(Selection::Deterministic)
+            .run(initial.clone())
             .expect("reference runs");
         assert_eq!(reference.status, Status::Stable, "{name}");
         for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
@@ -136,26 +133,22 @@ fn parallel_session_waves_match_one_shot_finals() {
     }
 }
 
-/// A deterministic one-wave session *is* the interpreter: byte-identical
-/// trace, stats, and final for every scheduling (the wrappers delegate,
-/// so this pins the delegation down independently).
+/// A deterministic one-wave session *is* the one-shot run: byte-identical
+/// trace, stats, and final for every scheduling (`SessionBuilder::run`
+/// delegates, so this pins the delegation down independently).
 #[test]
 fn deterministic_one_wave_session_replays_interpreter_trace() {
     for (name, program, initial) in &confluent_workloads() {
         for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
-            let reference = SeqInterpreter::with_config(
-                program,
-                initial.clone(),
-                ExecConfig {
+            let reference = Session::build(program)
+                .config(EngineConfig {
                     selection: Selection::Deterministic,
                     scheduling,
                     record_trace: true,
-                    ..ExecConfig::default()
-                },
-            )
-            .expect("program compiles")
-            .run()
-            .expect("reference runs");
+                    ..EngineConfig::default()
+                })
+                .run(initial.clone())
+                .expect("reference runs");
             let mut session = Session::build(program)
                 .scheduling(scheduling)
                 .selection(Selection::Deterministic)
@@ -224,18 +217,14 @@ fn deterministic_session_waves_replay_rebuild_traces() {
         for e in wave {
             bag.insert(e.clone());
         }
-        let rebuild = SeqInterpreter::with_config(
-            &w.program,
-            bag,
-            ExecConfig {
+        let rebuild = Session::build(&w.program)
+            .config(EngineConfig {
                 selection: Selection::Deterministic,
                 record_trace: true,
-                ..ExecConfig::default()
-            },
-        )
-        .expect("program compiles")
-        .run()
-        .expect("rebuild runs");
+                ..EngineConfig::default()
+            })
+            .run(bag)
+            .expect("rebuild runs");
         let rebuild_trace = rebuild.trace.expect("trace recorded");
         assert_eq!(rebuild_trace.len(), fired, "per-wave firing counts agree");
         let session_keys: Vec<_> = session_trace[offset..offset + fired]
@@ -253,8 +242,8 @@ fn deterministic_session_waves_replay_rebuild_traces() {
 }
 
 /// Pipeline stats plumbing: the chained sessions' scheduler/network
-/// counters must reach the cumulative result (they used to be dropped as
-/// `sched: None, rete: None`).
+/// counters and traces must reach the cumulative result (they used to be
+/// dropped as `sched: None, rete: None, trace: None`).
 #[test]
 fn pipeline_absorbs_scheduler_stats_across_stages() {
     use gammaflow::gamma::{ElementSpec, Expr, Pattern, Pipeline, ReactionSpec};
@@ -278,9 +267,9 @@ fn pipeline_absorbs_scheduler_stats_across_stages() {
     let delta = run_pipeline(
         &pipeline,
         initial.clone(),
-        &ExecConfig {
+        &EngineConfig {
             scheduling: Scheduling::Delta,
-            ..ExecConfig::default()
+            ..EngineConfig::default()
         },
     )
     .expect("pipeline runs");
@@ -296,8 +285,10 @@ fn pipeline_absorbs_scheduler_stats_across_stages() {
     );
 
     // Rete scheduling (the default): the merged network counters arrive.
-    let rete = run_pipeline(&pipeline, initial, &ExecConfig::default()).expect("pipeline runs");
+    let rete =
+        run_pipeline(&pipeline, initial.clone(), &EngineConfig::default()).expect("pipeline runs");
     assert_eq!(rete.status, Status::Stable);
+    assert!(rete.trace.is_none(), "no trace unless asked for");
     let rete_stats = rete
         .rete
         .expect("pipeline must surface cumulative network stats");
@@ -306,6 +297,25 @@ fn pipeline_absorbs_scheduler_stats_across_stages() {
         rete.multiset.sorted_elements(),
         vec![Element::pair(21, "m")]
     );
+
+    // Trace recording: the stages' traces arrive in stage order under
+    // one continuous step numbering.
+    let traced = run_pipeline(
+        &pipeline,
+        initial,
+        &EngineConfig {
+            record_trace: true,
+            ..EngineConfig::default()
+        },
+    )
+    .expect("pipeline runs");
+    let trace = traced
+        .trace
+        .expect("pipeline must surface the stages' traces");
+    let steps: Vec<u64> = trace.iter().map(|r| r.step).collect();
+    assert_eq!(steps, (0..11).collect::<Vec<u64>>());
+    assert!(trace[..6].iter().all(|r| r.reaction == "relabel"));
+    assert!(trace[6..].iter().all(|r| r.reaction == "sum"));
 }
 
 /// `drain_stable` chains sessions the way `run_pipeline` does, and the
@@ -369,4 +379,28 @@ fn wave_records_sum_to_cumulative_stats() {
         per_wave_fired.iter().sum::<u64>()
     );
     assert_eq!(result.multiset, w.expected);
+}
+
+/// Maximal-parallel stepping is a sequential execution mode: asking a
+/// parallel session for it is an error the caller can handle (it used to
+/// panic), and the session stays usable for ordinary waves.
+#[test]
+fn max_parallel_steps_on_a_parallel_session_is_an_error() {
+    use gammaflow::gamma::ExecError;
+    let w = windowed_sum(1, 2, 4, 3);
+    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
+        let mut session = Session::build(&w.program)
+            .engine(Engine::Parallel(engine))
+            .workers(2)
+            .start(w.merged())
+            .expect("compiles");
+        let err = session
+            .run_to_stable_max_parallel()
+            .expect_err("parallel engines have no maximal-step mode");
+        assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
+        assert_eq!(session.waves_run(), 0, "a refused wave is not a wave");
+        let wave = session.run_to_stable().expect("ordinary waves still run");
+        assert_eq!(wave.status, Status::Stable);
+        assert_eq!(session.finish().multiset, w.expected);
+    }
 }
