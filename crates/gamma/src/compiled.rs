@@ -68,12 +68,16 @@ impl<'a> Bindings<'a> {
     fn unbind(&mut self, i: u16) {
         self.slots[i as usize] = None;
     }
+}
 
-    fn get_tag(&self, i: u16) -> Option<Tag> {
-        match &self.slots[i as usize] {
-            Some(Value::Int(t)) if *t >= 0 => Some(Tag(*t as u64)),
-            _ => None,
-        }
+/// The one tag rule: a value names a tag only when it is a non-negative
+/// `Int`. Output tags obey it, and so does every matcher reading a bound
+/// tag variable — a tag ≥ 2⁶³ binds as a negative `Int`, which names no
+/// tag, so no later position can join on it.
+pub(crate) fn tag_of(value: &Value) -> Option<Tag> {
+    match value {
+        Value::Int(t) if *t >= 0 => Some(Tag(*t as u64)),
+        _ => None,
     }
 }
 
@@ -89,7 +93,22 @@ pub(crate) struct CompiledPattern {
     pub(crate) label_var: Option<u16>,
     pub(crate) tag_var: Option<u16>,
     pub(crate) tag_lit: Option<Tag>,
-    pub(crate) tag_any: bool,
+}
+
+impl CompiledPattern {
+    /// The tag this position's candidates must carry under `slots`:
+    /// `None` when any tag will do, else the literal or the bound
+    /// variable's tag by [`tag_of`] — itself `None` when the binding
+    /// names no tag, so nothing matches.
+    pub(crate) fn tag_pin(&self, slots: &[Option<Value>]) -> Option<Option<Tag>> {
+        match (
+            self.tag_lit,
+            self.tag_var.and_then(|v| slots[v as usize].as_ref()),
+        ) {
+            (Some(t), _) => Some(Some(t)),
+            (None, bound) => bound.map(tag_of),
+        }
+    }
 }
 
 /// Which element field a pattern variable binds (see `bind_position`).
@@ -115,6 +134,20 @@ impl LabelFilter {
             LabelFilter::OneOf(_) => 1,
             LabelFilter::Any => 2,
         }
+    }
+
+    /// The literal labels this filter names (empty for a wildcard).
+    pub(crate) fn literals(&self) -> &[Symbol] {
+        match self {
+            LabelFilter::Exact(l) => std::slice::from_ref(l),
+            LabelFilter::OneOf(ls) => ls,
+            LabelFilter::Any => &[],
+        }
+    }
+
+    /// Does the filter admit `label`?
+    pub(crate) fn admits(&self, label: Symbol) -> bool {
+        matches!(self, LabelFilter::Any) || self.literals().contains(&label)
     }
 }
 
@@ -514,10 +547,10 @@ impl CompiledReaction {
                 ValuePat::Var(v) => (Some(intern(*v, &mut var_index)), None),
                 ValuePat::Lit(v) => (None, Some(v.clone())),
             };
-            let (tag_var, tag_lit, tag_any) = match &p.tag {
-                TagPat::Var(v) => (Some(intern(*v, &mut var_index)), None, false),
-                TagPat::Lit(t) => (None, Some(*t), false),
-                TagPat::Any => (None, None, true),
+            let (tag_var, tag_lit) = match &p.tag {
+                TagPat::Var(v) => (Some(intern(*v, &mut var_index)), None),
+                TagPat::Lit(t) => (None, Some(*t)),
+                TagPat::Any => (None, None),
             };
             positions.push(CompiledPattern {
                 label,
@@ -526,7 +559,6 @@ impl CompiledReaction {
                 label_var,
                 tag_var,
                 tag_lit,
-                tag_any,
             });
         }
 
@@ -680,6 +712,40 @@ impl CompiledReaction {
         }
     }
 
+    /// The matching-store plan: the slot of the shared tag variable `v`
+    /// when this reaction is **tag-keyed** — enabled exactly when every
+    /// position holds some element under one tag, as every Algorithm-1
+    /// node image is. That needs `v` at every position, `Exact`/`OneOf`
+    /// labels disjoint across positions, a value variable per position
+    /// and no variable but `v` twice, no `where`, no clause disjunction,
+    /// and ≤ 32 positions (one mask bit each). `None`: join tokens.
+    pub(crate) fn tag_keyed_slot(&self) -> Option<u16> {
+        let v = self.positions.first()?.tag_var?;
+        let total = self.guard_plan().clause_disjunction.is_none();
+        if self.arity() > 32 || self.spec.where_cond.is_some() || !total {
+            return None;
+        }
+        let mut vars = vec![v];
+        let mut labels: Vec<Symbol> = Vec::new();
+        for pat in &self.positions {
+            let literals = pat.label.literals();
+            if pat.tag_var != Some(v)
+                || literals.is_empty()
+                || literals.iter().any(|l| labels.contains(l))
+            {
+                return None;
+            }
+            labels.extend_from_slice(literals);
+            for var in std::iter::once(pat.value_var?).chain(pat.label_var) {
+                if vars.contains(&var) {
+                    return None;
+                }
+                vars.push(var);
+            }
+        }
+        Some(v)
+    }
+
     /// Render the compiled join plan for debugging: the planner-chosen
     /// join order with each level's label filter and pushed-down guard
     /// conjuncts, plus the terminal clause disjunction. Set
@@ -690,6 +756,13 @@ impl CompiledReaction {
         let plan = self.guard_plan();
         let mut out = String::new();
         let _ = writeln!(out, "reaction {} (arity {}):", self.name, self.arity());
+        let keyed_on = self
+            .tag_keyed_slot()
+            .and_then(|slot| self.var_index.iter().find(|(_, &s)| s == slot));
+        let _ = match keyed_on {
+            Some((v, _)) => writeln!(out, "  plan: tag-keyed on {v}"),
+            None => writeln!(out, "  plan: join tokens"),
+        };
         for (k, &p) in self.order.iter().enumerate() {
             let pat = &self.positions[p];
             let label = match &pat.label {
@@ -754,10 +827,10 @@ impl CompiledReaction {
     /// when no clause guard holds.
     pub(crate) fn eval_outputs_for_slots(
         &self,
-        slots: &[Option<Value>],
+        slots: Vec<Option<Value>>,
     ) -> Result<Option<(usize, Vec<Element>)>, MatchError> {
         let bindings = Bindings {
-            slots: slots.to_vec(),
+            slots,
             index: &self.var_index,
         };
         self.outputs_for(&bindings)
@@ -823,11 +896,9 @@ impl CompiledReaction {
 
         for label in labels {
             // Candidate tags for this label.
-            let bound_tag = pat.tag_var.and_then(|v| bindings.get_tag(v));
-            let mut tags: Vec<Tag> = match (pat.tag_lit, bound_tag, pat.tag_any) {
-                (Some(t), _, _) => vec![t],
-                (None, Some(t), _) => vec![t],
-                _ => bag.tags_for_label(label),
+            let mut tags: Vec<Tag> = match pat.tag_pin(&bindings.slots) {
+                Some(pinned) => pinned.into_iter().collect(),
+                None => bag.tags_for_label(label),
             };
             if tags.len() > 1 {
                 if let Some(r) = rng.as_deref_mut() {
@@ -942,11 +1013,8 @@ impl CompiledReaction {
         let mut labels = Vec::new();
         let mut wildcard = false;
         for pat in &self.positions {
-            match &pat.label {
-                LabelFilter::Exact(l) => labels.push(*l),
-                LabelFilter::OneOf(ls) => labels.extend_from_slice(ls),
-                LabelFilter::Any => wildcard = true,
-            }
+            labels.extend_from_slice(pat.label.literals());
+            wildcard |= matches!(pat.label, LabelFilter::Any);
         }
         labels.sort_unstable();
         labels.dedup();
@@ -989,12 +1057,7 @@ impl CompiledReaction {
         value: &Value,
     ) -> bool {
         let pat = &self.positions[p];
-        let label_ok = match &pat.label {
-            LabelFilter::Exact(l) => *l == label,
-            LabelFilter::OneOf(ls) => ls.contains(&label),
-            LabelFilter::Any => true,
-        };
-        label_ok
+        pat.label.admits(label)
             && pat.tag_lit.is_none_or(|t| t == tag)
             && pat.value_lit.as_ref().is_none_or(|v| *v == *value)
     }
@@ -1110,12 +1173,10 @@ impl CompiledReaction {
         consumed: &mut [Option<Element>],
     ) -> bool {
         let pat = &self.positions[order[depth]];
-        let bound_tag = pat.tag_var.and_then(|v| bindings.get_tag(v));
-        match (pat.tag_lit, bound_tag, pat.tag_any) {
-            (Some(t), _, _) | (None, Some(t), _) => {
-                self.det_tag(depth, order, label, t, bag, bindings, consumed)
-            }
-            _ => {
+        match pat.tag_pin(&bindings.slots) {
+            Some(Some(t)) => self.det_tag(depth, order, label, t, bag, bindings, consumed),
+            Some(None) => false,
+            None => {
                 let mut found = false;
                 bag.visit_tags(label, &mut |tag| {
                     found = self.det_tag(depth, order, label, tag, bag, bindings, consumed);
@@ -1244,11 +1305,10 @@ impl CompiledReaction {
 
         for li in 0..level.labels.len() {
             let label = level.labels[li];
-            let bound_tag = pat.tag_var.and_then(|v| bindings.get_tag(v));
             level.tags.clear();
-            match (pat.tag_lit, bound_tag, pat.tag_any) {
-                (Some(t), _, _) | (None, Some(t), _) => level.tags.push(t),
-                _ => bag.visit_tags(label, &mut |t| {
+            match pat.tag_pin(&bindings.slots) {
+                Some(pinned) => level.tags.extend(pinned),
+                None => bag.visit_tags(label, &mut |t| {
                     level.tags.push(t);
                     true
                 }),
@@ -1773,12 +1833,12 @@ impl CompiledReaction {
                     reaction: self.name.clone(),
                     error,
                 })?;
-                match tv {
-                    Value::Int(t) if t >= 0 => Tag(t as u64),
-                    other => {
+                match tag_of(&tv) {
+                    Some(t) => t,
+                    None => {
                         return Err(MatchError::BadTag {
                             reaction: self.name.clone(),
-                            value: other.to_string(),
+                            value: tv.to_string(),
                         })
                     }
                 }

@@ -66,6 +66,33 @@
 //! dropped, a cached "match" kept), a removal can only disable — so the
 //! per-firing cost stays proportional to the delta.
 //!
+//! # Tag-keyed reactions
+//!
+//! An Algorithm-1 reaction (`CompiledReaction::tag_keyed_slot`: one tag
+//! variable everywhere, disjoint literal labels, fresh value variables,
+//! no `where`, a total clause) is enabled exactly when every operand
+//! label holds *some* element under one tag — the dataflow firing rule
+//! of `crates/dataflow/src/token.rs`'s waiting–matching store. Its net
+//! keeps that store instead of tokens: per tag a mask of present
+//! positions (a removal clears a bit only when the live bag holds no
+//! admitted element there), and a lane of full tags.
+//!
+//! * **The lane mirrors the token lane.** With at most one element per
+//!   `(label, tag)` — every well-behaved image — full tags and terminal
+//!   tokens are in bijection, pushed by the same insert and swap-removed
+//!   by the same removal (the bulk build queues a tag at its join-order
+//!   position-0 element, where the token build completes it), and a pick
+//!   draws again only from a bucket with several values, so seeded picks
+//!   draw and select exactly as the token plan would.
+//! * **Slices.** A keyed reaction's literal labels form one [`SlicePlan`]
+//!   component; other slices skip its deltas, the owner re-derives an
+//!   insert's bit from the shared bag (a concurrent claim may have taken
+//!   it), and a pick from a bucket a claim emptied is `Ok(None)`.
+//!
+//! Beside the nets, `ready` and `spilled` bitsets over reactions are
+//! re-derived after every routed update, so a pick walks only reactions
+//! that can be enabled (probing the spilled ones), in ascending order.
+//!
 //! # Exactness and stability
 //!
 //! The network is *exact* at any watermark: for fully materialised
@@ -78,8 +105,8 @@
 //! (debug builds still cross-check).
 
 use crate::compiled::{
-    CompiledProgram, CompiledReaction, Firing, GuardPlan, LabelFilter, MatchError, MatchSource,
-    SearchScratch,
+    tag_of, CompiledProgram, CompiledReaction, Firing, GuardPlan, LabelFilter, MatchError,
+    MatchSource, SearchScratch,
 };
 use crate::expr::{Env, Expr};
 use crate::schedule::DependencyIndex;
@@ -418,6 +445,55 @@ struct ReactionNet {
     /// Per-reaction profile counters, drained at wave boundaries (see
     /// [`ReteNetwork::take_reaction_counters`]).
     prof: ReteReactionCounters,
+    /// The matching store of a tag-keyed reaction, which then keeps no
+    /// tokens at all (see the module docs).
+    keyed: Option<KeyedStore>,
+}
+
+/// Lane position of a tag that is not queued as ready.
+const UNQUEUED: u32 = u32::MAX;
+
+/// A tag-keyed reaction's matching store (see the module docs).
+#[derive(Debug)]
+struct KeyedStore {
+    /// Slot of the shared tag variable.
+    tag_slot: u16,
+    /// The mask with every position's bit set.
+    full: u32,
+    /// Tag → (present-position mask, index into `lane` or [`UNQUEUED`]).
+    tags: FxHashMap<Tag, (u32, u32)>,
+    /// The full (ready) tags.
+    lane: Vec<Tag>,
+}
+
+impl KeyedStore {
+    /// Set or clear `bit` at `tag`. A tag that stops being full leaves
+    /// the lane by swap-removal; a full one joins it when `queue`.
+    fn set(&mut self, tag: Tag, bit: u32, present: bool, queue: bool) {
+        let entry = self.tags.entry(tag).or_insert((0, UNQUEUED));
+        if present {
+            entry.0 |= bit;
+        } else {
+            entry.0 &= !bit;
+        }
+        let (mask, pos) = *entry;
+        if mask == self.full && pos == UNQUEUED && queue {
+            entry.1 = self.lane.len() as u32;
+            self.lane.push(tag);
+        } else if mask != self.full && pos != UNQUEUED {
+            entry.1 = UNQUEUED;
+            self.lane.swap_remove(pos as usize);
+            if let Some(&moved) = self.lane.get(pos as usize) {
+                self.tags
+                    .get_mut(&moved)
+                    .expect("queued tags have entries")
+                    .1 = pos;
+            }
+        }
+        if mask == 0 {
+            self.tags.remove(&tag);
+        }
+    }
 }
 
 impl ReactionNet {
@@ -466,27 +542,75 @@ impl ReactionNet {
             doomed: Vec::new(),
             empty_slots: vec![None; cr.nvars()].into_boxed_slice(),
             prof: ReteReactionCounters::default(),
+            keyed: cr.tag_keyed_slot().map(|tag_slot| KeyedStore {
+                tag_slot,
+                full: u32::MAX >> (32 - cr.arity()),
+                tags: FxHashMap::default(),
+                lane: Vec::new(),
+            }),
         }
     }
 
     /// The tag an element must carry to extend the token with `slots`
-    /// into join level `k` (when that level is tag-indexed): the indexed
-    /// slot's integer binding, mapped exactly as [`ReactionNet::try_child`]'s
-    /// bind rule maps tags to values. A non-integer binding can never
-    /// equal a tag, so such tokens are joinable at that level by nothing
-    /// and live in no index bucket.
+    /// into join level `k` (when that level is tag-indexed), by the one
+    /// tag rule ([`tag_of`]). A binding naming no tag is joinable at that
+    /// level by nothing, so such tokens live in no index bucket.
     fn required_tag(slots: &[Option<Value>], slot: u16) -> Option<Tag> {
-        match &slots[slot as usize] {
-            Some(Value::Int(i)) => Some(Tag(*i as u64)),
-            _ => None,
+        slots[slot as usize].as_ref().and_then(tag_of)
+    }
+
+    /// Complete matches in the terminal memory, or ready tags. Only the
+    /// enabled-match count when the net is fully materialised; a spilled
+    /// net's terminal lane was demoted (see [`ReteNetwork::has_match`]).
+    fn match_count(&self) -> usize {
+        match &self.keyed {
+            Some(store) => store.lane.len(),
+            None => self.levels[self.arity - 1].len(),
         }
     }
 
-    /// Complete matches in the terminal memory. Only the enabled-match
-    /// count when the net is fully materialised; a spilled net's terminal
-    /// lane was demoted (see [`ReteNetwork::has_match`]).
-    fn match_count(&self) -> usize {
-        self.levels[self.arity - 1].len()
+    /// Route a delta at `(label, tag)` to a tag-keyed net: re-derive its
+    /// position's bit from the live bag, unless `known_present`. The
+    /// `bulk` build reads every bit off the (complete) bag and queues a
+    /// full tag only at its join-order position-0 element.
+    fn keyed_delta<S: MatchSource>(
+        &mut self,
+        cr: &CompiledReaction,
+        bag: &S,
+        label: Symbol,
+        tag: Tag,
+        known_present: bool,
+        bulk: bool,
+    ) {
+        let store = self.keyed.as_mut().expect("keyed net");
+        // The one tag rule: the binding of a tag ≥ 2⁶³ names no tag, so
+        // no second position can join on it.
+        if cr.arity() > 1 && tag_of(&Value::Int(tag.0 as i64)).is_none() {
+            return;
+        }
+        let positions = cr.positions();
+        // Does any label position `q` admits hold an element at `tag`?
+        let occupied = |q: usize| {
+            positions[q].label.literals().iter().any(|&l| {
+                let mut hit = false;
+                bag.visit_values(l, tag, &mut |_, count| {
+                    hit = count > 0;
+                    !hit
+                });
+                hit
+            })
+        };
+        let Some(p) = positions.iter().position(|pat| pat.label.admits(label)) else {
+            return;
+        };
+        if bulk {
+            let at_p0 = p == cr.join_order()[0];
+            for q in 0..positions.len() {
+                store.set(tag, 1 << q, occupied(q), at_p0);
+            }
+        } else {
+            store.set(tag, 1 << p, known_present || occupied(p), true);
+        }
     }
 
     fn live_tokens(&self) -> usize {
@@ -751,29 +875,20 @@ impl ReactionNet {
             if let Some(bound) = &slots[v as usize] {
                 let Value::Str(s) = bound else { return };
                 let label = Symbol::intern(s);
-                let admits = match &pat.label {
-                    LabelFilter::Exact(l) => *l == label,
-                    LabelFilter::OneOf(ls) => ls.contains(&label),
-                    LabelFilter::Any => true,
-                };
-                if admits {
+                if pat.label.admits(label) {
                     self.extend_label(cr, bag, elems, slots, k, label, stats);
                 }
                 return;
             }
         }
-        match &pat.label {
-            LabelFilter::Exact(l) => self.extend_label(cr, bag, elems, slots, k, *l, stats),
-            LabelFilter::OneOf(ls) => {
-                for &l in ls.iter() {
-                    self.extend_label(cr, bag, elems, slots, k, l, stats);
-                }
-            }
-            LabelFilter::Any => {
-                bag.visit_labels(&mut |l| {
-                    self.extend_label(cr, bag, elems, slots, k, l, stats);
-                    true
-                });
+        if let LabelFilter::Any = pat.label {
+            bag.visit_labels(&mut |l| {
+                self.extend_label(cr, bag, elems, slots, k, l, stats);
+                true
+            });
+        } else {
+            for &l in pat.label.literals() {
+                self.extend_label(cr, bag, elems, slots, k, l, stats);
             }
         }
     }
@@ -790,18 +905,10 @@ impl ReactionNet {
         stats: &mut ReteStats,
     ) {
         let pat = &cr.positions()[cr.join_order()[k]];
-        let bound_tag = pat.tag_var.and_then(|v| match &slots[v as usize] {
-            Some(Value::Int(t)) if *t >= 0 => Some(Tag(*t as u64)),
-            Some(_) => None,
-            None => None,
-        });
-        let tag_is_bound = pat.tag_var.is_some_and(|v| slots[v as usize].is_some());
-        match (pat.tag_lit, bound_tag, tag_is_bound) {
-            (Some(t), _, _) => self.extend_tag(cr, bag, elems, slots, k, label, t, stats),
-            (None, Some(t), _) => self.extend_tag(cr, bag, elems, slots, k, label, t, stats),
-            // Tag variable bound to a non-tag value: no candidate matches.
-            (None, None, true) => {}
-            _ => {
+        match pat.tag_pin(slots) {
+            Some(Some(t)) => self.extend_tag(cr, bag, elems, slots, k, label, t, stats),
+            Some(None) => {}
+            None => {
                 bag.visit_tags(label, &mut |t| {
                     self.extend_tag(cr, bag, elems, slots, k, label, t, stats);
                     true
@@ -1135,6 +1242,25 @@ pub(crate) fn firing_net_delta_ids(firing: &Firing) -> (Vec<ElemId>, Vec<ElemId>
     (removed, inserted)
 }
 
+/// The firing of reaction `r` consuming `consumed` (replace-list order)
+/// under the tuple's bindings `slots`.
+fn firing_for(
+    cr: &CompiledReaction,
+    r: usize,
+    consumed: Vec<Element>,
+    slots: Vec<Option<Value>>,
+) -> Result<Option<Firing>, MatchError> {
+    let (clause, produced) = cr
+        .eval_outputs_for_slots(slots)?
+        .expect("a memorised match has an enabled clause");
+    Ok(Some(Firing {
+        reaction: r,
+        consumed,
+        produced,
+        clause,
+    }))
+}
+
 /// Default per-reaction token watermark for [`ReteNetwork::new`].
 ///
 /// Sized so the committed workloads' exact memories fit comfortably (the
@@ -1155,8 +1281,14 @@ pub struct ReteNetwork {
     slice: Option<AlphaSlice>,
     /// Scratch for delta routing (dependents, deduplicated).
     route: Vec<usize>,
-    /// Scratch for seeded ready-reaction picks.
-    ready: Vec<usize>,
+    /// Bitset over reactions: a non-empty terminal or keyed lane.
+    ready: Vec<u64>,
+    /// Bitset over reactions: spilled, so enabledness needs a probe.
+    spilled: Vec<u64>,
+    /// Scratch for ready-reaction picks.
+    picks: Vec<usize>,
+    /// Scratch for a keyed pick's bucket candidates.
+    cands: Vec<ElemId>,
     /// Scratch for spilled-prefix completion searches.
     probe_scratch: SearchScratch,
     /// Scratch for resolving token ids back to elements on spill paths
@@ -1205,6 +1337,7 @@ impl ReteNetwork {
         watermark: usize,
         slice: Option<AlphaSlice>,
     ) -> ReteNetwork {
+        let words = compiled.reactions.len().div_ceil(64);
         let mut net = ReteNetwork {
             nets: compiled
                 .reactions
@@ -1214,7 +1347,10 @@ impl ReteNetwork {
             deps: DependencyIndex::new(compiled),
             slice,
             route: Vec::new(),
-            ready: Vec::new(),
+            ready: vec![0; words],
+            spilled: vec![0; words],
+            picks: Vec::new(),
+            cands: Vec::new(),
             probe_scratch: SearchScratch::new(),
             elem_scratch: Vec::new(),
             stats: ReteStats::default(),
@@ -1237,9 +1373,45 @@ impl ReteNetwork {
             if net.slice.as_ref().is_some_and(|s| !s.owns(e.label, e.tag)) {
                 continue;
             }
-            net.feed_insert_inner(compiled, initial, e, true);
+            net.feed_insert(compiled, initial, e, true);
         }
         net
+    }
+
+    /// Re-derive reaction `r`'s bits in the `ready` and `spilled` sets
+    /// after its net changed.
+    fn resync(&mut self, r: usize) {
+        let (w, bit, net) = (r / 64, 1u64 << (r % 64), &self.nets[r]);
+        let (ready, spilled) = (net.match_count() > 0, net.is_spilled());
+        self.ready[w] = (self.ready[w] & !bit) | if ready { bit } else { 0 };
+        self.spilled[w] = (self.spilled[w] & !bit) | if spilled { bit } else { 0 };
+    }
+
+    /// Collect into `picks` the enabled reactions (only the first with
+    /// `first_only`), ascending: the ready set read off directly, spilled
+    /// reactions probed.
+    fn collect_enabled<S: MatchSource>(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &S,
+        first_only: bool,
+    ) {
+        let mut picks = std::mem::take(&mut self.picks);
+        picks.clear();
+        'words: for w in 0..self.ready.len() {
+            let mut bits = self.ready[w] | self.spilled[w];
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.spilled[w] & (1 << (r % 64)) == 0 || self.has_match(compiled, bag, r) {
+                    picks.push(r);
+                    if first_only {
+                        break 'words;
+                    }
+                }
+            }
+        }
+        self.picks = picks;
     }
 
     /// The slice filter this network was built with, if any.
@@ -1334,7 +1506,8 @@ impl ReteNetwork {
         compiled: &CompiledProgram,
         bag: &S,
     ) -> Option<usize> {
-        (0..self.nets.len()).find(|&r| self.has_match(compiled, bag, r))
+        self.collect_enabled(compiled, bag, true);
+        self.picks.first().copied()
     }
 
     /// A uniformly random reaction among the enabled ones.
@@ -1344,31 +1517,23 @@ impl ReteNetwork {
         bag: &S,
         rng: &mut ChaCha8Rng,
     ) -> Option<usize> {
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        for r in 0..self.nets.len() {
-            if self.has_match(compiled, bag, r) {
-                ready.push(r);
-            }
+        self.collect_enabled(compiled, bag, false);
+        if self.picks.is_empty() {
+            return None;
         }
-        let pick = if ready.is_empty() {
-            None
-        } else {
-            Some(ready[(rng.next_u64() % ready.len() as u64) as usize])
-        };
-        self.ready = ready;
-        pick
+        Some(self.picks[(rng.next_u64() % self.picks.len() as u64) as usize])
     }
 
-    /// Materialise a [`Firing`] for reaction `r` (which must be enabled):
-    /// from a random terminal token when fully materialised, by seeded
-    /// completion of a random frontier prefix when spilled. Output
-    /// evaluation errors propagate exactly as in the searching engines.
-    /// For an unsliced network, `Ok(None)` is only possible on a
-    /// maintenance bug (debug builds assert) and tells the engine to fall
-    /// back to the exact search; a *sliced* network racing concurrent
-    /// claimants may legitimately return `Ok(None)` from a stale cached
-    /// enabledness answer — the caller retries after draining its deltas.
+    /// Materialise a [`Firing`] for reaction `r`: from a random terminal
+    /// token (a random ready tag, for a keyed net) when fully
+    /// materialised, by seeded completion of a random frontier prefix
+    /// when spilled. Output evaluation errors propagate exactly as in the
+    /// searching engines. `Ok(None)` when `r` has no match; for an
+    /// unsliced network asked about an enabled reaction it is only
+    /// possible on a maintenance bug (debug builds assert) and tells the
+    /// engine to fall back to the exact search. A *sliced* network racing
+    /// concurrent claimants may legitimately return `Ok(None)` from a
+    /// stale answer — the caller retries after draining its deltas.
     pub fn pick_firing<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
@@ -1377,36 +1542,63 @@ impl ReteNetwork {
         rng: &mut ChaCha8Rng,
     ) -> Result<Option<Firing>, MatchError> {
         let cr = &compiled.reactions[r];
-        let net = &mut self.nets[r];
+        let net = &self.nets[r];
+        if let Some(store) = &net.keyed {
+            if store.lane.is_empty() {
+                return Ok(None);
+            }
+            let tag = store.lane[(rng.next_u64() % store.lane.len() as u64) as usize];
+            let mut slots = net.empty_slots.to_vec();
+            slots[store.tag_slot as usize] = Some(Value::Int(tag.0 as i64));
+            let mut consumed = Vec::with_capacity(net.arity);
+            for pat in cr.positions() {
+                let cands = &mut self.cands;
+                cands.clear();
+                for &label in pat.label.literals() {
+                    bag.visit_value_ids(label, tag, &mut |id, _, count| {
+                        if count > 0 {
+                            cands.push(id);
+                        }
+                        true
+                    });
+                }
+                let id = match cands.len() {
+                    0 => {
+                        debug_assert!(self.slice.is_some(), "tag {tag} of {r}: empty bucket");
+                        return Ok(None);
+                    }
+                    1 => cands[0],
+                    n => cands[(rng.next_u64() % n as u64) as usize],
+                };
+                let e = id.to_element();
+                slots[pat.value_var.expect("keyed positions bind values") as usize] =
+                    Some(e.value.clone());
+                if let Some(v) = pat.label_var {
+                    slots[v as usize] = Some(Value::str(e.label.as_str()));
+                }
+                consumed.push(e);
+            }
+            return firing_for(cr, r, consumed, slots);
+        }
+        // The terminal lane, or a spilled net's frontier.
+        let lane = &net.levels[net.materialized - 1];
+        if lane.is_empty() {
+            return Ok(None);
+        }
+        let start = (rng.next_u64() % lane.len() as u64) as usize;
         if !net.is_spilled() {
-            let lane = &net.levels[net.arity - 1];
-            let id = lane[(rng.next_u64() % lane.len() as u64) as usize];
-            let token = net.tokens[id as usize].as_ref().expect("live token");
+            let token = net.tokens[lane[start] as usize]
+                .as_ref()
+                .expect("live token");
             let mut consumed: Vec<Option<Element>> = vec![None; net.arity];
             for (k, &p) in cr.join_order().iter().enumerate() {
                 consumed[p] = Some(token.elems[k].to_element());
             }
-            let (clause, produced) = cr
-                .eval_outputs_for_slots(&token.slots)?
-                .expect("terminal token has an enabled clause");
-            return Ok(Some(Firing {
-                reaction: r,
-                consumed: consumed
-                    .into_iter()
-                    .map(|e| e.expect("permutation"))
-                    .collect(),
-                produced,
-                clause,
-            }));
+            let consumed = consumed.into_iter().map(|e| e.expect("permutation"));
+            return firing_for(cr, r, consumed.collect(), token.slots.to_vec());
         }
-        // Spilled: complete a frontier prefix, starting from a random
+        // Spilled: complete a frontier prefix, starting from the random
         // offset so tuple selection stays seeded-nondeterministic.
-        let lane = &net.levels[net.materialized - 1];
-        let start = if lane.is_empty() {
-            0
-        } else {
-            (rng.next_u64() % lane.len() as u64) as usize
-        };
         for i in 0..lane.len() {
             let id = lane[(start + i) % lane.len()];
             let t = net.tokens[id as usize].as_ref().expect("live token");
@@ -1495,7 +1687,7 @@ impl ReteNetwork {
             if elems[..i].contains(e) {
                 continue;
             }
-            self.feed_insert(compiled, bag, e);
+            self.feed_insert(compiled, bag, e, false);
         }
     }
 
@@ -1525,17 +1717,7 @@ impl ReteNetwork {
         route.dedup();
     }
 
-    fn feed_insert<S: MatchSource>(&mut self, compiled: &CompiledProgram, bag: &S, e: &Element) {
-        self.collect_route(e.label);
-        if self.route.is_empty() {
-            return;
-        }
-        // One intern per routed delta; every net works on the id after.
-        let id = ElemId::intern(e);
-        self.feed_insert_routed(compiled, bag, id, &e.value, e.label, e.tag, false);
-    }
-
-    fn feed_insert_inner<S: MatchSource>(
+    fn feed_insert<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
         bag: &S,
@@ -1546,6 +1728,7 @@ impl ReteNetwork {
         if self.route.is_empty() {
             return;
         }
+        // One intern per routed delta; every net works on the id after.
         let id = ElemId::intern(e);
         self.feed_insert_routed(
             compiled,
@@ -1583,21 +1766,35 @@ impl ReteNetwork {
         first_position_only: bool,
     ) {
         // A sliced network only anchors tokens it owns at level 0; the
-        // element still joins existing prefixes at deeper levels.
-        let enter_level0 = self.slice.as_ref().is_none_or(|s| s.owns(label, tag));
+        // element still joins existing prefixes at deeper levels. Keyed
+        // deltas are skipped outright when not owned: every label of a
+        // keyed reaction has one owner.
+        let owned = self.slice.as_ref().is_none_or(|s| s.owns(label, tag));
         let route = std::mem::take(&mut self.route);
         for &r in &route {
-            self.nets[r].on_insert(
-                &compiled.reactions[r],
-                bag,
-                id,
-                value,
-                label,
-                tag,
-                first_position_only,
-                enter_level0,
-                &mut self.stats,
-            );
+            let (cr, net) = (&compiled.reactions[r], &mut self.nets[r]);
+            if net.keyed.is_none() {
+                net.on_insert(
+                    cr,
+                    bag,
+                    id,
+                    value,
+                    label,
+                    tag,
+                    first_position_only,
+                    owned,
+                    &mut self.stats,
+                );
+            } else {
+                self.stats.inserts += 1;
+                if owned {
+                    // A slice's insert may already have been consumed
+                    // by a concurrent claim: re-derive from the bag.
+                    let known_present = self.slice.is_none();
+                    net.keyed_delta(cr, bag, label, tag, known_present, first_position_only);
+                }
+            }
+            self.resync(r);
         }
         self.route = route;
     }
@@ -1607,24 +1804,9 @@ impl ReteNetwork {
         // one lookup serves every routed net. `None` can only happen for
         // an element that never entered any bag — no token can use it,
         // but a spilled reaction's cached answer may still go stale.
-        match ElemId::lookup(e) {
-            Some(id) => {
-                self.collect_route(e.label);
-                self.feed_remove_routed(compiled, bag, id, &e.value, e.label, e.tag);
-            }
-            None => {
-                self.collect_route(e.label);
-                let route = std::mem::take(&mut self.route);
-                for &r in &route {
-                    self.stats.removals += 1;
-                    if self.nets[r].cached_enabled == Some(true) {
-                        self.nets[r].cached_enabled = None;
-                    }
-                    self.nets[r].maybe_repromote(&compiled.reactions[r], bag, &mut self.stats);
-                }
-                self.route = route;
-            }
-        }
+        self.collect_route(e.label);
+        let id = ElemId::lookup(e);
+        self.feed_remove_routed(compiled, bag, id, &e.value, e.label, e.tag);
     }
 
     /// Feed an already-interned remove delta (id-level twin of
@@ -1633,25 +1815,31 @@ impl ReteNetwork {
         let label = id.label();
         self.collect_route(label);
         let (value, tag) = id.resolve();
-        self.feed_remove_routed(compiled, bag, id, value, label, *tag);
+        self.feed_remove_routed(compiled, bag, Some(id), value, label, *tag);
     }
 
     fn feed_remove_routed<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
         bag: &S,
-        id: ElemId,
+        id: Option<ElemId>,
         value: &Value,
         label: Symbol,
         tag: Tag,
     ) {
         let route = std::mem::take(&mut self.route);
+        let owned = self.slice.as_ref().is_none_or(|s| s.owns(label, tag));
         // The remaining-count probe is a shard lock on the sharded
         // engine; read it lazily and only for nets that actually hold a
         // token using the element.
         let mut remaining: Option<usize> = None;
         for &r in &route {
-            if self.nets[r].uses.contains_key(&id) {
+            if self.nets[r].keyed.is_some() {
+                self.stats.removals += 1;
+                if owned {
+                    self.nets[r].keyed_delta(&compiled.reactions[r], bag, label, tag, false, false);
+                }
+            } else if let Some(id) = id.filter(|id| self.nets[r].uses.contains_key(id)) {
                 let rem = match remaining {
                     Some(x) => x,
                     None => {
@@ -1671,6 +1859,7 @@ impl ReteNetwork {
                 }
             }
             self.nets[r].maybe_repromote(&compiled.reactions[r], bag, &mut self.stats);
+            self.resync(r);
         }
         self.route = route;
     }
@@ -2162,6 +2351,74 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(f.produced, vec![e(5, "A12", 4)]);
+    }
+
+    #[test]
+    fn pick_firing_on_a_drained_reaction_is_none() {
+        // A token-lane net (the sieve) and a keyed net (the tagged pair),
+        // each drained by firing its only match: asking again is
+        // `Ok(None)`, not a `% 0`.
+        for (compiled, mut bag) in [
+            (
+                sieve_program(),
+                [e(4, "n", 0), e(2, "n", 0)].into_iter().collect(),
+            ),
+            (
+                tag_pair_program(),
+                [e(1, "A", 5), e(2, "B", 5)]
+                    .into_iter()
+                    .collect::<ElementBag>(),
+            ),
+        ] {
+            let mut net = ReteNetwork::new(&compiled, &bag);
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let f = net
+                .pick_firing(&compiled, &bag, 0, &mut rng)
+                .unwrap()
+                .unwrap();
+            assert!(bag.remove_all(&f.consumed));
+            net.on_removed(&compiled, &bag, &f.consumed);
+            assert_eq!(net.match_count(0), 0);
+            assert_eq!(net.pick_ready(&compiled, &bag, &mut rng), None);
+            assert_eq!(net.pick_firing(&compiled, &bag, 0, &mut rng), Ok(None));
+        }
+    }
+
+    #[test]
+    fn keyed_store_tracks_tags_without_tokens() {
+        let compiled = tag_pair_program();
+        assert!(compiled.reactions[0].tag_keyed_slot().is_some());
+        let mut bag: ElementBag = [e(1, "A", 0), e(2, "B", 0), e(3, "A", 1)]
+            .into_iter()
+            .collect();
+        let mut net = ReteNetwork::new(&compiled, &bag);
+        assert_eq!((net.match_count(0), net.total_tokens()), (1, 0));
+        // A second value in a ready tag's bucket keeps it ready once.
+        let extra = e(9, "A", 0);
+        bag.insert(extra.clone());
+        net.on_inserted(&compiled, &bag, std::slice::from_ref(&extra));
+        assert_eq!(net.match_count(0), 1);
+        // Completing tag 1 readies it; removing one of tag 0's two `A`
+        // values leaves tag 0 ready, removing its only `B` does not.
+        let b1 = e(4, "B", 1);
+        bag.insert(b1.clone());
+        net.on_inserted(&compiled, &bag, std::slice::from_ref(&b1));
+        assert_eq!(net.match_count(0), 2);
+        assert!(bag.remove(&extra));
+        net.on_removed(&compiled, &bag, std::slice::from_ref(&extra));
+        assert_eq!(net.match_count(0), 2);
+        let b0 = e(2, "B", 0);
+        assert!(bag.remove(&b0));
+        net.on_removed(&compiled, &bag, std::slice::from_ref(&b0));
+        assert_eq!(net.match_count(0), 1);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let f = net
+            .pick_firing(&compiled, &bag, 0, &mut rng)
+            .unwrap()
+            .unwrap();
+        assert_eq!(f.consumed, vec![e(3, "A", 1), e(4, "B", 1)]);
+        assert_eq!(f.produced, vec![e(7, "C", 1)]);
+        assert_eq!(net.stats.tokens_created, 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use gammaflow::core::{check_equivalence, dataflow_to_gamma, CheckConfig};
 use gammaflow::dataflow::engine::SeqEngine;
 use gammaflow::dataflow::engine_par::{run_parallel as df_parallel, ParEngineConfig};
-use gammaflow::gamma::{Engine, ParEngine, Selection, Session};
+use gammaflow::gamma::{Engine, EngineConfig, ParEngine, Scheduling, Selection, Session};
 use gammaflow::multiset::FxHashSet;
 use gammaflow::workloads::{accumulator_loop, parallel_loops, random_dag, wide_pairs, DagParams};
 use proptest::prelude::*;
@@ -111,5 +111,52 @@ fn frontend_programs_check_equivalent() {
         let g = gammaflow::frontend::compile(src).unwrap();
         let report = check_equivalence(&g, &CheckConfig::default()).unwrap();
         assert!(report.equivalent, "{src}: {:?}", report.mismatch);
+    }
+}
+
+/// Loop images under the tag-keyed plan: the sharded engine's slices
+/// keep no beta tokens at any worker count and land on the sequential
+/// engine's byte-identical final, and deterministic Rete replays the
+/// rescanning trace.
+#[test]
+fn loop_images_keyed_in_sequential_and_sliced_networks() {
+    let graphs = [
+        accumulator_loop(2, 3, 10).graph,
+        accumulator_loop(-7, 5, 100).graph,
+        accumulator_loop(4, 0, 1).graph,
+        parallel_loops(3, 2, 5, 10).graph,
+    ];
+    for graph in &graphs {
+        let conv = dataflow_to_gamma(graph).unwrap();
+        let seq = |scheduling| {
+            Session::build(&conv.program)
+                .scheduling(scheduling)
+                .selection(Selection::Deterministic)
+                .record_trace(true)
+                .run(conv.initial.clone())
+                .unwrap()
+        };
+        let (rescan, rete) = (seq(Scheduling::Rescan), seq(Scheduling::Rete));
+        assert_eq!(rescan.trace, rete.trace);
+        assert_eq!(rete.rete.expect("rete stats").tokens_created, 0);
+        for workers in [1usize, 2, 8] {
+            let mut session = Session::build(&conv.program)
+                .config(EngineConfig {
+                    engine: Engine::Parallel(ParEngine::ShardedRete),
+                    workers,
+                    seed: 7,
+                    ..EngineConfig::default()
+                })
+                .start(conv.initial.clone())
+                .unwrap();
+            session.run_to_stable().unwrap();
+            let par = session.finish_parallel();
+            assert_eq!(par.exec.multiset, rescan.multiset, "x{workers}");
+            assert!(
+                par.par.shard_peak_tokens.iter().all(|&t| t == 0),
+                "x{workers}: slices built tokens: {:?}",
+                par.par.shard_peak_tokens
+            );
+        }
     }
 }

@@ -15,13 +15,13 @@
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
-    Engine, EngineConfig, ExecResult, GammaProgram, ParEngine, Scheduling, Selection, Session,
-    SessionBuilder, Status,
+    CompiledProgram, Engine, EngineConfig, ExecError, ExecResult, GammaProgram, MatchError,
+    ParEngine, Scheduling, Selection, Session, SessionBuilder, Status, DEFAULT_SPILL_WATERMARK,
 };
 use gammaflow::multiset::ElementBag;
 use gammaflow::workloads::{
-    cross_sum, divisor_sieve, exchange_sort, gcd, interval_merge, maximum, minimum, primes,
-    random_dag, sum, triangles, DagParams,
+    accumulator_loop, cross_sum, divisor_sieve, exchange_sort, gcd, interval_merge, maximum,
+    minimum, primes, random_dag, sum, triangles, windowed_sum, DagParams,
 };
 use proptest::prelude::*;
 
@@ -643,4 +643,203 @@ fn large_stream_100k_elements_byte_identical() {
     let restored = Session::restore(&program, snap).expect("restore succeeds");
     assert_eq!(restored.snapshot(), session.snapshot());
     assert_eq!(session.snapshot(), rete);
+}
+
+/// The observable outcome of one run — status, final multiset, firing
+/// count — or its error. With `inject` the session starts empty and
+/// receives `initial` as a delta, so matchers take their incremental
+/// paths instead of the bulk build.
+fn outcome(
+    program: &GammaProgram,
+    initial: &ElementBag,
+    config: EngineConfig,
+    inject: bool,
+) -> Result<(Status, ElementBag, u64), ExecError> {
+    let start = if inject {
+        ElementBag::new()
+    } else {
+        initial.clone()
+    };
+    let mut session = Session::build(program).config(config).start(start)?;
+    if inject {
+        assert!(session.inject(initial.iter()).is_accepted());
+    }
+    session.run_to_stable()?;
+    let r = session.finish();
+    Ok((r.status, r.multiset, r.stats.firings_total()))
+}
+
+/// `outcome` under every sequential matcher, both selections, the
+/// watermarks {0, 1, 2, default}, built or injected; all must agree.
+fn assert_outcome_everywhere(
+    name: &str,
+    program: &GammaProgram,
+    initial: &ElementBag,
+) -> Result<(Status, ElementBag, u64), ExecError> {
+    let mut reference = None;
+    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for selection in [Selection::Deterministic, Selection::Seeded(7)] {
+            for rete_watermark in [0, 1, 2, DEFAULT_SPILL_WATERMARK] {
+                for inject in [false, true] {
+                    let config = EngineConfig {
+                        scheduling,
+                        selection,
+                        rete_watermark,
+                        ..EngineConfig::default()
+                    };
+                    let got = outcome(program, initial, config, inject);
+                    let want = reference.get_or_insert_with(|| got.clone());
+                    assert_eq!(
+                        &got, want,
+                        "{name}: {scheduling:?}/{selection:?}/watermark {rete_watermark}/inject {inject}"
+                    );
+                }
+            }
+        }
+    }
+    reference.expect("at least one configuration")
+}
+
+/// The one tag rule: a tag variable bound to a tag ≥ 2⁶³ holds a
+/// negative `Int`, which names no tag, so no later position joins on it —
+/// under every matcher, selection and watermark alike (the token join's
+/// tag index once admitted any `Int`, its rightward completion only
+/// non-negative ones).
+#[test]
+fn boundary_tags_follow_one_tag_rule_under_every_matcher() {
+    use gammaflow::multiset::Element;
+    let high = (1u64 << 63) + 1;
+    let ws = windowed_sum(1, 1, 2, 0);
+    let pair: ElementBag = [Element::new(3, "x", high), Element::new(4, "x", high)]
+        .into_iter()
+        .collect();
+    assert_eq!(
+        assert_outcome_everywhere("windowed_sum", &ws.program, &pair),
+        Ok((Status::Stable, pair.clone(), 0))
+    );
+
+    // An Algorithm-1 loop image plus steer operand pairs at the boundary
+    // tags: only the pair at i64::MAX can join (it takes the steer's
+    // unconnected false side and vanishes); `inctag` carries a `y` at
+    // u64::MAX (binding −1) to tag 0, where it waits forever.
+    let image = dataflow_to_gamma(&accumulator_loop(2, 3, 10).graph).unwrap();
+    let mut initial = image.initial.clone();
+    initial.insert(Element::new(2, "A1", u64::MAX));
+    for tag in [i64::MAX as u64, 1 << 63, u64::MAX] {
+        initial.insert(Element::new(5, "A12", tag));
+        initial.insert(Element::new(0, "B14", tag));
+    }
+    let (status, last, _) = assert_outcome_everywhere("loop image", &image.program, &initial)
+        .expect("the boundary image runs to stability");
+    assert_eq!(status, Status::Stable);
+    let mut want: ElementBag = [Element::new(16, "xout", 4u64), Element::new(2, "A12", 0u64)]
+        .into_iter()
+        .collect();
+    for tag in [1 << 63, u64::MAX] {
+        want.insert(Element::new(5, "A12", tag));
+        want.insert(Element::new(0, "B14", tag));
+    }
+    assert_eq!(last, want);
+
+    // `inctag` on a `y` at 2⁶³ binds i64::MIN and emits tag −2⁶³ + 1:
+    // the same output-tag error everywhere.
+    let mut initial = image.initial.clone();
+    initial.insert(Element::new(2, "A1", 1u64 << 63));
+    let err = assert_outcome_everywhere("loop image", &image.program, &initial);
+    assert!(
+        matches!(&err, Err(ExecError::Match(MatchError::BadTag { reaction, .. })) if reaction == "R11"),
+        "{err:?}"
+    );
+}
+
+/// A confluent tag-keyed reaction whose buckets hold several values and
+/// a multiplicity-2 element: at each tag it fires min(|A@t|, |B@t|)
+/// times under every matcher and selection, landing on the rescanning
+/// reference's final.
+#[test]
+fn keyed_buckets_with_several_values_reach_rescan_final() {
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::BinOp;
+    use gammaflow::multiset::Element;
+    let program = GammaProgram::new(vec![ReactionSpec::new("add")
+        .replace(Pattern::tagged("a", "A", "v"))
+        .replace(Pattern::tagged("b", "B", "v"))
+        .by(vec![ElementSpec::tagged(
+            Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
+            "C",
+            "v",
+        )])]);
+    let plan = CompiledProgram::compile(&program).unwrap().reactions[0].explain_plan();
+    assert!(plan.contains("plan: tag-keyed on v"), "{plan}");
+    let mut initial = ElementBag::new();
+    // Tag 0: two A values, one B value twice; tag 1: one A value three
+    // times, two B values; tag 2: no B at all.
+    for (v, l, t, n) in [
+        (1, "A", 0u64, 1),
+        (2, "A", 0, 1),
+        (5, "B", 0, 2),
+        (3, "A", 1, 3),
+        (4, "B", 1, 1),
+        (5, "B", 1, 1),
+        (9, "A", 2, 1),
+    ] {
+        initial.insert_n(Element::new(v, l, t), n);
+    }
+    let want: ElementBag = [
+        Element::new(6, "C", 0u64),
+        Element::new(7, "C", 0u64),
+        Element::new(7, "C", 1u64),
+        Element::new(8, "C", 1u64),
+        Element::new(3, "A", 1u64),
+        Element::new(9, "A", 2u64),
+    ]
+    .into_iter()
+    .collect();
+    for seed in 0..4 {
+        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+            for selection in [Selection::Deterministic, Selection::Seeded(seed)] {
+                for inject in [false, true] {
+                    let config = EngineConfig {
+                        scheduling,
+                        selection,
+                        ..EngineConfig::default()
+                    };
+                    assert_eq!(
+                        outcome(&program, &initial, config, inject),
+                        Ok((Status::Stable, want.clone(), 4)),
+                        "{scheduling:?}/{selection:?}/inject {inject}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `explain_plan` names the matching store the Rete network builds:
+/// every node image of Algorithm 1 is tag-keyed; a `where` clause
+/// (`primes`), an untagged pattern (`sum`) or one label at two positions
+/// (`windowed_sum`) keeps a reaction on join tokens.
+#[test]
+fn explain_plan_names_the_matching_store() {
+    let image = dataflow_to_gamma(&accumulator_loop(2, 3, 10).graph).unwrap();
+    let plans = |program: &GammaProgram| -> Vec<String> {
+        CompiledProgram::compile(program)
+            .unwrap()
+            .reactions
+            .iter()
+            .map(|cr| cr.explain_plan())
+            .collect()
+    };
+    for plan in plans(&image.program) {
+        assert!(plan.contains("  plan: tag-keyed on v\n"), "{plan}");
+    }
+    for program in [
+        primes(30).program,
+        sum(&[1, 2, 3]).program,
+        windowed_sum(1, 1, 2, 0).program,
+    ] {
+        for plan in plans(&program) {
+            assert!(plan.contains("  plan: join tokens\n"), "{plan}");
+        }
+    }
 }
