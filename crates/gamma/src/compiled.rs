@@ -433,6 +433,28 @@ pub struct GuardPlan {
     pub clause_disjunction: Option<Vec<Expr>>,
 }
 
+/// What the Rete network memorises for one reaction
+/// ([`CompiledReaction::match_plan`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum MatchPlan {
+    /// The waiting–matching store keyed on this tag-variable slot.
+    TagKeyed(u16),
+    /// Tokens for level 0 and each level `k ≤ prunes.len()`, kept
+    /// because of `prunes[k - 1]`; deeper levels are virtual.
+    Tokens(Vec<Prune>),
+}
+
+/// Why a join level `k ≥ 1` prunes, and so is materialised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prune {
+    /// `where` conjuncts are pushed to it.
+    Pushes,
+    /// Its pattern names this slot, which an earlier level binds.
+    JoinsOn(u16),
+    /// It is the terminal level under a clause-guard disjunction.
+    ClauseGuard,
+}
+
 /// A compiled reaction: spec + var table + selectivity-ordered search plan.
 #[derive(Debug, Clone)]
 pub struct CompiledReaction {
@@ -712,16 +734,51 @@ impl CompiledReaction {
         }
     }
 
-    /// The matching-store plan: the slot of the shared tag variable `v`
-    /// when this reaction is **tag-keyed** — enabled exactly when every
-    /// position holds some element under one tag, as every Algorithm-1
-    /// node image is. That needs `v` at every position, `Exact`/`OneOf`
-    /// labels disjoint across positions, a value variable per position
-    /// and no variable but `v` twice, no `where`, no clause disjunction,
-    /// and ≤ 32 positions (one mask bit each). `None`: join tokens.
-    pub(crate) fn tag_keyed_slot(&self) -> Option<u16> {
+    /// What the Rete network memorises for this reaction: the one static
+    /// plan both the network and [`Self::explain_plan`] read. Past level
+    /// 0, levels are materialised while they prune (see [`Prune`]); from
+    /// the first that does not, their tokens would be a cross product the
+    /// `(label, tag)` bag index already enumerates, so they are virtual.
+    pub(crate) fn match_plan(&self) -> MatchPlan {
+        let guards = self.guard_plan();
+        if let Some(slot) = self.tag_key(&guards) {
+            return MatchPlan::TagKeyed(slot);
+        }
+        let mut bound = vec![false; self.nvars];
+        let mut prunes = Vec::new();
+        for (k, &p) in self.order.iter().enumerate() {
+            let pat = &self.positions[p];
+            let vars = [pat.value_var, pat.label_var, pat.tag_var];
+            if k > 0 {
+                let joined = vars.into_iter().flatten().find(|&v| bound[v as usize]);
+                let prune = if !guards.level_conjuncts[k].is_empty() {
+                    Prune::Pushes
+                } else if let Some(v) = joined {
+                    Prune::JoinsOn(v)
+                } else if k + 1 == self.arity() && guards.clause_disjunction.is_some() {
+                    Prune::ClauseGuard
+                } else {
+                    break;
+                };
+                prunes.push(prune);
+            }
+            for v in vars.into_iter().flatten() {
+                bound[v as usize] = true;
+            }
+        }
+        MatchPlan::Tokens(prunes)
+    }
+
+    /// The tag-keyed answer of [`Self::match_plan`]: the slot of the
+    /// shared tag variable `v` when this reaction is enabled exactly when
+    /// every position holds some element under one tag, as every
+    /// Algorithm-1 node image is. That needs `v` at every position,
+    /// `Exact`/`OneOf` labels disjoint across positions, a value variable
+    /// per position and no variable but `v` twice, no `where`, no clause
+    /// disjunction, and ≤ 32 positions (one mask bit each).
+    fn tag_key(&self, guards: &GuardPlan) -> Option<u16> {
         let v = self.positions.first()?.tag_var?;
-        let total = self.guard_plan().clause_disjunction.is_none();
+        let total = guards.clause_disjunction.is_none();
         if self.arity() > 32 || self.spec.where_cond.is_some() || !total {
             return None;
         }
@@ -747,8 +804,9 @@ impl CompiledReaction {
     }
 
     /// Render the compiled join plan for debugging: the planner-chosen
-    /// join order with each level's label filter and pushed-down guard
-    /// conjuncts, plus the terminal clause disjunction. Set
+    /// join order with each level's label filter and `match_plan`
+    /// answer (`materialised (pushes a < b)`, `virtual`, …), plus the
+    /// terminal clause disjunction. Set
     /// `GAMMAFLOW_EXPLAIN_PLAN=1` to print every reaction's plan to
     /// stderr as programs compile.
     pub fn explain_plan(&self) -> String {
@@ -756,12 +814,19 @@ impl CompiledReaction {
         let plan = self.guard_plan();
         let mut out = String::new();
         let _ = writeln!(out, "reaction {} (arity {}):", self.name, self.arity());
-        let keyed_on = self
-            .tag_keyed_slot()
-            .and_then(|slot| self.var_index.iter().find(|(_, &s)| s == slot));
-        let _ = match keyed_on {
-            Some((v, _)) => writeln!(out, "  plan: tag-keyed on {v}"),
-            None => writeln!(out, "  plan: join tokens"),
+        let var_name = |slot: u16| {
+            let found = self.var_index.iter().find(|(_, &s)| s == slot);
+            *found.expect("every slot names a variable").0
+        };
+        let prunes = match self.match_plan() {
+            MatchPlan::TagKeyed(slot) => {
+                let _ = writeln!(out, "  plan: tag-keyed on {}", var_name(slot));
+                None
+            }
+            MatchPlan::Tokens(prunes) => {
+                let _ = writeln!(out, "  plan: join tokens");
+                Some(prunes)
+            }
         };
         for (k, &p) in self.order.iter().enumerate() {
             let pat = &self.positions[p];
@@ -774,12 +839,20 @@ impl CompiledReaction {
                 LabelFilter::Any => "any label".to_string(),
             };
             let _ = write!(out, "  level {k}: position {p} ({label})");
-            if !plan.level_conjuncts[k].is_empty() {
-                let guards: Vec<String> = plan.level_conjuncts[k]
+            if let Some(prunes) = &prunes {
+                let pushed: Vec<String> = plan.level_conjuncts[k]
                     .iter()
                     .map(|c| c.to_string())
                     .collect();
-                let _ = write!(out, "  pushes: {}", guards.join(" and "));
+                let _ = match k.checked_sub(1).map(|i| prunes.get(i)) {
+                    Some(None) => write!(out, "  virtual"),
+                    Some(Some(Prune::JoinsOn(v))) => {
+                        write!(out, "  materialised (joins on {})", var_name(*v))
+                    }
+                    Some(Some(Prune::ClauseGuard)) => write!(out, "  materialised (clause guard)"),
+                    _ if pushed.is_empty() => write!(out, "  materialised"),
+                    _ => write!(out, "  materialised (pushes {})", pushed.join(" and ")),
+                };
             }
             let _ = writeln!(out);
         }
@@ -1645,11 +1718,11 @@ impl CompiledReaction {
         Ok(None)
     }
 
-    // --- spill-to-search completions -------------------------------------
+    // --- virtual-level completions ---------------------------------------
     //
-    // The bounded rete network ([`crate::rete`]) materialises only the
-    // shallow join levels of a reaction past its token watermark; the
-    // virtual deep levels are recomputed on demand by the two methods
+    // The rete network ([`crate::rete`]) materialises only the join levels
+    // `match_plan` says prune, and fewer once its token cap demotes some;
+    // the virtual deep levels are recomputed on demand by the two methods
     // below, which resume the index search from a frontier token's
     // already-joined, already-guard-filtered prefix.
 
@@ -2229,8 +2302,11 @@ mod tests {
         );
         let plan = r.explain_plan();
         assert!(plan.contains("reaction chain (arity 2):"), "{plan}");
-        assert!(plan.contains("level 0: position 0 ('e1')"), "{plan}");
-        assert!(plan.contains("pushes: a < b"), "{plan}");
+        assert!(
+            plan.contains("level 0: position 0 ('e1')  materialised\n"),
+            "{plan}"
+        );
+        assert!(plan.contains("materialised (pushes a < b)\n"), "{plan}");
     }
 
     #[test]

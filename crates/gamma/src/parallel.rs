@@ -63,7 +63,7 @@
 //! * **Termination** uses an authoritative check: a worker whose sampled
 //!   search comes up dry locks every shard and runs the exact matcher
 //!   over the locked shards.
-//! * **Startup pruning**: a watermark-bounded [`ReteNetwork`] occupancy
+//! * **Startup pruning**: a level-0-only [`ReteNetwork`] occupancy
 //!   probe pre-clears the dirty flags of reactions with no enabled match.
 //!
 //! Kept as the measurable baseline: harness step `S4` records both
@@ -210,7 +210,7 @@ pub struct ParStats {
     /// cross-check of the memory-emptiness termination proof).
     pub snapshot_checks: u64,
     /// Reactions whose dirty flag was pre-cleared at startup because the
-    /// watermark-bounded rete occupancy probe found no enabled match for
+    /// level-0-only rete occupancy probe found no enabled match for
     /// them (probe-retry engine).
     pub rete_precleared: u64,
     /// Firings whose net delta was broadcast to the worker mailboxes
@@ -228,20 +228,17 @@ pub struct ParStats {
     /// Stolen worklist reactions whose exact search found nothing
     /// (sharded engine).
     pub steal_misses: u64,
-    /// Join levels demoted to virtual by the spill watermark, summed over
+    /// Join levels demoted to virtual by the token watermark, summed over
     /// the startup occupancy probe (probe-retry) and every worker slice
     /// (sharded).
     pub spill_demotions: u64,
     /// Frontier-completion enabledness probes for spilled reactions,
     /// summed like [`ParStats::spill_demotions`].
     pub spill_probes: u64,
-    /// Demoted levels re-materialised after their slice shrank below the
-    /// hysteresis threshold, summed over worker slices (sharded engine).
-    pub spill_repromotions: u64,
     /// Per-worker peak live beta tokens across that worker's rete slice
     /// (sharded engine) — the committed `BENCH_parallel.json` records the
     /// maximum, and the equivalence suite asserts each entry stays within
-    /// the watermark plus one delta burst.
+    /// the watermark plus the slice's level 0 plus one delta burst.
     pub shard_peak_tokens: Vec<u64>,
     /// Worker threads lost to a caught panic, summed over all waves and
     /// replay attempts.
@@ -282,15 +279,14 @@ impl ParStats {
             deltas_processed,
             stolen_firings,
             steal_misses,
-            spill_demotions: _,    // lifetime: folded by fold_lifetime_stats
-            spill_probes: _,       // lifetime: folded by fold_lifetime_stats
-            spill_repromotions: _, // lifetime: folded by fold_lifetime_stats
-            shard_peak_tokens: _,  // lifetime: folded by fold_lifetime_stats
-            workers_lost: _,       // recovery: incremented by the wave loop
-            waves_replayed: _,     // recovery: incremented by the wave loop
-            degraded_waves: _,     // recovery: incremented by the wave loop
-            pool_leases: _,        // dispatch: incremented by the wave attempt
-            pool_spawns: _,        // dispatch: incremented by the wave attempt
+            spill_demotions: _,   // lifetime: folded by fold_lifetime_stats
+            spill_probes: _,      // lifetime: folded by fold_lifetime_stats
+            shard_peak_tokens: _, // lifetime: folded by fold_lifetime_stats
+            workers_lost: _,      // recovery: incremented by the wave loop
+            waves_replayed: _,    // recovery: incremented by the wave loop
+            degraded_waves: _,    // recovery: incremented by the wave loop
+            pool_leases: _,       // dispatch: incremented by the wave attempt
+            pool_spawns: _,       // dispatch: incremented by the wave attempt
         } = other;
         self.claim_failures += claim_failures;
         self.dry_probes += dry_probes;
@@ -319,7 +315,6 @@ impl ParStats {
             steal_misses,
             spill_demotions,
             spill_probes,
-            spill_repromotions,
             shard_peak_tokens,
             workers_lost,
             waves_replayed,
@@ -337,7 +332,6 @@ impl ParStats {
         self.steal_misses += steal_misses;
         self.spill_demotions += spill_demotions;
         self.spill_probes += spill_probes;
-        self.spill_repromotions += spill_repromotions;
         self.shard_peak_tokens.extend_from_slice(shard_peak_tokens);
         self.workers_lost += workers_lost;
         self.waves_replayed += waves_replayed;
@@ -538,12 +532,6 @@ impl MatchSource for LockedShards<'_> {
     }
 }
 
-/// Spill watermark for the startup occupancy probe: small enough that
-/// building the probe never materialises more than a few hundred tokens
-/// per reaction (deep levels spill to on-demand search), while
-/// [`ReteNetwork::has_match`] stays exact at any watermark.
-const OCCUPANCY_PROBE_WATERMARK: usize = 256;
-
 /// Persistent state of the probe-retry engine across a session's waves:
 /// the sharded bag, the key directory, and the heuristic dirty flags
 /// (injection re-arms exactly the dependents of injected labels — the
@@ -576,18 +564,18 @@ impl ProbeState {
         let deps = DependencyIndex::new(compiled);
         let dirty = DirtyFlags::new(nreactions);
 
-        // Startup pruning: a watermark-bounded rete probe over the initial
-        // multiset answers exact per-reaction enabledness (deep join levels
-        // spill to on-demand search past the watermark, so building it is
-        // cheap); reactions with no enabled match start clean, and workers
-        // skip probing them until something they consume is produced. The
+        // Startup pruning: a rete probe over the initial multiset answers
+        // exact per-reaction enabledness; at watermark 0 it demotes every
+        // level above the level-0 frontier on first use, so it keeps one
+        // token per element and answers deeper levels by on-demand search.
+        // Reactions with no enabled match start clean, and workers skip
+        // probing them until something they consume is produced. The
         // locked-shard terminal check stays the exactness backstop either
         // way.
         let mut rete_precleared = 0u64;
         let mut probe_stats = ReteStats::default();
         if nreactions > 0 {
-            let mut probe =
-                ReteNetwork::with_watermark(compiled, &initial, OCCUPANCY_PROBE_WATERMARK);
+            let mut probe = ReteNetwork::with_watermark(compiled, &initial, 0);
             for r in 0..nreactions {
                 if !probe.has_match(compiled, &initial, r) {
                     dirty.clear(r);
@@ -1299,11 +1287,11 @@ impl SharedRun<'_> {
 /// Persistent state of the delta-driven sharded-rete engine across a
 /// session's waves: the sharded bag, the key directory, the static
 /// [`SlicePlan`], and — crucially — the per-worker [`ReteNetwork`]
-/// slices, whose alpha/beta memories, spill demotions, and re-promotion
-/// hysteresis all carry over from wave to wave. Worker threads, delta
-/// mailboxes, and the steal worklist are scoped per wave; at a wave's
-/// end every mailbox is provably drained, so the surviving slices are
-/// exact and the next wave resumes from them without a rebuild.
+/// slices, whose alpha/beta memories and demoted levels carry over from
+/// wave to wave. Worker threads, delta mailboxes, and the steal worklist
+/// are scoped per wave; at a wave's end every mailbox is provably
+/// drained, so the surviving slices are exact and the next wave resumes
+/// from them without a rebuild.
 pub(crate) struct ShardedState {
     deps: DependencyIndex,
     plan: Arc<SlicePlan>,
@@ -1444,7 +1432,6 @@ impl ShardedState {
         for slice in &self.slices {
             par.spill_demotions += slice.stats.spill_demotions;
             par.spill_probes += slice.stats.spill_probes;
-            par.spill_repromotions += slice.stats.spill_repromotions;
             par.shard_peak_tokens.push(slice.stats.peak_live_tokens);
         }
     }
@@ -2168,6 +2155,20 @@ mod tests {
             )])])
     }
 
+    /// `sum` over ordered pairs `x <= y`: the pushed conjunct never
+    /// blocks the fold, but keeps level 1 materialised until the token
+    /// watermark demotes it.
+    fn guarded_sum_program() -> GammaProgram {
+        GammaProgram::new(vec![ReactionSpec::new("osum")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .where_(Expr::cmp(CmpOp::Le, Expr::var("x"), Expr::var("y")))
+            .by(vec![ElementSpec::pair(
+                Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+                "n",
+            )])])
+    }
+
     fn max_program() -> GammaProgram {
         GammaProgram::new(vec![ReactionSpec::new("max")
             .replace(Pattern::pair("x", "n"))
@@ -2363,16 +2364,16 @@ mod tests {
 
     #[test]
     fn sharded_slices_respect_watermark_and_record_spills() {
-        // An unguarded n² fold with a tiny per-slice watermark: the
-        // owning slice must demote, probe through the spill, and record a
-        // bounded peak.
+        // A guarded n² fold with a tiny per-slice watermark: the owning
+        // slice must demote, probe through the spill, and record a peak
+        // within cap + level 0 (n) + one delta burst (n).
         let n = 120i64;
         let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
         let config = EngineConfig {
             rete_watermark: 500,
             ..sharded(2)
         };
-        let result = run_par(&sum_program(), initial, &config).unwrap();
+        let result = run_par(&guarded_sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         let expected: i64 = (1..=n).sum();
         assert!(result.exec.multiset.contains(&e(expected, "n", 0)));
@@ -2381,24 +2382,24 @@ mod tests {
         assert!(par.spill_probes > 0, "{par:?}");
         for (w, &peak) in par.shard_peak_tokens.iter().enumerate() {
             assert!(
-                peak <= 500 + 2 * n as u64,
-                "worker {w} peak {peak} exceeds watermark + delta burst: {par:?}"
+                peak <= 500 + n as u64 + n as u64,
+                "worker {w} peak {peak} exceeds watermark + level 0 + delta burst: {par:?}"
             );
         }
     }
 
     #[test]
     fn probe_retry_startup_probe_spills_are_accounted() {
-        // The startup occupancy probe runs at watermark 256; a 2-ary
-        // unguarded fold over 300 elements forces it to demote and probe
-        // through the spill — those counters must reach ParStats (the
-        // aggregation used to drop them).
+        // The startup occupancy probe runs at watermark 0; a guarded
+        // 2-ary fold over 300 elements forces it to demote its
+        // materialised level and probe through the spill — those counters
+        // must reach ParStats (the aggregation used to drop them).
         let initial: ElementBag = (1..=300).map(|v| e(v, "n", 0)).collect();
         let config = EngineConfig {
             engine: Engine::Parallel(ParEngine::ProbeRetry),
             ..sharded(2)
         };
-        let result = run_par(&sum_program(), initial, &config).unwrap();
+        let result = run_par(&guarded_sum_program(), initial, &config).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.par.spill_demotions > 0, "{:?}", result.par);
         assert!(result.par.spill_probes > 0, "{:?}", result.par);
@@ -2508,7 +2509,6 @@ mod tests {
             steal_misses: 8,
             spill_demotions: 9,
             spill_probes: 10,
-            spill_repromotions: 11,
             shard_peak_tokens: vec![12, 13],
             workers_lost: 14,
             waves_replayed: 15,
@@ -2536,7 +2536,6 @@ mod tests {
         assert_eq!(a.rete_precleared, 4);
         assert_eq!(a.spill_demotions, 9);
         assert_eq!(a.spill_probes, 10);
-        assert_eq!(a.spill_repromotions, 11);
         assert_eq!(a.shard_peak_tokens, vec![12, 13]);
         // …and so are the recovery counters (incremented by the wave
         // loop itself) and the dispatch counters (incremented by the
@@ -2563,7 +2562,6 @@ mod tests {
         assert_eq!(a.steal_misses, 16);
         assert_eq!(a.spill_demotions, 18);
         assert_eq!(a.spill_probes, 20);
-        assert_eq!(a.spill_repromotions, 22);
         // Per-slice-lifetime peaks concatenate instead of summing.
         assert_eq!(a.shard_peak_tokens, vec![12, 13, 12, 13]);
         assert_eq!(a.workers_lost, 28);

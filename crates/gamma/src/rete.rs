@@ -48,27 +48,37 @@
 //! (`{3, 3}` matching a 2-ary pattern once per *pair*, not per value)
 //! fall out of membership checks against the live bag counts.
 //!
-//! # Bounded memory: spill-to-search
+//! # Bounded memory: a static plan and a one-way cap
 //!
-//! An unguarded n-ary reaction memorises its full match cross product
-//! (the 2-ary `sum` fold holds n² tokens), which is why earlier
-//! revisions kept the network opt-in. Every reaction net now carries a
-//! **token watermark**: past it, the *deepest* materialised join level
-//! demotes to *virtual* — its tokens are dropped, and its matches are
-//! recomputed on demand by resuming the index search from the remaining
-//! (shallow, still-materialised, guard-filtered) frontier tokens
-//! (`CompiledReaction::prefix_completes` /
-//! `CompiledReaction::complete_prefix`). Exactness is preserved: every
-//! full match's join-order prefix survives at the frontier, because
-//! pushed guards only reject prefixes that no match extends. Enabledness
-//! answers for spilled reactions are cached and invalidated
+//! A dataflow operand waits only until a partner arrives under its key;
+//! a join level that joins on no bound variable and prunes with no guard
+//! would instead memorise a cross product (`sum`'s n² pairs) the
+//! `(label, tag)` bag index already enumerates. So
+//! `CompiledReaction::match_plan` fixes each reaction's levels once:
+//! level 0 and each following level that *prunes* (a pushed conjunct, a
+//! variable an earlier level binds, the terminal clause disjunction) are
+//! materialised; from the first that does not, levels are *virtual* and
+//! the net is *spilled*. Virtual matches are recomputed on demand by
+//! resuming the index search from the deepest materialised frontier
+//! tokens (`CompiledReaction::prefix_completes` / `complete_prefix`).
+//! Exactness is preserved: every full match's join-order prefix survives
+//! at the frontier, because pushed guards only reject prefixes that no
+//! match extends. Spilled enabledness answers are cached and invalidated
 //! monotonically — an insert can only enable (a cached "no match" is
-//! dropped, a cached "match" kept), a removal can only disable — so the
-//! per-firing cost stays proportional to the delta.
+//! dropped), a removal can only disable — so per-firing cost stays
+//! proportional to the delta. A probe stops at the first completing
+//! prefix: O(1) bag reads on every committed workload. Its hazard, every
+//! virtual bucket non-empty yet no prefix completing, costs frontier ×
+//! bucket reads; no committed workload has that shape.
+//!
+//! The **token watermark** is a one-way cap on tokens *above* level 0:
+//! past it the deepest materialised level demotes to virtual for good.
+//! Level 0 (one token per admitted element) is never counted or demoted,
+//! so a long-lived stream never trips the cap on its history alone.
 //!
 //! # Tag-keyed reactions
 //!
-//! An Algorithm-1 reaction (`CompiledReaction::tag_keyed_slot`: one tag
+//! An Algorithm-1 reaction (the plan's tag-keyed answer: one tag
 //! variable everywhere, disjoint literal labels, fresh value variables,
 //! no `where`, a total clause) is enabled exactly when every operand
 //! label holds *some* element under one tag — the dataflow firing rule
@@ -95,18 +105,18 @@
 //!
 //! # Exactness and stability
 //!
-//! The network is *exact* at any watermark: for fully materialised
-//! reactions the terminal beta tokens are in bijection with the enabled
-//! `(tuple, reaction)` instances of Eq. (1), and for spilled reactions
-//! the frontier-completion probe decides enabledness against the live
-//! bag. A drained network — no terminal token anywhere, no spilled
+//! The network is *exact* under any plan and watermark: for fully
+//! materialised reactions the terminal beta tokens are in bijection with
+//! the enabled `(tuple, reaction)` instances of Eq. (1), and for spilled
+//! reactions the frontier-completion probe decides enabledness against
+//! the live bag. A drained network — no terminal token anywhere, no spilled
 //! reaction whose frontier completes — therefore **proves** the paper's
 //! global termination state; the engine needs no authoritative rescan
 //! (debug builds still cross-check).
 
 use crate::compiled::{
     tag_of, CompiledProgram, CompiledReaction, Firing, GuardPlan, LabelFilter, MatchError,
-    MatchSource, SearchScratch,
+    MatchPlan, MatchSource, SearchScratch,
 };
 use crate::expr::{Env, Expr};
 use crate::schedule::DependencyIndex;
@@ -283,14 +293,14 @@ pub struct ReteStats {
     pub guard_rejects: u64,
     /// Candidate tokens that already existed (multiplicity-overlap paths).
     pub dedup_hits: u64,
-    /// Join levels demoted to virtual by the spill watermark.
+    /// Join levels demoted to virtual by the token watermark (levels the
+    /// static plan leaves virtual are not counted).
     pub spill_demotions: u64,
     /// On-demand frontier-completion enabledness probes run for spilled
     /// reactions (cache misses; cached answers are free).
     pub spill_probes: u64,
-    /// Demoted join levels re-materialised after the live-token count fell
-    /// below half the watermark (hysteresis; failed attempts that
-    /// immediately re-crossed the watermark are not counted).
+    /// Always zero: a demoted level is never re-materialised. Kept so
+    /// readers of this counter keep compiling.
     pub spill_repromotions: u64,
     /// Peak number of live tokens across the network.
     pub peak_live_tokens: u64,
@@ -313,7 +323,7 @@ impl ReteStats {
             dedup_hits,
             spill_demotions,
             spill_probes,
-            spill_repromotions,
+            spill_repromotions: _, // always zero
             peak_live_tokens,
         } = other;
         self.inserts += inserts;
@@ -324,7 +334,6 @@ impl ReteStats {
         self.dedup_hits += dedup_hits;
         self.spill_demotions += spill_demotions;
         self.spill_probes += spill_probes;
-        self.spill_repromotions += spill_repromotions;
         self.peak_live_tokens = self.peak_live_tokens.max(*peak_live_tokens);
     }
 }
@@ -406,25 +415,19 @@ struct ReactionNet {
     by_key: FxHashMap<Box<[ElemId]>, u32>,
     /// Element id → tokens using it, for removal-driven retirement.
     uses: FxHashMap<ElemId, FxHashSet<u32>>,
-    /// Live-token budget; crossing it demotes the deepest materialised
-    /// join level (spill-to-search).
+    /// Budget for the live tokens above level 0; crossing it demotes the
+    /// deepest materialised join level for good.
     watermark: usize,
     /// Join levels `0..materialized` are maintained exactly; deeper
     /// levels are virtual, recomputed by frontier-completion search.
-    /// `materialized == arity` means the terminal memory is live. Never
-    /// drops below 1 (the level-0/alpha frontier stays materialised).
-    /// Demoted levels are re-materialised when the live-token count falls
-    /// below half the watermark (see [`ReactionNet::maybe_repromote`]).
+    /// Starts at the static plan's depth (`materialized == arity` means
+    /// the terminal memory is live) and only shrinks, never below 1 (the
+    /// level-0/alpha frontier stays materialised).
     materialized: usize,
     /// Cached spilled-enabledness answer; `None` forces a re-probe.
     /// Invalidated monotonically: inserts drop a cached `false`,
     /// removals drop a cached `true`.
     cached_enabled: Option<bool>,
-    /// Re-promotion hysteresis floor: after a rebuild attempt failed at
-    /// `L` live tokens, the next attempt waits until the memory shrinks
-    /// below `L / 2`, so repeated failures cost at most a geometric
-    /// number of (early-aborted) rebuilds. `usize::MAX` = unblocked.
-    repromote_floor: usize,
     /// For each join level `k ≥ 1` whose pattern's tag is a variable
     /// slot already bound by every prefix token (decided statically from
     /// the join order), that slot — the static half of the tag join
@@ -525,6 +528,18 @@ impl ReactionNet {
             .iter()
             .map(|s| s.map(|_| FxHashMap::default()))
             .collect();
+        let (materialized, keyed) = match cr.match_plan() {
+            MatchPlan::TagKeyed(tag_slot) => (
+                cr.arity(),
+                Some(KeyedStore {
+                    tag_slot,
+                    full: u32::MAX >> (32 - cr.arity()),
+                    tags: FxHashMap::default(),
+                    lane: Vec::new(),
+                }),
+            ),
+            MatchPlan::Tokens(prunes) => (1 + prunes.len(), None),
+        };
         ReactionNet {
             arity: cr.arity(),
             guards: cr.guard_plan(),
@@ -534,20 +549,14 @@ impl ReactionNet {
             by_key: FxHashMap::default(),
             uses: FxHashMap::default(),
             watermark,
-            materialized: cr.arity(),
+            materialized,
             cached_enabled: None,
-            repromote_floor: usize::MAX,
             next_tag_slot,
             tag_joins,
             doomed: Vec::new(),
             empty_slots: vec![None; cr.nvars()].into_boxed_slice(),
             prof: ReteReactionCounters::default(),
-            keyed: cr.tag_keyed_slot().map(|tag_slot| KeyedStore {
-                tag_slot,
-                full: u32::MAX >> (32 - cr.arity()),
-                tags: FxHashMap::default(),
-                lane: Vec::new(),
-            }),
+            keyed,
         }
     }
 
@@ -561,7 +570,7 @@ impl ReactionNet {
 
     /// Complete matches in the terminal memory, or ready tags. Only the
     /// enabled-match count when the net is fully materialised; a spilled
-    /// net's terminal lane was demoted (see [`ReteNetwork::has_match`]).
+    /// net keeps no terminal lane (see [`ReteNetwork::has_match`]).
     fn match_count(&self) -> usize {
         match &self.keyed {
             Some(store) => store.lane.len(),
@@ -617,7 +626,7 @@ impl ReactionNet {
         self.tokens.len() - self.free.len()
     }
 
-    /// True when deep join levels have been demoted to virtual.
+    /// True when the net has virtual join levels, by plan or by demotion.
     fn is_spilled(&self) -> bool {
         self.materialized < self.arity
     }
@@ -633,11 +642,11 @@ impl ReactionNet {
         stats.spill_demotions += 1;
     }
 
-    /// Spill-to-search eviction: while the live-token count exceeds the
-    /// watermark, demote the deepest materialised level, keeping at
-    /// least the level-0 frontier.
+    /// The one-way cap: while the tokens above level 0 exceed the
+    /// watermark, demote the deepest materialised level. Level 0 is
+    /// neither counted nor demoted.
     fn enforce_watermark(&mut self, stats: &mut ReteStats) {
-        while self.live_tokens() > self.watermark && self.materialized > 1 {
+        while self.live_tokens() - self.levels[0].len() > self.watermark && self.materialized > 1 {
             self.demote_deepest(stats);
         }
     }
@@ -769,66 +778,6 @@ impl ReactionNet {
             self.retire(*id, stats);
         }
         self.doomed = doomed;
-    }
-
-    /// Re-materialise demoted join levels once the memory has shrunk well
-    /// below the watermark: while spilled and the live-token count is
-    /// under **half** the watermark, rebuild the shallowest demoted level
-    /// by extending every frontier token one level rightward from the
-    /// bag index. A rebuild must also *finish* under half the watermark —
-    /// a re-promoted level always lands in the hysteresis gap
-    /// `[watermark/2, watermark]`, so subsequent insert growth has to
-    /// genuinely double the memory before demotion can trigger again
-    /// (no demote/re-promote ping-pong, which would cost O(watermark)
-    /// per firing on an n² fold hovering at the boundary). A rebuild
-    /// that would overflow the gap is aborted mid-way, demoted again,
-    /// and blocked until the memory halves once more
-    /// (`repromote_floor`), so an oscillating bag pays at most a
-    /// geometric number of failed rebuilds.
-    fn maybe_repromote<S: MatchSource>(
-        &mut self,
-        cr: &CompiledReaction,
-        bag: &S,
-        stats: &mut ReteStats,
-    ) {
-        while self.is_spilled()
-            && self.live_tokens() < self.watermark / 2
-            && self.live_tokens() < self.repromote_floor
-        {
-            let live_before = self.live_tokens();
-            self.materialized += 1;
-            self.cached_enabled = None;
-            let frontier: Vec<u32> = self.levels[self.materialized - 2].clone();
-            let frontier_len = frontier.len();
-            let mut overflowed = false;
-            for (extended, id) in frontier.into_iter().enumerate() {
-                self.extend_all(cr, bag, id, stats);
-                let built = self.live_tokens() - live_before;
-                // Hard cap, plus an early extrapolation after a small
-                // sample of frontier extensions: a rebuild projected to
-                // blow the gap is abandoned after O(sample) work instead
-                // of O(watermark).
-                let projected_overflow =
-                    extended + 1 >= 8 && built * frontier_len / (extended + 1) > self.watermark / 2;
-                if self.live_tokens() > self.watermark / 2 || projected_overflow {
-                    overflowed = true;
-                    break;
-                }
-            }
-            if overflowed {
-                // The rebuilt level does not fit in the hysteresis gap
-                // `[watermark/2, watermark]` (landing inside it would let
-                // modest insert growth demote again and the next removal
-                // re-promote — O(watermark) per firing at the boundary).
-                // Drop the partial rebuild (a half-built level would be
-                // inexact) and wait for the memory to halve.
-                self.demote_deepest(stats);
-                self.repromote_floor = live_before / 2;
-                return;
-            }
-            self.repromote_floor = usize::MAX;
-            stats.spill_repromotions += 1;
-        }
     }
 
     /// Complete token `id` rightward through every remaining join level,
@@ -1261,12 +1210,13 @@ fn firing_for(
     }))
 }
 
-/// Default per-reaction token watermark for [`ReteNetwork::new`].
+/// Default per-reaction token watermark for [`ReteNetwork::new`]: the cap
+/// on live tokens above join level 0.
 ///
 /// Sized so the committed workloads' exact memories fit comfortably (the
-/// `primes(2000)` sieve peaks around 14k live tokens) while an
-/// adversarial unguarded cross product is demoted long before it can
-/// memorise its n² pairs.
+/// `primes(2000)` sieve peaks around 14k live tokens) while a guarded
+/// join that rejects too little is demoted long before it can memorise
+/// its n² pairs.
 pub const DEFAULT_SPILL_WATERMARK: usize = 32 * 1024;
 
 /// The program-wide join network: one per-reaction net of beta memories,
@@ -1307,9 +1257,10 @@ impl ReteNetwork {
         Self::with_watermark(compiled, initial, DEFAULT_SPILL_WATERMARK)
     }
 
-    /// Build a network whose per-reaction beta memories are bounded by
-    /// `watermark` live tokens: past it, the deepest join levels demote
-    /// to virtual and their matches are recomputed by search on demand.
+    /// Build a network whose per-reaction beta memories above level 0
+    /// are capped at `watermark` live tokens: past it, the deepest
+    /// materialised levels demote to virtual for good and their matches
+    /// are recomputed by search on demand.
     pub fn with_watermark<S: MatchSource>(
         compiled: &CompiledProgram,
         initial: &S,
@@ -1421,14 +1372,14 @@ impl ReteNetwork {
 
     /// Number of complete (enabled) matches memorised for reaction `r`.
     /// Only meaningful while `r` is fully materialised — a spilled
-    /// reaction's terminal lane was demoted; use [`Self::has_match`] for
-    /// the exact enabledness answer at any watermark.
+    /// reaction keeps no terminal lane; use [`Self::has_match`] for the
+    /// exact enabledness answer under any plan and watermark.
     pub fn match_count(&self, r: usize) -> usize {
         self.nets[r].match_count()
     }
 
-    /// True when reaction `r`'s deep join levels have been demoted to
-    /// virtual by the spill watermark.
+    /// True when reaction `r` has virtual join levels: left virtual by
+    /// its static plan or demoted by the watermark.
     pub fn is_spilled(&self, r: usize) -> bool {
         self.nets[r].is_spilled()
     }
@@ -1858,7 +1809,6 @@ impl ReteNetwork {
                     self.nets[r].cached_enabled = None;
                 }
             }
-            self.nets[r].maybe_repromote(&compiled.reactions[r], bag, &mut self.stats);
             self.resync(r);
         }
         self.route = route;
@@ -1920,7 +1870,7 @@ mod tests {
             dedup_hits: 6,
             spill_demotions: 7,
             spill_probes: 8,
-            spill_repromotions: 9,
+            spill_repromotions: 0,
             peak_live_tokens: 10,
         };
         let b = ReteStats {
@@ -1932,7 +1882,7 @@ mod tests {
             dedup_hits: 600,
             spill_demotions: 700,
             spill_probes: 800,
-            spill_repromotions: 900,
+            spill_repromotions: 0,
             peak_live_tokens: 5,
         };
         a.absorb(&b);
@@ -1947,8 +1897,8 @@ mod tests {
                 dedup_hits: 606,
                 spill_demotions: 707,
                 spill_probes: 808,
-                spill_repromotions: 909,
-                peak_live_tokens: 10, // max, not sum
+                spill_repromotions: 0, // always zero
+                peak_live_tokens: 10,  // max, not sum
             }
         );
     }
@@ -2083,9 +2033,11 @@ mod tests {
 
     #[test]
     fn insertion_wakes_waiting_partial_match() {
+        // Guarded, so the plan materialises the terminal level.
         let compiled = compile(vec![ReactionSpec::new("join")
             .replace(Pattern::pair("a", "A"))
             .replace(Pattern::pair("b", "B"))
+            .where_(Expr::cmp(CmpOp::Lt, Expr::var("a"), Expr::var("b")))
             .by(vec![ElementSpec::pair(
                 Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
                 "C",
@@ -2111,27 +2063,174 @@ mod tests {
             )])])
     }
 
+    /// The `sum` fold over ordered pairs `x <= y`: a pushed conjunct that
+    /// never blocks the fold keeps level 1 materialised until the cap
+    /// demotes it.
+    fn guarded_sum_program() -> CompiledProgram {
+        compile(vec![ReactionSpec::new("osum")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .where_(Expr::cmp(CmpOp::Le, Expr::var("x"), Expr::var("y")))
+            .by(vec![ElementSpec::pair(
+                Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+                "n",
+            )])])
+    }
+
+    /// Fire `net` to stability, seeded; returns the firing count.
+    fn fire_to_stable(
+        compiled: &CompiledProgram,
+        bag: &mut ElementBag,
+        net: &mut ReteNetwork,
+        seed: u64,
+    ) -> usize {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut firings = 0;
+        while let Some(r) = net.pick_ready(compiled, bag, &mut rng) {
+            let f = net
+                .pick_firing(compiled, bag, r, &mut rng)
+                .unwrap()
+                .unwrap();
+            assert!(bag.remove_all(&f.consumed));
+            for p in &f.produced {
+                bag.insert(p.clone());
+            }
+            net.on_firing_applied(compiled, bag, &f);
+            firings += 1;
+        }
+        firings
+    }
+
     #[test]
     fn watermark_spills_deep_levels_and_stays_exact() {
-        let compiled = sum_program();
-        let bag: ElementBag = (1..=100).map(|v| e(v, "n", 0)).collect();
+        let compiled = guarded_sum_program();
+        let n = 100u64;
+        let bag: ElementBag = (1..=n as i64).map(|v| e(v, "n", 0)).collect();
         // The exact (high-watermark) network memorises all ordered pairs.
         let exact = ReteNetwork::new(&compiled, &bag);
-        assert_eq!(exact.match_count(0), 100 * 99);
+        assert_eq!(exact.match_count(0), (n * (n - 1) / 2) as usize);
         // A tight watermark demotes the terminal level: only the level-0
         // frontier (one token per element) survives, and enabledness is
         // answered by frontier completion — still exactly.
         let mut spilled = ReteNetwork::with_watermark(&compiled, &bag, 50);
         assert!(spilled.is_spilled(0));
-        assert!(spilled.total_tokens() <= 100 + 50);
+        assert_eq!(spilled.total_tokens(), n as usize);
         assert!(spilled.stats.spill_demotions > 0);
         assert!(spilled.has_match(&compiled, &bag, 0));
         assert!(spilled.stats.spill_probes > 0);
+        // Cap + |level 0| + one insert event's burst (≤ n level-1 tokens).
         assert!(
-            spilled.stats.peak_live_tokens <= (50 + 2 * 100) as u64,
-            "peak {} exceeds watermark + one event burst",
+            spilled.stats.peak_live_tokens <= 50 + n + n,
+            "peak {} exceeds watermark + level 0 + one event burst",
             spilled.stats.peak_live_tokens
         );
+    }
+
+    #[test]
+    fn cap_ignores_level_zero() {
+        // `windowed_sum`'s shape: one label twice, joined on the tag. A
+        // long history of one-element windows fills level 0 far past the
+        // cap without a level-1 token, so nothing is demoted.
+        let compiled = compile(vec![ReactionSpec::new("wsum")
+            .replace(Pattern::tagged("a", "x", "t"))
+            .replace(Pattern::tagged("b", "x", "t"))
+            .by(vec![ElementSpec::tagged(
+                Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
+                "x",
+                "t",
+            )])]);
+        let mut bag: ElementBag = (0..100).map(|t| e(t as i64, "x", t)).collect();
+        let mut net = ReteNetwork::with_watermark(&compiled, &bag, 10);
+        let b = e(7, "x", 3);
+        bag.insert(b.clone());
+        net.on_inserted(&compiled, &bag, std::slice::from_ref(&b));
+        assert!(!net.is_spilled(0));
+        assert_eq!((net.match_count(0), net.stats.spill_demotions), (2, 0));
+    }
+
+    #[test]
+    fn virtual_level_probe_reads_o1_rows() {
+        // `sum`'s level 1 joins on nothing and prunes nothing, so it is
+        // virtual; `has_match` completes the first frontier prefix it
+        // tries: a handful of bag reads, not one per element.
+        struct CountingBag {
+            bag: ElementBag,
+            reads: std::cell::Cell<usize>,
+        }
+        impl CountingBag {
+            fn read(&self, rows: usize) {
+                self.reads.set(self.reads.get() + rows);
+            }
+        }
+        impl MatchSource for CountingBag {
+            fn all_labels(&self) -> Vec<Symbol> {
+                let out = self.bag.all_labels();
+                self.read(out.len());
+                out
+            }
+            fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
+                let out = self.bag.tags_for_label(label);
+                self.read(out.len());
+                out
+            }
+            fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
+                let out = self.bag.values_at(label, tag);
+                self.read(out.len());
+                out
+            }
+            fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
+                self.read(1);
+                self.bag.count_at(label, tag, value)
+            }
+            fn visit_labels(&self, f: &mut dyn FnMut(Symbol) -> bool) {
+                self.bag.visit_labels(&mut |l| {
+                    self.read(1);
+                    f(l)
+                });
+            }
+            fn visit_tags(&self, label: Symbol, f: &mut dyn FnMut(Tag) -> bool) {
+                self.bag.visit_tags(label, &mut |t| {
+                    self.read(1);
+                    f(t)
+                });
+            }
+            fn visit_values(
+                &self,
+                label: Symbol,
+                tag: Tag,
+                f: &mut dyn FnMut(&Value, usize) -> bool,
+            ) {
+                self.bag.visit_values(label, tag, &mut |v, c| {
+                    self.read(1);
+                    f(v, c)
+                });
+            }
+            fn visit_value_ids(
+                &self,
+                label: Symbol,
+                tag: Tag,
+                f: &mut dyn FnMut(ElemId, &Value, usize) -> bool,
+            ) {
+                self.bag.visit_value_ids(label, tag, &mut |id, v, c| {
+                    self.read(1);
+                    f(id, v, c)
+                });
+            }
+        }
+        let compiled = sum_program();
+        let bag = CountingBag {
+            bag: (1..=1000).map(|v| e(v, "n", 0)).collect(),
+            reads: std::cell::Cell::new(0),
+        };
+        // The plan keeps only the level-0 frontier; nothing was demoted.
+        let mut net = ReteNetwork::new(&compiled, &bag);
+        assert!(net.is_spilled(0));
+        assert_eq!(net.total_tokens(), 1000);
+        assert_eq!(net.stats.spill_demotions, 0);
+        let before = bag.reads.get();
+        assert!(net.has_match(&compiled, &bag, 0));
+        let reads = bag.reads.get() - before;
+        assert!(reads <= 4, "one probe read {reads} rows of 1000");
     }
 
     #[test]
@@ -2140,21 +2239,8 @@ mod tests {
         let mut bag: ElementBag = (1..=40).map(|v| e(v, "n", 0)).collect();
         let mut net = ReteNetwork::with_watermark(&compiled, &bag, 16);
         assert!(net.is_spilled(0));
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
         // Drive the spilled net to stability by firing through it.
-        let mut firings = 0;
-        while net.pick_ready(&compiled, &bag, &mut rng).is_some() {
-            let f = net
-                .pick_firing(&compiled, &bag, 0, &mut rng)
-                .unwrap()
-                .unwrap();
-            assert!(bag.remove_all(&f.consumed));
-            for p in &f.produced {
-                bag.insert(p.clone());
-            }
-            net.on_firing_applied(&compiled, &bag, &f);
-            firings += 1;
-        }
+        let firings = fire_to_stable(&compiled, &mut bag, &mut net, 9);
         assert_eq!(firings, 39, "sum fold fires n-1 times");
         assert_eq!(bag.sorted_elements(), vec![e(820, "n", 0)]);
         assert!(
@@ -2225,15 +2311,16 @@ mod tests {
 
     #[test]
     fn slice_union_equals_full_network() {
-        // Four independent pair reactions = four dependency components:
-        // the planner spreads them over the workers, and the slices'
-        // terminal tokens partition the full network's matches — no
-        // overlap, no gaps.
+        // Four independent guarded pair reactions = four dependency
+        // components: the planner spreads them over the workers, and the
+        // slices' terminal tokens partition the full network's matches —
+        // no overlap, no gaps.
         let reactions: Vec<ReactionSpec> = (0..4)
             .map(|g| {
                 ReactionSpec::new(format!("pair{g}"))
                     .replace(Pattern::pair("a", format!("A{g}").as_str()))
                     .replace(Pattern::pair("b", format!("B{g}").as_str()))
+                    .where_(Expr::cmp(CmpOp::Lt, Expr::var("a"), Expr::var("b")))
                     .by(vec![ElementSpec::pair(
                         Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
                         format!("C{g}").as_str(),
@@ -2305,35 +2392,20 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_bag_repromotes_demoted_levels() {
-        // A spilled sum fold is driven down to a single element: once the
-        // live-token count falls under half the watermark, the demoted
-        // terminal level must re-materialise (with the hysteresis floor
-        // absorbing the attempts whose rebuild would still overflow).
-        let compiled = sum_program();
+    fn spill_is_one_way() {
+        // A guarded fold demoted past the cap stays demoted while the bag
+        // shrinks to one element, and still reaches the closed-form total.
+        let compiled = guarded_sum_program();
         let mut bag: ElementBag = (1..=100).map(|v| e(v, "n", 0)).collect();
         let mut net = ReteNetwork::with_watermark(&compiled, &bag, 50);
         assert!(net.is_spilled(0));
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        while let Some(r) = net.pick_ready(&compiled, &bag, &mut rng) {
-            let f = net
-                .pick_firing(&compiled, &bag, r, &mut rng)
-                .unwrap()
-                .unwrap();
-            assert!(bag.remove_all(&f.consumed));
-            for p in &f.produced {
-                bag.insert(p.clone());
-            }
-            net.on_firing_applied(&compiled, &bag, &f);
-        }
-        assert_eq!(bag.len(), 1, "fold reaches a single element");
-        assert!(
-            !net.is_spilled(0),
-            "shrunk memory must re-materialise: {:?}",
-            net.stats
-        );
-        assert!(net.stats.spill_repromotions > 0, "{:?}", net.stats);
-        assert!(net.stats.spill_demotions > 0, "{:?}", net.stats);
+        let demotions = net.stats.spill_demotions;
+        assert_eq!(demotions, 1, "{:?}", net.stats);
+        let firings = fire_to_stable(&compiled, &mut bag, &mut net, 4);
+        assert_eq!(firings, 99);
+        assert_eq!(bag.sorted_elements(), vec![e(5050, "n", 0)]);
+        assert!(net.is_spilled(0), "a demoted level stays virtual");
+        assert_eq!(net.stats.spill_demotions, demotions);
     }
 
     #[test]
@@ -2387,7 +2459,10 @@ mod tests {
     #[test]
     fn keyed_store_tracks_tags_without_tokens() {
         let compiled = tag_pair_program();
-        assert!(compiled.reactions[0].tag_keyed_slot().is_some());
+        assert!(matches!(
+            compiled.reactions[0].match_plan(),
+            MatchPlan::TagKeyed(_)
+        ));
         let mut bag: ElementBag = [e(1, "A", 0), e(2, "B", 0), e(3, "A", 1)]
             .into_iter()
             .collect();

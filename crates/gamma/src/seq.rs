@@ -54,10 +54,11 @@ pub enum Scheduling {
     /// stability is proven by drained memories (no authoritative
     /// rescan). Observable behaviour is identical to `Rescan`: same
     /// stable states, and under [`Selection::Deterministic`] the same
-    /// firing trace. Memory is bounded by a spill watermark
-    /// ([`EngineConfig::rete_watermark`]): an unguarded n² reaction
-    /// demotes its deep join levels to on-demand search instead of
-    /// memorising the cross product — see [`crate::rete`].
+    /// firing trace. A static level plan keeps a join level in memory
+    /// only while it prunes, so an unguarded n² reaction is answered by
+    /// on-demand search instead of memorising the cross product, and
+    /// [`EngineConfig::rete_watermark`] caps the rest — see
+    /// [`crate::rete`].
     #[default]
     Rete,
 }

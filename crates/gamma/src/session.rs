@@ -48,7 +48,7 @@
 //! |---|---|---|
 //! | `Seq` + `Rescan` | multiset, RNG stream | (nothing to keep) |
 //! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
-//! | `Seq` + `Rete` | alpha/beta memories, spill + re-promotion state | — |
+//! | `Seq` + `Rete` | alpha/beta memories, demoted (virtual) levels | — |
 //! | `Parallel(ShardedRete)` | sharded bag, key directory, per-worker network slices | worker threads, mailboxes, steal worklist |
 //! | `Parallel(ProbeRetry)` | sharded bag, key directory, dirty flags | worker threads |
 
@@ -107,11 +107,11 @@ pub struct EngineConfig {
     /// Record a full firing trace, numbered continuously across waves
     /// (sequential engines only).
     pub record_trace: bool,
-    /// Per-reaction live-token budget for Rete memories (sequential
-    /// network and per-worker slices alike): past it, the deepest join
-    /// levels spill to on-demand search (see [`crate::rete`]). Exactness
-    /// does not depend on the value; it only trades memory for
-    /// recomputation.
+    /// Per-reaction cap on Rete tokens above join level 0 (sequential
+    /// network and per-worker slices alike): past it, the deepest
+    /// materialised levels demote to on-demand search for good (see
+    /// [`crate::rete`]). Exactness does not depend on the value; it only
+    /// trades memory for recomputation.
     pub rete_watermark: usize,
     /// Worker threads (parallel engines).
     pub workers: usize,
@@ -388,8 +388,8 @@ enum SeqMatcher {
     Rescan { order: Vec<usize> },
     /// The delta worklist and its clean/dirty proof state.
     Delta(Box<DeltaScheduler>),
-    /// The Rete join network: alpha/beta memories, spill and
-    /// re-promotion state.
+    /// The Rete join network: alpha/beta memories and which levels are
+    /// virtual.
     Rete(Box<ReteNetwork>),
 }
 
@@ -539,9 +539,9 @@ pub struct Session {
     ev: Cell<u64>,
     /// Cumulative per-reaction execution profiles across waves.
     profiles: ProfileTable,
-    /// Lifetime (demotions, repromotions) of the sequential Rete
-    /// network already reported in earlier `SpillActivity` events.
-    seen_spill: (u64, u64),
+    /// Lifetime level demotions of the sequential Rete network already
+    /// reported in earlier `SpillActivity` events.
+    seen_spill: u64,
     /// Lifetime anchored-confirm searches already reported in earlier
     /// `AnchoredConfirms` events.
     seen_confirms: u64,
@@ -618,7 +618,7 @@ impl Session {
             observer: None,
             ev: Cell::new(0),
             profiles,
-            seen_spill: (0, 0),
+            seen_spill: 0,
             seen_confirms: 0,
             tier_ups: 0,
             dispatch: WaveDispatch::default(),
@@ -636,9 +636,7 @@ impl Session {
             match matcher {
                 SeqMatcher::Rescan { .. } => {}
                 SeqMatcher::Delta(s) => self.seen_confirms = s.stats.anchored_confirm_searches,
-                SeqMatcher::Rete(n) => {
-                    self.seen_spill = (n.stats.spill_demotions, n.stats.spill_repromotions)
-                }
+                SeqMatcher::Rete(n) => self.seen_spill = n.stats.spill_demotions,
             }
         }
     }
@@ -1060,13 +1058,9 @@ impl Session {
     fn emit_wave_aggregates(&mut self) {
         let (spill, confirms) = (self.seen_spill, self.seen_confirms);
         self.rebase_wave_aggregates();
-        let demotions = self.seen_spill.0 - spill.0;
-        let repromotions = self.seen_spill.1 - spill.1;
-        if demotions + repromotions > 0 {
-            self.emit(TraceEvent::SpillActivity {
-                demotions,
-                repromotions,
-            });
+        let demotions = self.seen_spill - spill;
+        if demotions > 0 {
+            self.emit(TraceEvent::SpillActivity { demotions });
         }
         let searches = self.seen_confirms - confirms;
         if searches > 0 {
@@ -1224,11 +1218,6 @@ impl Session {
             reg.counter("gamma_rete_tokens_created_total", &[], r.tokens_created);
             reg.counter("gamma_rete_guard_rejects_total", &[], r.guard_rejects);
             reg.counter("gamma_rete_spill_demotions_total", &[], r.spill_demotions);
-            reg.counter(
-                "gamma_rete_spill_repromotions_total",
-                &[],
-                r.spill_repromotions,
-            );
             reg.gauge(
                 "gamma_rete_peak_live_tokens",
                 &[],

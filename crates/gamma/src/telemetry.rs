@@ -125,8 +125,6 @@ pub enum TraceEvent {
     SpillActivity {
         /// Join levels demoted to virtual this wave.
         demotions: u64,
-        /// Demoted levels re-materialised this wave.
-        repromotions: u64,
     },
     /// Wave-aggregate anchored-confirm searches of the delta scheduler
     /// (emitted only when nonzero).

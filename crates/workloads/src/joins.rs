@@ -16,7 +16,7 @@
 //!   a confluent reaction whose overlap condition splits into two
 //!   comparisons;
 //! * [`cross_sum`] — the adversarial *unguarded* n² fold whose full
-//!   cross product would blow the beta memory: the spill-watermark
+//!   cross product would blow the beta memory: the level-plan
 //!   regression workload (harness `S3`).
 //!
 //! Every workload is self-checking (a [`Workload`] with its expected
@@ -61,16 +61,16 @@ pub fn divisor_sieve(n: i64) -> Workload {
     }
 }
 
-/// Adversarial cross-product workload for the rete spill watermark: an
+/// Adversarial cross-product workload for the rete level plan: an
 /// *unguarded* 2-ary sum fold over `n` distinct elements.
 ///
-/// Every ordered pair is enabled, so an unbounded join network memorises
-/// all `n·(n-1)` terminal tokens before the first firing — the worst
-/// case that kept `Scheduling::Rete` opt-in before beta-memory eviction
-/// landed. Past the watermark the terminal level demotes to virtual and
-/// the network keeps only the `n`-token level-0 frontier, completing
-/// matches by index search on demand; the harness `S3` step records the
-/// peak token count alongside the three engines' throughput.
+/// Every ordered pair is enabled, so a join network memorising every
+/// level would hold all `n·(n-1)` terminal tokens before the first
+/// firing — the worst case that kept `Scheduling::Rete` opt-in once. The
+/// pair level prunes nothing, so the plan leaves it virtual: the network
+/// keeps only the `n`-token level-0 frontier and completes matches by
+/// index search on demand; the harness `S3` step records the peak token
+/// count alongside the three engines' throughput.
 pub fn cross_sum(n: i64) -> Workload {
     let program = GammaProgram::new(vec![ReactionSpec::new("xsum")
         .replace(Pattern::pair("x", "n"))

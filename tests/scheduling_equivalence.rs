@@ -293,10 +293,35 @@ fn rete_engine_reaches_expected_results_with_stats() {
     }
 }
 
+/// The `sum` fold over ordered pairs `x <= y`. The pushed conjunct never
+/// blocks the fold, so it stays confluent with the closed-form total, but
+/// it keeps the pair level materialised until the token watermark
+/// demotes it.
+fn guarded_sum() -> gammaflow::gamma::ReactionSpec {
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    ReactionSpec::new("osum")
+        .replace(Pattern::pair("x", "n"))
+        .replace(Pattern::pair("y", "n"))
+        .where_(Expr::cmp(CmpOp::Le, Expr::var("x"), Expr::var("y")))
+        .by(vec![ElementSpec::pair(
+            Expr::bin(BinOp::Add, Expr::var("x"), Expr::var("y")),
+            "n",
+        )])
+}
+
+/// [`guarded_sum`] over `1..=n`, with its closed-form final.
+fn guarded_cross_sum(n: i64) -> (GammaProgram, ElementBag, ElementBag) {
+    use gammaflow::multiset::Element;
+    let initial: ElementBag = (1..=n).map(|v| Element::pair(v, "n")).collect();
+    let expected: ElementBag = [Element::pair(n * (n + 1) / 2, "n")].into_iter().collect();
+    (GammaProgram::new(vec![guarded_sum()]), initial, expected)
+}
+
 /// A program whose rete memory *grows* mid-run: stage-0 `expand`
-/// reactions turn each seed into two `n` elements, and the unguarded
-/// `sum` fold's pair memory grows quadratically as they appear — sized so
-/// a small watermark is crossed well after the first firing.
+/// reactions turn each seed into two `n` elements, and the guarded
+/// [`guarded_sum`] fold's pair memory grows quadratically as they appear —
+/// sized so a small watermark is crossed well after the first firing.
 fn expanding_sum(seeds: i64) -> (GammaProgram, ElementBag) {
     use gammaflow::gamma::{ElementSpec, Pattern, ReactionSpec};
     use gammaflow::multiset::value::BinOp;
@@ -315,17 +340,7 @@ fn expanding_sum(seeds: i64) -> (GammaProgram, ElementBag) {
                     "n",
                 ),
             ]),
-        ReactionSpec::new("sum")
-            .replace(Pattern::pair("x", "n"))
-            .replace(Pattern::pair("y", "n"))
-            .by(vec![ElementSpec::pair(
-                gammaflow::gamma::Expr::bin(
-                    BinOp::Add,
-                    gammaflow::gamma::Expr::var("x"),
-                    gammaflow::gamma::Expr::var("y"),
-                ),
-                "n",
-            )]),
+        guarded_sum(),
     ]);
     let initial: ElementBag = (1..=seeds).map(|v| Element::pair(v, "seed")).collect();
     (program, initial)
@@ -334,16 +349,17 @@ fn expanding_sum(seeds: i64) -> (GammaProgram, ElementBag) {
 #[test]
 fn watermark_crossing_mid_run_stays_trace_equal() {
     // The spill threshold is crossed while the run is in flight (the
-    // deterministic schedule fires all expands first, growing the sum
-    // fold's pair memory past 200 tokens around seed 8 of 20): the
-    // spilled engine must keep replaying the rescanning reference's
-    // exact trace, because frontier-completion enabledness is exact.
+    // deterministic schedule fires all expands first, growing the guarded
+    // fold's ordered-pair memory past 100 tokens above level 0 at seed 8
+    // of 20): the spilled engine must keep replaying the rescanning
+    // reference's exact trace, because frontier-completion enabledness is
+    // exact.
     let (program, initial) = expanding_sum(20);
     let config = EngineConfig {
         selection: Selection::Deterministic,
         scheduling: Scheduling::Rete,
         record_trace: true,
-        rete_watermark: 200,
+        rete_watermark: 100,
         ..EngineConfig::default()
     };
     let rete = Session::build(&program)
@@ -391,8 +407,8 @@ fn watermark_crossing_mid_run_agrees_seeded() {
                 .run(initial.clone())
                 .unwrap()
         };
-        let rescan = run(Scheduling::Rescan, 200);
-        let rete = run(Scheduling::Rete, 200);
+        let rescan = run(Scheduling::Rescan, 100);
+        let rete = run(Scheduling::Rete, 100);
         assert_eq!(rescan.status, Status::Stable);
         assert_eq!(rete.status, Status::Stable);
         assert_eq!(
@@ -405,33 +421,53 @@ fn watermark_crossing_mid_run_agrees_seeded() {
 
 #[test]
 fn adversarial_cross_sum_peak_tokens_bounded_by_watermark() {
-    // The unguarded n² fold: an unbounded network would memorise
-    // n·(n-1) = 35,532 tokens at n = 189; the watermark must bound the
-    // peak to watermark + one insert event's burst (≤ 2n tokens) while
-    // the fold still reaches its self-check total.
-    let w = cross_sum(189);
-    let n = 189u64;
+    // The guarded n² fold: an unbounded network would memorise
+    // n·(n-1)/2 = 17,766 ordered pairs at n = 189; the watermark must
+    // bound the peak to watermark + level 0 (≤ n tokens) + one insert
+    // event's burst (≤ n tokens) while the fold still reaches its
+    // closed-form total.
+    let n = 189i64;
+    let (program, initial, expected) = guarded_cross_sum(n);
     let watermark = 2_000usize;
-    let result = Session::build(&w.program)
+    let result = Session::build(&program)
         .config(EngineConfig {
             selection: Selection::Seeded(1),
             scheduling: Scheduling::Rete,
             rete_watermark: watermark,
             ..EngineConfig::default()
         })
-        .run(w.initial.clone())
+        .run(initial)
         .unwrap();
     assert_eq!(result.status, Status::Stable);
-    assert_eq!(result.multiset, w.expected);
+    assert_eq!(result.multiset, expected);
     let rete = result.rete.unwrap();
     assert!(rete.spill_demotions > 0, "{rete:?}");
+    let bound = watermark as u64 + n as u64 + n as u64;
     assert!(
-        rete.peak_live_tokens <= watermark as u64 + 2 * n,
-        "peak {} tokens exceeds watermark {} + event burst {}",
+        rete.peak_live_tokens <= bound,
+        "peak {} tokens exceeds watermark {watermark} + level 0 {n} + event burst {n}",
         rete.peak_live_tokens,
-        watermark,
-        2 * n
     );
+}
+
+/// The unguarded `cross_sum` fold keeps no pair memory at all: its pair
+/// level prunes nothing, so the plan leaves it virtual and the default
+/// watermark never trips.
+#[test]
+fn unguarded_cross_sum_keeps_only_level_zero() {
+    let w = cross_sum(189);
+    let result = Session::build(&w.program)
+        .config(EngineConfig {
+            selection: Selection::Seeded(1),
+            scheduling: Scheduling::Rete,
+            ..EngineConfig::default()
+        })
+        .run(w.initial.clone())
+        .unwrap();
+    assert_eq!(result.multiset, w.expected);
+    let rete = result.rete.unwrap();
+    assert_eq!(rete.spill_demotions, 0, "{rete:?}");
+    assert!(rete.peak_live_tokens <= 189, "{rete:?}");
 }
 
 /// The parallel-engine matrix: both worker loops (sampled probe-retry
@@ -493,13 +529,14 @@ fn parallel_matrix_byte_identical_finals() {
 }
 
 /// The sharded engine's per-worker slices honour the spill watermark:
-/// the adversarial n² fold must keep every slice's peak beta tokens
-/// within the watermark plus one delta burst, and the spill counters
-/// (including the ones the old aggregation dropped) must be visible.
+/// the guarded n² fold must keep every slice's peak beta tokens within
+/// the watermark plus level 0 plus one delta burst, and the spill
+/// counters (including the ones the old aggregation dropped) must be
+/// visible.
 #[test]
 fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
     let n = 150i64;
-    let w = cross_sum(n);
+    let (program, initial, expected) = guarded_cross_sum(n);
     let watermark = 1_000usize;
     let config = EngineConfig {
         engine: Engine::Parallel(ParEngine::ShardedRete),
@@ -508,22 +545,22 @@ fn parallel_sharded_per_shard_tokens_bounded_by_watermark() {
         seed: 1,
         ..EngineConfig::default()
     };
-    let mut session = Session::build(&w.program)
+    let mut session = Session::build(&program)
         .config(config)
-        .start(w.initial.clone())
+        .start(initial)
         .unwrap();
     session.run_to_stable().unwrap();
     let result = session.finish_parallel();
     assert_eq!(result.exec.status, Status::Stable);
-    assert_eq!(result.exec.multiset, w.expected, "cross_sum self-check");
+    assert_eq!(result.exec.multiset, expected, "closed-form total");
     let par = &result.par;
     assert!(par.spill_demotions > 0, "{par:?}");
     assert!(par.spill_probes > 0, "{par:?}");
     assert_eq!(par.shard_peak_tokens.len(), 4);
     for (i, &peak) in par.shard_peak_tokens.iter().enumerate() {
         assert!(
-            peak <= (watermark as u64) + 2 * n as u64,
-            "shard {i} peak {peak} exceeds watermark {watermark} + delta burst: {par:?}"
+            peak <= watermark as u64 + n as u64 + n as u64,
+            "shard {i} peak {peak} exceeds watermark {watermark} + level 0 + delta burst: {par:?}"
         );
     }
 }
@@ -818,7 +855,8 @@ fn keyed_buckets_with_several_values_reach_rescan_final() {
 /// `explain_plan` names the matching store the Rete network builds:
 /// every node image of Algorithm 1 is tag-keyed; a `where` clause
 /// (`primes`), an untagged pattern (`sum`) or one label at two positions
-/// (`windowed_sum`) keeps a reaction on join tokens.
+/// (`windowed_sum`) keeps a reaction on join tokens. Per level it says
+/// why a token level is materialised, or that it is virtual.
 #[test]
 fn explain_plan_names_the_matching_store() {
     let image = dataflow_to_gamma(&accumulator_loop(2, 3, 10).graph).unwrap();
@@ -842,4 +880,41 @@ fn explain_plan_names_the_matching_store() {
             assert!(plan.contains("  plan: join tokens\n"), "{plan}");
         }
     }
+    let levels = |program: &GammaProgram| -> Vec<String> {
+        plans(program)[0]
+            .lines()
+            .filter(|l| l.starts_with("  level "))
+            .map(|l| {
+                l.split_once(")  ")
+                    .expect("a store per level")
+                    .1
+                    .to_string()
+            })
+            .collect()
+    };
+    assert_eq!(
+        levels(&sum(&[1, 2, 3]).program),
+        ["materialised", "virtual"]
+    );
+    assert_eq!(
+        levels(&primes(30).program),
+        ["materialised", "materialised (pushes x % y == 0)"]
+    );
+    assert_eq!(
+        levels(&windowed_sum(1, 1, 2, 0).program),
+        ["materialised", "materialised (joins on t)"]
+    );
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::CmpOp;
+    let gated = GammaProgram::new(vec![ReactionSpec::new("gate")
+        .replace(Pattern::pair("a", "A"))
+        .replace(Pattern::pair("b", "B"))
+        .by_if(
+            vec![ElementSpec::pair(Expr::var("a"), "out")],
+            Expr::cmp(CmpOp::Lt, Expr::var("a"), Expr::var("b")),
+        )]);
+    assert_eq!(
+        levels(&gated),
+        ["materialised", "materialised (clause guard)"]
+    );
 }
