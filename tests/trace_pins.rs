@@ -51,8 +51,8 @@ const PINS: [u64; 36] = [
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
-    0x589a_310d_7939_e696,
-    0x7966_29c1_7b0f_3ba7,
+    0xca55_8522_c44e_9f8c,
+    0x6456_81dd_14d5_5f85,
     // Algorithm-1 image of one Fig. 2 loop
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x4419_deee_e256_a3bd,
