@@ -3,10 +3,25 @@
 //! The paper (§II-B) surveys Gamma implementations on the Connection
 //! Machine, MasPar, MPI clusters and GPUs; this module is the workspace's
 //! substitute — a shared-memory engine whose workers realise the model's
-//! "reactions occur freely and in parallel". Two engines share the
-//! multiset substrate (a [`ShardedBag`] plus a **key directory**, an
-//! append-only `(label → tags)` map giving workers a lock-light view of
-//! which buckets exist):
+//! "reactions occur freely and in parallel".
+//!
+//! # One state, one recovery loop
+//!
+//! A parallel session keeps one state across its waves: the multiset in a
+//! [`ShardedBag`], a **key directory** (an append-only `(label → tags)`
+//! map giving workers a lock-light view of which buckets exist) and the
+//! dependency index, plus what the chosen [`ParEngine`] keeps on top —
+//! per-worker network slices, or dirty flags. One wave driver serves both
+//! engines. It snapshots the wave-entry bag, leases workers and runs each
+//! body under `catch_unwind`. When a worker is lost it quarantines the
+//! attempt, then replays it, degrades to a sequential wave, or surfaces
+//! [`ParError::WorkerLost`], as the [`RecoveryPolicy`] says. Every exit
+//! goes through one reset: the bag is restored and the engine's matcher
+//! state is re-derived over it — slices rebuilt with their lifetime
+//! counters kept, or every dirty flag re-armed. Replay is sound because a
+//! wave starts from a quiescent bag that fully describes its input, and by
+//! the Generalized Kahn Principle (PAPERS.md) the stable multiset is a
+//! function of that input, not of the attempt that computed it.
 //!
 //! # The sharded-rete engine ([`ParEngine::ShardedRete`], the default)
 //!
@@ -55,7 +70,7 @@
 //!   snapshot search runs; debug builds still cross-check against the
 //!   locked-shard exact matcher.
 //!
-//! # The probe-retry engine ([`ParEngine::ProbeRetry`], the baseline)
+//! # The probe-retry engine ([`ParEngine::ProbeRetry`])
 //!
 //! * Each worker runs an **optimistic match–claim loop**: search a sampled
 //!   [`MatchSource`] view of the bag (stale reads allowed), then claim. A
@@ -66,8 +81,13 @@
 //! * **Startup pruning**: a level-0-only [`ReteNetwork`] occupancy
 //!   probe pre-clears the dirty flags of reactions with no enabled match.
 //!
-//! Kept as the measurable baseline: harness step `S4` records both
-//! engines' firings/sec in `BENCH_parallel.json`.
+//! Probe-retry is kept to measure one thing: it beats the sharded engine
+//! on the single-bucket fold, where one worker owns every key and exact
+//! slice maintenance cannot be sampled away. In-run harness `S4` on a
+//! 2-vCPU machine (three runs) put sharded `sum_2048` at 0.53–0.79×
+//! probe-retry for 1–8 workers, while sharded ran `parallel_loops_16x200`
+//! 4.1–7.8× faster. Probe-retry can go once the sharded engine wins that
+//! fold.
 
 use crate::compiled::{CompiledProgram, Firing, MatchError, MatchSource, SearchScratch};
 use crate::fault::{FaultPlan, WaveFaults};
@@ -139,7 +159,8 @@ pub enum ParEngine {
     #[default]
     ShardedRete,
     /// The sampled optimistic probe-and-retry loop with heuristic dirty
-    /// flags — the pre-sharding engine, kept as the measurable baseline.
+    /// flags — the pre-sharding engine, kept because it still beats
+    /// sharded Rete on the single-bucket fold (see the module docs).
     ProbeRetry,
 }
 
@@ -262,7 +283,7 @@ impl ParStats {
     /// folds, session waves). The slice-lifetime fields
     /// (`rete_precleared`, `spill_*`, `shard_peak_tokens`) are
     /// deliberately excluded — they are folded once, at finish time, by
-    /// the engine states' `fold_lifetime_stats` — and the recovery
+    /// `ParState::fold_lifetime_stats` — and the recovery
     /// counters (`workers_lost`, `waves_replayed`, `degraded_waves`) are
     /// incremented directly by the recovery loop, never carried by a
     /// worker's per-wave block.
@@ -285,8 +306,8 @@ impl ParStats {
             workers_lost: _,      // recovery: incremented by the wave loop
             waves_replayed: _,    // recovery: incremented by the wave loop
             degraded_waves: _,    // recovery: incremented by the wave loop
-            pool_leases: _,       // dispatch: incremented by the wave attempt
-            pool_spawns: _,       // dispatch: incremented by the wave attempt
+            pool_leases: _,       // dispatch: incremented by run_workers
+            pool_spawns: _,       // dispatch: incremented by run_workers
         } = other;
         self.claim_failures += claim_failures;
         self.dry_probes += dry_probes;
@@ -532,89 +553,179 @@ impl MatchSource for LockedShards<'_> {
     }
 }
 
-/// Persistent state of the probe-retry engine across a session's waves:
-/// the sharded bag, the key directory, and the heuristic dirty flags
-/// (injection re-arms exactly the dependents of injected labels — the
-/// delta discipline of the sequential worklist). Worker threads are
-/// scoped per wave; everything else survives.
-pub(crate) struct ProbeState {
+/// Persistent state of a parallel session across its waves, for both
+/// engines: the sharded bag, the key directory and the dependency index
+/// once, plus what the engine keeps on top of them ([`ParMatcher`]).
+/// Worker threads — and, for the sharded engine, the delta mailboxes and
+/// the steal worklist — are scoped per wave; everything here survives.
+pub(crate) struct ParState {
     deps: DependencyIndex,
-    dirty: DirtyFlags,
     bag: ShardedBag,
     directory: Directory,
-    nreactions: usize,
     workers: usize,
+    nreactions: usize,
     sample_cap: usize,
     seed: u64,
-    /// Startup occupancy-probe accounting, folded into the session's
-    /// cumulative [`ParStats`] at finish time.
-    rete_precleared: u64,
-    probe_stats: ReteStats,
+    matcher: ParMatcher,
 }
 
-impl ProbeState {
-    /// Build the engine state over `initial` (see the module docs for
-    /// the startup occupancy probe).
+/// What each parallel engine keeps beyond the shared multiset.
+enum ParMatcher {
+    /// The per-worker [`ReteNetwork`] slices of the static [`SlicePlan`].
+    /// Their alpha/beta memories and demoted levels carry over from wave
+    /// to wave: a wave ends with every mailbox provably drained, so the
+    /// surviving slices are exact and the next wave resumes from them.
+    Sharded {
+        plan: Arc<SlicePlan>,
+        slices: Vec<ReteNetwork>,
+        watermark: usize,
+    },
+    /// The heuristic dirty flags (injection re-arms exactly the
+    /// dependents of injected labels — the delta discipline of the
+    /// sequential worklist) and the startup occupancy probe's accounting,
+    /// folded into [`ParStats`] at finish time.
+    Probe {
+        dirty: DirtyFlags,
+        rete_precleared: u64,
+        probe_stats: ReteStats,
+    },
+}
+
+/// Worker `w`'s slice of the network over `bag`.
+fn build_slice(
+    compiled: &CompiledProgram,
+    bag: &ElementBag,
+    watermark: usize,
+    plan: &Arc<SlicePlan>,
+    w: usize,
+) -> ReteNetwork {
+    ReteNetwork::with_slice(
+        compiled,
+        bag,
+        watermark,
+        AlphaSlice {
+            plan: plan.clone(),
+            worker: w,
+        },
+    )
+}
+
+impl ParState {
+    /// Build `engine`'s state over `initial` (see the module docs).
     pub(crate) fn build(
         compiled: &CompiledProgram,
+        engine: ParEngine,
         initial: ElementBag,
         config: &EngineConfig,
-    ) -> ProbeState {
+    ) -> ParState {
         let nreactions = compiled.reactions.len();
-        let deps = DependencyIndex::new(compiled);
-        let dirty = DirtyFlags::new(nreactions);
-
-        // Startup pruning: a rete probe over the initial multiset answers
-        // exact per-reaction enabledness; at watermark 0 it demotes every
-        // level above the level-0 frontier on first use, so it keeps one
-        // token per element and answers deeper levels by on-demand search.
-        // Reactions with no enabled match start clean, and workers skip
-        // probing them until something they consume is produced. The
-        // locked-shard terminal check stays the exactness backstop either
-        // way.
-        let mut rete_precleared = 0u64;
-        let mut probe_stats = ReteStats::default();
-        if nreactions > 0 {
-            let mut probe = ReteNetwork::with_watermark(compiled, &initial, 0);
-            for r in 0..nreactions {
-                if !probe.has_match(compiled, &initial, r) {
-                    dirty.clear(r);
-                    rete_precleared += 1;
+        let workers = config.workers.max(1);
+        let bag = ShardedBag::new(config.shards);
+        let matcher = match engine {
+            ParEngine::ShardedRete => {
+                let plan = Arc::new(SlicePlan::build(compiled, workers, bag.num_shards()));
+                // Each slice is built over the plain initial bag (a
+                // coherent pre-sharding view); the live engine reads the
+                // sharded bag through the same MatchSource core.
+                let slices = (0..workers)
+                    .map(|w| build_slice(compiled, &initial, config.rete_watermark, &plan, w))
+                    .collect();
+                ParMatcher::Sharded {
+                    plan,
+                    slices,
+                    watermark: config.rete_watermark,
                 }
             }
-            // The probe's own spill activity is part of the run's
-            // accounting: aggregation used to drop these counters entirely.
-            probe_stats = probe.stats.clone();
-        }
-
+            ParEngine::ProbeRetry => {
+                // Startup pruning: a rete probe over the initial multiset
+                // answers exact per-reaction enabledness; at watermark 0 it
+                // demotes every level above the level-0 frontier on first
+                // use, so it keeps one token per element and answers deeper
+                // levels by on-demand search. Reactions with no enabled
+                // match start clean, and workers skip probing them until
+                // something they consume is produced. The locked-shard
+                // terminal check stays the exactness backstop either way.
+                let dirty = DirtyFlags::new(nreactions);
+                let mut rete_precleared = 0u64;
+                let mut probe_stats = ReteStats::default();
+                if nreactions > 0 {
+                    let mut probe = ReteNetwork::with_watermark(compiled, &initial, 0);
+                    for r in 0..nreactions {
+                        if !probe.has_match(compiled, &initial, r) {
+                            dirty.clear(r);
+                            rete_precleared += 1;
+                        }
+                    }
+                    probe_stats = probe.stats.clone();
+                }
+                ParMatcher::Probe {
+                    dirty,
+                    rete_precleared,
+                    probe_stats,
+                }
+            }
+        };
         let directory = Directory::new(&initial);
-        let bag = ShardedBag::new(config.shards);
         bag.insert_all(initial.iter());
-
-        ProbeState {
-            deps,
-            dirty,
+        ParState {
+            deps: DependencyIndex::new(compiled),
             bag,
             directory,
+            workers,
             nreactions,
-            workers: config.workers.max(1),
             sample_cap: config.sample_cap,
             seed: config.seed,
-            rete_precleared,
-            probe_stats,
+            matcher,
         }
     }
 
-    /// Inject new elements: insert into the sharded bag, note directory
-    /// keys, and re-arm exactly the dirty flags of reactions consuming
-    /// an injected label.
-    pub(crate) fn inject(&mut self, elements: &[Element]) {
+    /// Inject new elements between waves: insert into the sharded bag,
+    /// note directory keys, and hand the engine its insertion delta. The
+    /// probe-retry engine re-arms the dirty flags of reactions consuming
+    /// an injected label. The sharded engine feeds the slices by the
+    /// mailbox addressing rule ([`SharedRun::publish`]): every token
+    /// involving a label lives in its component owner's slice, so each
+    /// element routes to exactly `plan.owner_of(label)` — skipping labels
+    /// no reaction consumes — and only a wildcard consumer forces delivery
+    /// to every slice.
+    pub(crate) fn inject(&mut self, compiled: &CompiledProgram, elements: &[Element]) {
+        let ParState {
+            deps,
+            bag,
+            directory,
+            matcher,
+            ..
+        } = self;
         for e in elements {
-            self.directory.note(e.label, e.tag);
+            directory.note(e.label, e.tag);
         }
-        self.bag.insert_all(elements.iter().cloned());
-        for e in elements {
-            self.deps.for_each_dependent(e.label, |r| self.dirty.set(r));
+        bag.insert_all(elements.iter().cloned());
+        match matcher {
+            ParMatcher::Probe { dirty, .. } => {
+                for e in elements {
+                    deps.for_each_dependent(e.label, |r| dirty.set(r));
+                }
+            }
+            ParMatcher::Sharded { plan, slices, .. } => {
+                let src = ShardedSource { bag, directory };
+                if plan.wildcard_consumer() {
+                    for slice in slices.iter_mut() {
+                        slice.on_inserted(compiled, &src, elements);
+                    }
+                    return;
+                }
+                let mut per_worker: Vec<Vec<Element>> = vec![Vec::new(); slices.len()];
+                for e in elements {
+                    if deps.has_dependents(e.label) {
+                        per_worker[plan.owner_of(e.label)].push(e.clone());
+                    }
+                }
+                for (slice, batch) in slices.iter_mut().zip(&per_worker) {
+                    if !batch.is_empty() {
+                        slice.on_inserted(compiled, &src, batch);
+                    }
+                }
+            }
         }
     }
 
@@ -623,10 +734,13 @@ impl ProbeState {
         self.bag.snapshot()
     }
 
-    /// Drain the bag (the dirty flags stay heuristic; exactness lives in
-    /// the locked-shard checks).
-    pub(crate) fn drain(&mut self) -> ElementBag {
-        self.bag.drain()
+    /// Move the multiset out and [`reset`](Self::reset) the matcher state
+    /// over the empty bag — the pipeline chaining primitive.
+    pub(crate) fn drain(&mut self, compiled: &CompiledProgram) -> ElementBag {
+        let out = self.bag.drain();
+        let kept = self.slice_stats();
+        self.reset(compiled, &ElementBag::new(), &kept);
+        out
     }
 
     /// Consume the state, returning the final multiset.
@@ -634,11 +748,28 @@ impl ProbeState {
         self.bag.drain()
     }
 
-    /// Fold the build-time occupancy-probe accounting into `par`.
+    /// Fold the lifetime counters — the slices' spill/peak figures, or the
+    /// occupancy probe's accounting — into `par`. Wave-level counters are
+    /// aggregated per wave; these would double-count if folded then.
     pub(crate) fn fold_lifetime_stats(&self, par: &mut ParStats) {
-        par.rete_precleared += self.rete_precleared;
-        par.spill_demotions += self.probe_stats.spill_demotions;
-        par.spill_probes += self.probe_stats.spill_probes;
+        match &self.matcher {
+            ParMatcher::Sharded { slices, .. } => {
+                for slice in slices {
+                    par.spill_demotions += slice.stats.spill_demotions;
+                    par.spill_probes += slice.stats.spill_probes;
+                    par.shard_peak_tokens.push(slice.stats.peak_live_tokens);
+                }
+            }
+            ParMatcher::Probe {
+                rete_precleared,
+                probe_stats,
+                ..
+            } => {
+                par.rete_precleared += rete_precleared;
+                par.spill_demotions += probe_stats.spill_demotions;
+                par.spill_probes += probe_stats.spill_probes;
+            }
+        }
     }
 
     /// Export the key directory for a session snapshot.
@@ -656,10 +787,89 @@ impl ProbeState {
         self.bag.len()
     }
 
-    /// One wave of the sampled probe-and-retry worker loop (see the
-    /// module docs), replayed from its entry snapshot under
-    /// `ctl.recovery` if a worker is lost. Wave-level counters are added
-    /// to `par`; the wave's firing stats and status are returned.
+    /// Drain the per-reaction Rete counters of every slice, summed per
+    /// reaction (`None` for probe-retry, which keeps no network). Peaks
+    /// are summed too — across slices they measure the reaction's total
+    /// materialised capacity, matching the
+    /// [`ReactionProfile::peak_beta_tokens`](crate::telemetry::ReactionProfile)
+    /// doc.
+    pub(crate) fn take_reaction_counters(&mut self) -> Option<Vec<ReteReactionCounters>> {
+        let ParMatcher::Sharded { slices, .. } = &mut self.matcher else {
+            return None;
+        };
+        let mut out = vec![ReteReactionCounters::default(); self.nreactions];
+        for slice in slices {
+            for (r, c) in slice.take_reaction_counters().into_iter().enumerate() {
+                out[r].guard_evals += c.guard_evals;
+                out[r].guard_rejects += c.guard_rejects;
+                out[r].peak_tokens += c.peak_tokens;
+            }
+        }
+        Some(out)
+    }
+
+    /// `(slice count, beta tokens created across all slices)` — the
+    /// [`TraceEvent::ReteBuilt`] payload; `None` for probe-retry.
+    pub(crate) fn slices_info(&self) -> Option<(usize, u64)> {
+        let ParMatcher::Sharded { slices, .. } = &self.matcher else {
+            return None;
+        };
+        let tokens = slices.iter().map(|s| s.stats.tokens_created).sum();
+        Some((slices.len(), tokens))
+    }
+
+    /// Each slice's lifetime counters, in worker order (empty for
+    /// probe-retry).
+    fn slice_stats(&self) -> Vec<ReteStats> {
+        match &self.matcher {
+            ParMatcher::Sharded { slices, .. } => slices.iter().map(|s| s.stats.clone()).collect(),
+            ParMatcher::Probe { .. } => Vec::new(),
+        }
+    }
+
+    /// The one reset, shared by every recovery exit and by
+    /// [`ParState::drain`]: make `bag` the live multiset and re-derive the
+    /// matcher state over it. Probe-retry re-arms every dirty flag, since a
+    /// failed attempt may have cleared flags against a multiset that is
+    /// gone. The sharded engine rebuilds every slice, since a panicked
+    /// worker's slice unwound with its thread and the survivors describe a
+    /// multiset that is gone. One counter rule: slice `w` starts from
+    /// `kept[w]`, its predecessor's lifetime counters, with the
+    /// predecessor's live tokens counted as retired and the rebuild's own
+    /// work added.
+    fn reset(&mut self, compiled: &CompiledProgram, bag: &ElementBag, kept: &[ReteStats]) {
+        self.bag.drain();
+        self.bag.insert_all(bag.iter());
+        for (e, _) in bag.iter_counts() {
+            self.directory.note(e.label, e.tag);
+        }
+        match &mut self.matcher {
+            ParMatcher::Probe { dirty, .. } => *dirty = DirtyFlags::new(self.nreactions),
+            ParMatcher::Sharded {
+                plan,
+                slices,
+                watermark,
+            } => {
+                *slices = (0..self.workers)
+                    .map(|w| {
+                        let mut slice = build_slice(compiled, bag, *watermark, plan, w);
+                        let mut stats = kept[w].clone();
+                        stats.tokens_retired = stats.tokens_created;
+                        stats.absorb(&slice.stats);
+                        slice.stats = stats;
+                        slice
+                    })
+                    .collect();
+            }
+        }
+    }
+
+    /// One wave (see the module docs), replayed from its entry snapshot
+    /// under `ctl.recovery` if a worker is lost. This is the one place a
+    /// lost worker is handled: quarantine, replay, degrade to the
+    /// sequential fallback, or surface [`ParError::WorkerLost`] — each
+    /// exit through [`ParState::reset`]. Wave-level counters are added to
+    /// `par`; the wave's firing stats and status are returned.
     pub(crate) fn wave(
         &mut self,
         compiled: &CompiledProgram,
@@ -668,197 +878,293 @@ impl ProbeState {
         par: &mut ParStats,
         ctl: &WaveCtl<'_>,
     ) -> Result<(ExecStats, Status), ExecError> {
-        let nreactions = self.nreactions;
-        if nreactions == 0 {
+        if self.nreactions == 0 {
             return Ok((ExecStats::new(0), Status::Stable));
         }
         if budget == 0 {
-            return Ok((ExecStats::new(nreactions), Status::BudgetExhausted));
+            return Ok((ExecStats::new(self.nreactions), Status::BudgetExhausted));
         }
 
-        // Wave-entry snapshot: the valid replay point (the bag between
-        // waves is quiescent). Skipped — with its clone cost — when
-        // replay is disabled.
+        // Wave-entry snapshot: the bag between waves is quiescent (either
+        // engine's termination check certified it), so it is the valid
+        // replay point. Skipped — with its clone cost — when replay is
+        // disabled. `kept` holds the slices' counters at the same point.
         let entry = (ctl.recovery.max_replays > 0).then(|| self.bag.snapshot());
+        let kept = self.slice_stats();
         let mut attempt: u32 = 0;
         loop {
             let wf = WaveFaults::new(ctl.faults, wave_index, attempt, ctl.tel);
-            match self.wave_attempt(compiled, budget, wave_index, par, wf, ctl) {
+            let workers = match self.attempt(compiled, budget, wave_index, par, wf, ctl) {
                 Ok(out) => {
                     par.waves_replayed += u64::from(attempt);
                     return Ok(out);
                 }
                 Err(WaveFailure::Exec(e)) => return Err(e),
-                Err(WaveFailure::Lost(workers)) => {
-                    par.workers_lost += workers.len() as u64;
-                    if ctl.tel.enabled() {
-                        ctl.emit(
-                            wave_index,
-                            TraceEvent::WaveQuarantined {
-                                wave: wave_index,
-                                attempt,
-                                workers_lost: workers.len() as u64,
-                            },
-                        );
-                    }
-                    let Some(entry) = entry.as_ref() else {
-                        // No replay point: surface the loss. The bag keeps
-                        // the partial wave's atomically committed claims —
-                        // a legal reachable multiset, so the session stays
-                        // structurally usable.
-                        return Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into());
-                    };
-                    // Quarantine the poisoned wave: restore the entry
-                    // multiset and re-arm every dirty flag (the failed
-                    // attempt may have cleared flags against state that
-                    // no longer exists).
-                    self.bag.drain();
-                    self.bag.insert_all(entry.iter());
-                    self.dirty = DirtyFlags::new(nreactions);
-                    if attempt < ctl.recovery.max_replays {
-                        attempt += 1;
-                        if ctl.tel.enabled() {
-                            ctl.emit(
-                                wave_index,
-                                TraceEvent::WaveReplayed {
-                                    wave: wave_index,
-                                    attempt,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    return match ctl.recovery.on_exhausted {
-                        OnExhausted::Error => Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into()),
-                        OnExhausted::DegradeToSeq => {
-                            par.waves_replayed += u64::from(attempt);
-                            par.degraded_waves += 1;
-                            if ctl.tel.enabled() {
-                                ctl.emit(
-                                    wave_index,
-                                    TraceEvent::DegradedToSeq { wave: wave_index },
-                                );
-                            }
-                            let mut bag = entry.clone();
-                            let out =
-                                seq_fallback_wave(compiled, &mut bag, budget, wave_index, ctl)?;
-                            for (e, _) in bag.iter_counts() {
-                                self.directory.note(e.label, e.tag);
-                            }
-                            self.bag.drain();
-                            self.bag.insert_all(bag.iter());
-                            Ok(out)
-                        }
-                    };
-                }
+                Err(WaveFailure::Lost(workers)) => workers,
+            };
+            par.workers_lost += workers.len() as u64;
+            if ctl.tel.enabled() {
+                ctl.emit(
+                    wave_index,
+                    TraceEvent::WaveQuarantined {
+                        wave: wave_index,
+                        attempt,
+                        workers_lost: workers.len() as u64,
+                    },
+                );
             }
+            let Some(entry) = entry.as_ref() else {
+                // No replay point: surface the loss. The bag keeps the
+                // partial wave's atomically committed claims — a legal
+                // reachable multiset — and the matcher state is reset over
+                // it, so the session stays structurally usable.
+                let current = self.bag.snapshot();
+                self.reset(compiled, &current, &kept);
+                return Err(ParError::WorkerLost {
+                    workers,
+                    replays: attempt,
+                }
+                .into());
+            };
+            // Quarantine the poisoned attempt: back to the entry multiset.
+            self.reset(compiled, entry, &kept);
+            if attempt < ctl.recovery.max_replays {
+                attempt += 1;
+                if ctl.tel.enabled() {
+                    ctl.emit(
+                        wave_index,
+                        TraceEvent::WaveReplayed {
+                            wave: wave_index,
+                            attempt,
+                        },
+                    );
+                }
+                continue;
+            }
+            if ctl.recovery.on_exhausted == OnExhausted::Error {
+                return Err(ParError::WorkerLost {
+                    workers,
+                    replays: attempt,
+                }
+                .into());
+            }
+            par.waves_replayed += u64::from(attempt);
+            par.degraded_waves += 1;
+            if ctl.tel.enabled() {
+                ctl.emit(wave_index, TraceEvent::DegradedToSeq { wave: wave_index });
+            }
+            let mut bag = entry.clone();
+            let out = seq_fallback_wave(compiled, &mut bag, budget, wave_index, ctl)?;
+            let kept = self.slice_stats();
+            self.reset(compiled, &bag, &kept);
+            return Ok(out);
         }
     }
 
-    /// A single attempt at a wave: the worker bodies run on leased pool
-    /// workers (or fallback scoped spawns) under `catch_unwind`, writing
-    /// their results into per-worker slots — an empty slot after the
-    /// wave is a lost worker.
-    fn wave_attempt(
+    /// A single attempt at a wave: the engine's worker bodies run under
+    /// [`run_workers`]. The sharded workers take their persistent slices
+    /// from per-worker slots and hand them back with their results. Only
+    /// a successful attempt adds its wave counters to `par`; the dispatch
+    /// counters are added either way.
+    fn attempt(
         &mut self,
         compiled: &CompiledProgram,
         budget: u64,
-        wave_index: u64,
+        wave: u64,
         par: &mut ParStats,
         wf: WaveFaults<'_>,
         ctl: &WaveCtl<'_>,
     ) -> Result<(ExecStats, Status), WaveFailure> {
-        let nreactions = self.nreactions;
-        let workers = self.workers;
+        let ParState {
+            ref deps,
+            ref bag,
+            ref directory,
+            workers,
+            nreactions,
+            sample_cap,
+            seed,
+            ref mut matcher,
+        } = *self;
         let tel = ctl.tel;
-        let bag = &self.bag;
-        let directory = &self.directory;
-        let deps = &self.deps;
-        let dirty = &self.dirty;
-        let sample_cap = self.sample_cap;
-        let wave_seed = wave_seed(self.seed, wave_index);
-
+        let wave_seed = wave_seed(seed, wave);
         let done = AtomicBool::new(false);
         let budget_exhausted = AtomicBool::new(false);
-        let firings_global = AtomicU64::new(0);
-        let checker = Mutex::new(());
         let error: Mutex<Option<MatchError>> = Mutex::new(None);
+        let mut stats = ExecStats::new(nreactions);
+        let mut wave_par = ParStats::default();
 
-        // `catch_unwind` turns a worker panic into a lost-worker report
-        // instead of a process abort; `done` wakes the peers so the
-        // failed attempt winds down promptly.
-        let outs: Vec<Mutex<Option<(ExecStats, ParStats)>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let body = |w: usize| {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                probe_worker_loop(ProbeWorkerCtx {
+        match matcher {
+            ParMatcher::Probe { dirty, .. } => {
+                let firings_global = AtomicU64::new(0);
+                let checker = Mutex::new(());
+                let outs = run_workers(workers, &done, par, ctl, |w| {
+                    probe_worker_loop(ProbeWorkerCtx {
+                        compiled,
+                        bag,
+                        directory,
+                        deps,
+                        dirty,
+                        done: &done,
+                        budget_exhausted: &budget_exhausted,
+                        firings_global: &firings_global,
+                        checker: &checker,
+                        error: &error,
+                        budget,
+                        sample_cap,
+                        wave_seed,
+                        nreactions,
+                        w,
+                        wf,
+                        tel,
+                        wave,
+                    })
+                })?;
+                for (s, p) in &outs {
+                    stats.absorb(s);
+                    wave_par.absorb_wave_counters(p);
+                }
+            }
+            ParMatcher::Sharded { plan, slices, .. } => {
+                // The receivers stay owned out here so leftover deltas can
+                // be drained into the slices after the wave.
+                let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers)
+                    .map(|_| -> DeltaChannel { crossbeam_channel::unbounded() })
+                    .unzip();
+                let worklist = ShardedWorklist::new(workers, nreactions);
+                for r in 0..nreactions {
+                    worklist.push(r % workers, r);
+                }
+                let published = AtomicU64::new(0);
+                let sent: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+                let processed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+                let active: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(true)).collect();
+                let shared = SharedRun {
                     compiled,
+                    deps,
+                    plan,
                     bag,
                     directory,
-                    deps,
-                    dirty,
+                    worklist: &worklist,
+                    senders: &senders,
+                    published: &published,
+                    sent: &sent,
+                    processed: &processed,
+                    active: &active,
                     done: &done,
                     budget_exhausted: &budget_exhausted,
-                    firings_global: &firings_global,
-                    checker: &checker,
                     error: &error,
-                    budget,
+                    max_firings: budget,
                     sample_cap,
-                    wave_seed,
-                    nreactions,
-                    w,
-                    wf,
                     tel,
-                    wave: wave_index,
-                })
-            }));
-            match out {
-                Ok(r) => *outs[w].lock() = Some(r),
-                Err(_) => done.store(true, Ordering::Release),
+                    wave,
+                };
+                let slots: Vec<Mutex<Option<ReteNetwork>>> = std::mem::take(slices)
+                    .into_iter()
+                    .map(|s| Mutex::new(Some(s)))
+                    .collect();
+                let outs = run_workers(workers, &done, par, ctl, |w| {
+                    let slice = slots[w]
+                        .lock()
+                        .take()
+                        .expect("each worker index runs once per wave");
+                    sharded_worker(&shared, w, slice, &receivers[w], wave_seed, nreactions, wf)
+                })?;
+                // Hand the slices back for the next wave. A wave that
+                // stopped on budget exits workers the moment `done` flips,
+                // which can strand published deltas in their mailboxes —
+                // drain them into the slices now, or a resumed wave would
+                // fire from memories that disagree with the bag. (Sound: a
+                // claim's publish completes before the claimant re-checks
+                // `stopped`, so every message is already in its mailbox by
+                // the time the workers are joined.)
+                let src = ShardedSource { bag, directory };
+                // Exactly one slot per worker: a session keeps this Vec
+                // between waves, so spare capacity would stay resident.
+                slices.reserve_exact(workers);
+                for ((s, p, mut slice), rx) in outs.into_iter().zip(&receivers) {
+                    while let Ok(msg) = rx.try_recv() {
+                        slice.on_removed_ids(compiled, &src, &msg.removed);
+                        slice.on_inserted_ids(compiled, &src, &msg.inserted);
+                    }
+                    stats.absorb(&s);
+                    wave_par.absorb_wave_counters(&p);
+                    slices.push(slice);
+                }
+                wave_par.deltas_published = published.load(Ordering::Acquire);
             }
-        };
-        if ctl.dispatch.run(workers, &body) {
-            par.pool_leases += 1;
-        } else {
-            par.pool_spawns += 1;
         }
 
-        let mut worker_stats: Vec<(ExecStats, ParStats)> = Vec::new();
-        let mut lost: Vec<usize> = Vec::new();
-        for (w, slot) in outs.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(r) => worker_stats.push(r),
-                None => lost.push(w),
-            }
-        }
-
-        if !lost.is_empty() {
-            return Err(WaveFailure::Lost(lost));
-        }
+        // Error before aggregation: a failed wave contributes nothing to
+        // the session's cumulative counters, and the error propagating out
+        // of `run_to_stable` marks the session unusable either way.
         if let Some(e) = error.lock().take() {
             return Err(WaveFailure::Exec(ExecError::Match(e)));
         }
-
-        let mut stats = ExecStats::new(nreactions);
-        for (s, p) in &worker_stats {
-            stats.absorb(s);
-            par.absorb_wave_counters(p);
-        }
-
+        par.absorb_wave_counters(&wave_par);
         let status = if budget_exhausted.load(Ordering::Acquire) {
             Status::BudgetExhausted
         } else {
             Status::Stable
         };
+
+        // Debug cross-check of the sharded engine's memory-emptiness
+        // termination proof: the locked-shard exact matcher must agree
+        // that nothing is enabled.
+        #[cfg(debug_assertions)]
+        if status == Status::Stable && matches!(matcher, ParMatcher::Sharded { .. }) {
+            let locked = LockedShards::lock(bag);
+            let order: Vec<usize> = (0..nreactions).collect();
+            let mut scratch = SearchScratch::new();
+            let confirm = compiled
+                .find_any_fast(&order, &locked, None, &mut scratch)
+                .map_err(|e| WaveFailure::Exec(ExecError::Match(e)))?;
+            debug_assert!(
+                confirm.is_none(),
+                "sharded slices drained while reaction {:?} was enabled",
+                confirm.map(|f| f.reaction)
+            );
+            par.snapshot_checks += 1;
+        }
+
         Ok((stats, status))
+    }
+}
+
+/// Lease `workers` threads through `ctl.dispatch` and run `body(w)` on
+/// each under `catch_unwind`, so a worker panic becomes a lost-worker
+/// report instead of a process abort; `done` wakes the peers so the
+/// failed attempt winds down promptly. Returns the bodies' results in
+/// worker order, or [`WaveFailure::Lost`] naming every worker whose body
+/// did not return.
+fn run_workers<T: Send>(
+    workers: usize,
+    done: &AtomicBool,
+    par: &mut ParStats,
+    ctl: &WaveCtl<'_>,
+    body: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, WaveFailure> {
+    let outs: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    let run = |w: usize| match catch_unwind(AssertUnwindSafe(|| body(w))) {
+        Ok(out) => *outs[w].lock() = Some(out),
+        Err(_) => done.store(true, Ordering::Release),
+    };
+    if ctl.dispatch.run(workers, &run) {
+        par.pool_leases += 1;
+    } else {
+        par.pool_spawns += 1;
+    }
+    let mut got = Vec::with_capacity(workers);
+    let mut lost = Vec::new();
+    for (w, slot) in outs.into_iter().enumerate() {
+        match slot.into_inner() {
+            Some(out) => got.push(out),
+            None => lost.push(w),
+        }
+    }
+    if lost.is_empty() {
+        Ok(got)
+    } else {
+        Err(WaveFailure::Lost(lost))
     }
 }
 
@@ -956,7 +1262,6 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
                     budget_exhausted,
                     &firing,
                     &mut stats,
-                    &mut par,
                 ) {
                     if tel.enabled() {
                         let name = &compiled.reactions[firing.reaction].name;
@@ -1024,7 +1329,6 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
                             budget_exhausted,
                             &firing,
                             &mut stats,
-                            &mut par,
                         ) {
                             if tel.enabled() {
                                 let name = &compiled.reactions[firing.reaction].name;
@@ -1052,7 +1356,7 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
 /// Per-wave control handles threaded from the session into the parallel
 /// engines: the recovery policy, the fault plan, and the telemetry
 /// handle paired with the session's main-thread event counter. The
-/// parallel *wave loops* (recovery, replay, degraded fallback) run on
+/// parallel wave loop (recovery, replay, degraded fallback) runs on
 /// the session thread — only the worker bodies run elsewhere, with
 /// their own worker-local counters — so main-thread events keep one
 /// monotonic `wseq` stream across engines.
@@ -1103,7 +1407,6 @@ fn try_fire(
     budget_exhausted: &AtomicBool,
     firing: &Firing,
     stats: &mut ExecStats,
-    _par: &mut ParStats,
 ) -> bool {
     if !bag.claim_and_replace(&firing.consumed, &firing.produced) {
         return false;
@@ -1281,495 +1584,6 @@ impl SharedRun<'_> {
     /// True when the run has globally stopped (stable, budget, or error).
     fn stopped(&self) -> bool {
         self.done.load(Ordering::Acquire)
-    }
-}
-
-/// Persistent state of the delta-driven sharded-rete engine across a
-/// session's waves: the sharded bag, the key directory, the static
-/// [`SlicePlan`], and — crucially — the per-worker [`ReteNetwork`]
-/// slices, whose alpha/beta memories and demoted levels carry over from
-/// wave to wave. Worker threads, delta mailboxes, and the steal worklist
-/// are scoped per wave; at a wave's end every mailbox is provably
-/// drained, so the surviving slices are exact and the next wave resumes
-/// from them without a rebuild.
-pub(crate) struct ShardedState {
-    deps: DependencyIndex,
-    plan: Arc<SlicePlan>,
-    bag: ShardedBag,
-    directory: Directory,
-    slices: Vec<ReteNetwork>,
-    workers: usize,
-    nreactions: usize,
-    watermark: usize,
-    sample_cap: usize,
-    seed: u64,
-}
-
-impl ShardedState {
-    /// Build the slices and the sharded bag over `initial` (see the
-    /// module docs).
-    pub(crate) fn build(
-        compiled: &CompiledProgram,
-        initial: ElementBag,
-        config: &EngineConfig,
-    ) -> ShardedState {
-        let workers = config.workers.max(1);
-        let deps = DependencyIndex::new(compiled);
-        let directory = Directory::new(&initial);
-        let bag = ShardedBag::new(config.shards);
-        let nshards = bag.num_shards();
-        let plan = Arc::new(SlicePlan::build(compiled, workers, nshards));
-
-        // Build each worker's slice over the plain initial bag (a coherent
-        // pre-sharding view); the live engine reads the sharded bag through
-        // the same MatchSource core.
-        let slices: Vec<ReteNetwork> = (0..workers)
-            .map(|w| {
-                ReteNetwork::with_slice(
-                    compiled,
-                    &initial,
-                    config.rete_watermark,
-                    AlphaSlice {
-                        plan: plan.clone(),
-                        worker: w,
-                    },
-                )
-            })
-            .collect();
-
-        bag.insert_all(initial.iter());
-
-        ShardedState {
-            deps,
-            plan,
-            bag,
-            directory,
-            slices,
-            workers,
-            nreactions: compiled.reactions.len(),
-            watermark: config.rete_watermark,
-            sample_cap: config.sample_cap,
-            seed: config.seed,
-        }
-    }
-
-    /// Inject new elements between waves: insert into the sharded bag,
-    /// note directory keys, and feed the insertion delta to the slices
-    /// using the mailbox addressing rule ([`SharedRun::publish`]): every
-    /// token involving a label lives in its component owner's slice, so
-    /// each element routes to exactly `plan.owner_of(label)` — skipping
-    /// labels no reaction consumes — and only a wildcard consumer forces
-    /// delivery to every slice.
-    pub(crate) fn inject(&mut self, compiled: &CompiledProgram, elements: &[Element]) {
-        let ShardedState {
-            deps,
-            plan,
-            bag,
-            directory,
-            slices,
-            ..
-        } = self;
-        for e in elements {
-            directory.note(e.label, e.tag);
-        }
-        bag.insert_all(elements.iter().cloned());
-        let src = ShardedSource { bag, directory };
-        if plan.wildcard_consumer() {
-            for slice in slices.iter_mut() {
-                slice.on_inserted(compiled, &src, elements);
-            }
-            return;
-        }
-        let mut per_worker: Vec<Vec<Element>> = vec![Vec::new(); slices.len()];
-        for e in elements {
-            if deps.has_dependents(e.label) {
-                per_worker[plan.owner_of(e.label)].push(e.clone());
-            }
-        }
-        for (slice, batch) in slices.iter_mut().zip(&per_worker) {
-            if !batch.is_empty() {
-                slice.on_inserted(compiled, &src, batch);
-            }
-        }
-    }
-
-    /// A consistent copy of the live multiset.
-    pub(crate) fn snapshot(&self) -> ElementBag {
-        self.bag.snapshot()
-    }
-
-    /// Drain the bag and reset each slice to memories over the (now
-    /// empty) bag, preserving its lifetime counters — the pipeline
-    /// chaining primitive.
-    pub(crate) fn drain_reset(&mut self, compiled: &CompiledProgram) -> ElementBag {
-        let out = self.bag.drain();
-        let empty = ElementBag::new();
-        for (w, slice) in self.slices.iter_mut().enumerate() {
-            let stats = slice.stats.clone();
-            *slice = ReteNetwork::with_slice(
-                compiled,
-                &empty,
-                self.watermark,
-                AlphaSlice {
-                    plan: self.plan.clone(),
-                    worker: w,
-                },
-            );
-            slice.stats = stats;
-        }
-        out
-    }
-
-    /// Consume the state, returning the final multiset.
-    pub(crate) fn into_bag(self) -> ElementBag {
-        self.bag.drain()
-    }
-
-    /// Fold the persistent slices' lifetime spill/peak counters into
-    /// `par` (wave-level counters are aggregated per wave; these would
-    /// double-count if folded then).
-    pub(crate) fn fold_lifetime_stats(&self, par: &mut ParStats) {
-        for slice in &self.slices {
-            par.spill_demotions += slice.stats.spill_demotions;
-            par.spill_probes += slice.stats.spill_probes;
-            par.shard_peak_tokens.push(slice.stats.peak_live_tokens);
-        }
-    }
-
-    /// Export the key directory for a session snapshot.
-    pub(crate) fn directory_export(&self) -> Vec<(Symbol, Vec<Tag>)> {
-        self.directory.export()
-    }
-
-    /// Re-note exported directory entries (session restore).
-    pub(crate) fn directory_preload(&self, entries: &[(Symbol, Vec<Tag>)]) {
-        self.directory.preload(entries);
-    }
-
-    /// Elements currently in the live multiset.
-    pub(crate) fn len(&self) -> usize {
-        self.bag.len()
-    }
-
-    /// Drain the per-reaction Rete counters of every slice, summed per
-    /// reaction. Peaks are summed too — across slices they measure the
-    /// reaction's total materialised capacity, matching the
-    /// [`ReactionProfile::peak_beta_tokens`](crate::telemetry::ReactionProfile)
-    /// doc.
-    pub(crate) fn take_reaction_counters(&mut self) -> Vec<ReteReactionCounters> {
-        let mut out = vec![ReteReactionCounters::default(); self.nreactions];
-        for slice in &mut self.slices {
-            for (r, c) in slice.take_reaction_counters().into_iter().enumerate() {
-                out[r].guard_evals += c.guard_evals;
-                out[r].guard_rejects += c.guard_rejects;
-                out[r].peak_tokens += c.peak_tokens;
-            }
-        }
-        out
-    }
-
-    /// `(slice count, beta tokens created across all slices)` — the
-    /// [`TraceEvent::ReteBuilt`] payload for the sharded engine.
-    pub(crate) fn slices_info(&self) -> (usize, u64) {
-        let tokens = self.slices.iter().map(|s| s.stats.tokens_created).sum();
-        (self.slices.len(), tokens)
-    }
-
-    /// Rebuild every worker slice from `bag` (crash recovery: a panicked
-    /// worker's slice unwound with its thread, and the survivors'
-    /// memories describe a multiset that no longer exists).
-    fn rebuild_slices(&mut self, compiled: &CompiledProgram, bag: &ElementBag) {
-        self.slices.clear();
-        for w in 0..self.workers {
-            self.slices.push(ReteNetwork::with_slice(
-                compiled,
-                bag,
-                self.watermark,
-                AlphaSlice {
-                    plan: self.plan.clone(),
-                    worker: w,
-                },
-            ));
-        }
-    }
-
-    /// One wave of the delta-driven sharded-rete engine (see the module
-    /// docs): scoped worker threads take the persistent slices, run to
-    /// the drained-memories termination consensus, and hand the slices
-    /// back for the next wave — replayed from the wave-entry snapshot
-    /// under `ctl.recovery` if a worker is lost. Wave-level counters are
-    /// added to `par`.
-    pub(crate) fn wave(
-        &mut self,
-        compiled: &CompiledProgram,
-        budget: u64,
-        wave_index: u64,
-        par: &mut ParStats,
-        ctl: &WaveCtl<'_>,
-    ) -> Result<(ExecStats, Status), ExecError> {
-        let nreactions = self.nreactions;
-        if nreactions == 0 {
-            return Ok((ExecStats::new(0), Status::Stable));
-        }
-        if budget == 0 {
-            return Ok((ExecStats::new(nreactions), Status::BudgetExhausted));
-        }
-
-        // Wave-entry snapshot: the bag between waves is quiescent (the
-        // drained-memories consensus certified it), so it is the valid
-        // replay point. Skipped — with its clone cost — when replay is
-        // disabled.
-        let entry = (ctl.recovery.max_replays > 0).then(|| self.bag.snapshot());
-        let mut attempt: u32 = 0;
-        loop {
-            let wf = WaveFaults::new(ctl.faults, wave_index, attempt, ctl.tel);
-            match self.wave_attempt(compiled, budget, wave_index, par, wf, ctl) {
-                Ok(out) => {
-                    par.waves_replayed += u64::from(attempt);
-                    return Ok(out);
-                }
-                Err(WaveFailure::Exec(e)) => return Err(e),
-                Err(WaveFailure::Lost(workers)) => {
-                    par.workers_lost += workers.len() as u64;
-                    if ctl.tel.enabled() {
-                        ctl.emit(
-                            wave_index,
-                            TraceEvent::WaveQuarantined {
-                                wave: wave_index,
-                                attempt,
-                                workers_lost: workers.len() as u64,
-                            },
-                        );
-                    }
-                    let Some(entry) = entry.as_ref() else {
-                        // No replay point. The bag keeps the partial
-                        // wave's atomically committed claims — a legal
-                        // reachable multiset — and the slices are rebuilt
-                        // over it so the session stays structurally
-                        // usable even though the error marks it spent.
-                        let current = self.bag.snapshot();
-                        self.rebuild_slices(compiled, &current);
-                        return Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into());
-                    };
-                    // Quarantine the poisoned wave: restore the entry
-                    // multiset and rebuild the slices over it.
-                    self.bag.drain();
-                    self.bag.insert_all(entry.iter());
-                    self.rebuild_slices(compiled, entry);
-                    if attempt < ctl.recovery.max_replays {
-                        attempt += 1;
-                        if ctl.tel.enabled() {
-                            ctl.emit(
-                                wave_index,
-                                TraceEvent::WaveReplayed {
-                                    wave: wave_index,
-                                    attempt,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    return match ctl.recovery.on_exhausted {
-                        OnExhausted::Error => Err(ParError::WorkerLost {
-                            workers,
-                            replays: attempt,
-                        }
-                        .into()),
-                        OnExhausted::DegradeToSeq => {
-                            par.waves_replayed += u64::from(attempt);
-                            par.degraded_waves += 1;
-                            if ctl.tel.enabled() {
-                                ctl.emit(
-                                    wave_index,
-                                    TraceEvent::DegradedToSeq { wave: wave_index },
-                                );
-                            }
-                            let mut bag = entry.clone();
-                            let out =
-                                seq_fallback_wave(compiled, &mut bag, budget, wave_index, ctl)?;
-                            for (e, _) in bag.iter_counts() {
-                                self.directory.note(e.label, e.tag);
-                            }
-                            self.bag.drain();
-                            self.bag.insert_all(bag.iter());
-                            self.rebuild_slices(compiled, &bag);
-                            Ok(out)
-                        }
-                    };
-                }
-            }
-        }
-    }
-
-    /// A single attempt at a wave: the worker bodies run on leased pool
-    /// workers (or fallback scoped spawns) under `catch_unwind`, each
-    /// taking its persistent slice from a per-worker slot and returning
-    /// it through another — an empty result slot after the wave is a
-    /// lost worker whose slice unwound with it.
-    fn wave_attempt(
-        &mut self,
-        compiled: &CompiledProgram,
-        budget: u64,
-        wave_index: u64,
-        par: &mut ParStats,
-        wf: WaveFaults<'_>,
-        ctl: &WaveCtl<'_>,
-    ) -> Result<(ExecStats, Status), WaveFailure> {
-        let nreactions = self.nreactions;
-        let workers = self.workers;
-        let tel = ctl.tel;
-        let wave_seed = wave_seed(self.seed, wave_index);
-
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| -> DeltaChannel { crossbeam_channel::unbounded() })
-            .unzip();
-        let worklist = ShardedWorklist::new(workers, nreactions);
-        for r in 0..nreactions {
-            worklist.push(r % workers, r);
-        }
-
-        let published = AtomicU64::new(0);
-        let sent: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let processed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let active: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(true)).collect();
-        let done = AtomicBool::new(false);
-        let budget_exhausted = AtomicBool::new(false);
-        let error: Mutex<Option<MatchError>> = Mutex::new(None);
-
-        let shared = SharedRun {
-            compiled,
-            deps: &self.deps,
-            plan: &self.plan,
-            bag: &self.bag,
-            directory: &self.directory,
-            worklist: &worklist,
-            senders: &senders,
-            published: &published,
-            sent: &sent,
-            processed: &processed,
-            active: &active,
-            done: &done,
-            budget_exhausted: &budget_exhausted,
-            error: &error,
-            max_firings: budget,
-            sample_cap: self.sample_cap,
-            tel,
-            wave: wave_index,
-        };
-
-        // `catch_unwind` turns a worker panic into a lost-worker report
-        // instead of a process abort; `done` wakes the peers so the
-        // failed attempt winds down promptly. The receivers stay owned
-        // out here so leftover deltas can be drained into the slices
-        // after the wave.
-        let slice_slots: Vec<Mutex<Option<ReteNetwork>>> = std::mem::take(&mut self.slices)
-            .into_iter()
-            .map(|s| Mutex::new(Some(s)))
-            .collect();
-        let outs: Vec<Mutex<Option<(ExecStats, ParStats, ReteNetwork)>>> =
-            (0..workers).map(|_| Mutex::new(None)).collect();
-        let body = |w: usize| {
-            let slice = slice_slots[w]
-                .lock()
-                .take()
-                .expect("each worker index runs once per wave");
-            let rx = &receivers[w];
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                sharded_worker(&shared, w, slice, rx, wave_seed, nreactions, wf)
-            }));
-            match out {
-                Ok(r) => *outs[w].lock() = Some(r),
-                Err(_) => shared.done.store(true, Ordering::Release),
-            }
-        };
-        if ctl.dispatch.run(workers, &body) {
-            par.pool_leases += 1;
-        } else {
-            par.pool_spawns += 1;
-        }
-        let returned: Vec<Option<(ExecStats, ParStats, ReteNetwork)>> =
-            outs.into_iter().map(|slot| slot.into_inner()).collect();
-
-        let mut lost: Vec<usize> = Vec::new();
-        let mut outs: Vec<(ExecStats, ParStats, ReteNetwork)> = Vec::with_capacity(workers);
-        for (w, out) in returned.into_iter().enumerate() {
-            match out {
-                Some(o) => outs.push(o),
-                None => lost.push(w),
-            }
-        }
-        if !lost.is_empty() {
-            // A panicked worker's slice unwound with its thread, and the
-            // survivors' memories are poisoned by the partial wave; the
-            // caller restores the bag and rebuilds every slice.
-            return Err(WaveFailure::Lost(lost));
-        }
-
-        // Hand the slices back for the next wave (join order == spawn
-        // order, so slice w returns to position w). A wave that stopped
-        // on budget exits workers the moment `done` flips, which can
-        // strand published deltas in their mailboxes — drain them into
-        // the slices now, or a resumed wave would fire from memories
-        // that disagree with the bag. (Sound: a claim's publish completes
-        // before the claimant re-checks `stopped`, so every message is
-        // already in its mailbox by the time the workers are joined.)
-        let mut stats = ExecStats::new(nreactions);
-        let mut wave_par = ParStats::default();
-        let src = ShardedSource {
-            bag: &self.bag,
-            directory: &self.directory,
-        };
-        let mut back: Vec<ReteNetwork> = Vec::with_capacity(workers);
-        for ((s, p, mut slice), rx) in outs.into_iter().zip(&receivers) {
-            while let Ok(msg) = rx.try_recv() {
-                slice.on_removed_ids(compiled, &src, &msg.removed);
-                slice.on_inserted_ids(compiled, &src, &msg.inserted);
-            }
-            stats.absorb(&s);
-            wave_par.absorb_wave_counters(&p);
-            back.push(slice);
-        }
-        self.slices = back;
-
-        // Error before aggregation (matching `ProbeState::wave`): a
-        // failed wave contributes nothing to the session's cumulative
-        // counters, and the error propagating out of `run_to_stable`
-        // marks the session unusable either way.
-        if let Some(e) = error.lock().take() {
-            return Err(WaveFailure::Exec(ExecError::Match(e)));
-        }
-        wave_par.deltas_published = published.load(Ordering::Acquire);
-        par.absorb_wave_counters(&wave_par);
-
-        let status = if budget_exhausted.load(Ordering::Acquire) {
-            Status::BudgetExhausted
-        } else {
-            Status::Stable
-        };
-
-        // Debug cross-check of the memory-emptiness termination proof: the
-        // locked-shard exact matcher must agree that nothing is enabled.
-        #[cfg(debug_assertions)]
-        if status == Status::Stable {
-            let locked = LockedShards::lock(&self.bag);
-            let order: Vec<usize> = (0..nreactions).collect();
-            let mut scratch = SearchScratch::new();
-            let confirm = compiled
-                .find_any_fast(&order, &locked, None, &mut scratch)
-                .map_err(|e| WaveFailure::Exec(ExecError::Match(e)))?;
-            debug_assert!(
-                confirm.is_none(),
-                "sharded slices drained while reaction {:?} was enabled",
-                confirm.map(|f| f.reaction)
-            );
-            par.snapshot_checks += 1;
-        }
-
-        Ok((stats, status))
     }
 }
 
@@ -2388,6 +2202,59 @@ mod tests {
         }
     }
 
+    /// The one counter rule: a replayed wave rebuilds every slice, and
+    /// the slices' lifetime counters survive the rebuild. Wave 0 demotes
+    /// the guarded fold's pair level; wave 1 loses a worker and replays.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn replayed_wave_keeps_slice_lifetime_counters() {
+        use crate::fault::{Fault, FaultPlan};
+        let n = 120i64;
+        let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
+        let config = EngineConfig {
+            rete_watermark: 500,
+            ..sharded(2)
+        };
+        let mut twin = Session::build(&guarded_sum_program())
+            .config(config.clone())
+            .start(initial.clone())
+            .unwrap();
+        twin.run_to_stable().unwrap();
+        let wave0 = twin.par_stats().spill_demotions;
+        assert!(wave0 > 0, "wave 0 must demote: {:?}", twin.par_stats());
+
+        // Whichever worker fires first in wave 1 panics.
+        let faults = FaultPlan {
+            wave: 1,
+            persistent: false,
+            faults: (0..2)
+                .map(|worker| Fault::WorkerPanic {
+                    worker,
+                    at_firing: 1,
+                })
+                .collect(),
+        };
+        let mut session = Session::build(&guarded_sum_program())
+            .config(EngineConfig { faults, ..config })
+            .start(initial)
+            .unwrap();
+        session.run_to_stable().unwrap();
+        assert!(session.inject([e(1, "n", 0), e(2, "n", 0)]).is_accepted());
+        assert_eq!(session.run_to_stable().unwrap().status, Status::Stable);
+        let result = session.finish_parallel();
+        let expected = (1..=n).sum::<i64>() + 3;
+        assert_eq!(
+            result.exec.multiset.sorted_elements(),
+            vec![e(expected, "n", 0)]
+        );
+        let par = &result.par;
+        assert!(par.waves_replayed >= 1, "{par:?}");
+        assert!(
+            par.spill_demotions >= wave0,
+            "replay dropped counters: {par:?}"
+        );
+    }
+
     #[test]
     fn probe_retry_startup_probe_spills_are_accounted() {
         // The startup occupancy probe runs at watermark 0; a guarded
@@ -2538,8 +2405,8 @@ mod tests {
         assert_eq!(a.spill_probes, 10);
         assert_eq!(a.shard_peak_tokens, vec![12, 13]);
         // …and so are the recovery counters (incremented by the wave
-        // loop itself) and the dispatch counters (incremented by the
-        // wave attempt).
+        // loop itself) and the dispatch counters (incremented by
+        // `run_workers`).
         assert_eq!(a.workers_lost, 14);
         assert_eq!(a.waves_replayed, 15);
         assert_eq!(a.degraded_waves, 16);

@@ -49,14 +49,16 @@
 //! | `Seq` + `Rescan` | multiset, RNG stream | (nothing to keep) |
 //! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
 //! | `Seq` + `Rete` | alpha/beta memories, demoted (virtual) levels | — |
-//! | `Parallel(ShardedRete)` | sharded bag, key directory, per-worker network slices | worker threads, mailboxes, steal worklist |
-//! | `Parallel(ProbeRetry)` | sharded bag, key directory, dirty flags | worker threads |
+//! | `Parallel(_)` | one parallel state: sharded bag, key directory, and per-worker network slices (`ShardedRete`) or dirty flags (`ProbeRetry`) | worker threads; mailboxes and steal worklist (`ShardedRete`) |
+//!
+//! Both parallel engines share one reset, used by
+//! [`Session::drain_stable`] and by every exit of a wave that lost a
+//! worker: the bag is replaced, then the slices are rebuilt with their
+//! lifetime counters kept, or every dirty flag is re-armed.
 
 use crate::compiled::{CompiledProgram, Firing, SearchScratch};
 use crate::fault::{FaultPlan, WaveFaults};
-use crate::parallel::{
-    ParEngine, ParResult, ParStats, ProbeState, RecoveryPolicy, ShardedState, WaveCtl,
-};
+use crate::parallel::{ParEngine, ParResult, ParState, ParStats, RecoveryPolicy, WaveCtl};
 use crate::pool::WaveDispatch;
 use crate::rete::{ReteNetwork, ReteStats};
 use crate::schedule::{DeltaScheduler, SchedStats};
@@ -510,8 +512,7 @@ enum State {
         multiset: ElementBag,
         matcher: SeqMatcher,
     },
-    Sharded(ShardedState),
-    Probe(ProbeState),
+    Par(Box<ParState>),
 }
 
 /// A live execution session: compiled reactions plus persistent matcher
@@ -595,11 +596,8 @@ impl Session {
                 matcher: SeqMatcher::build(&compiled, &bag, &config),
                 multiset: bag,
             },
-            Engine::Parallel(ParEngine::ShardedRete) => {
-                State::Sharded(ShardedState::build(&compiled, bag, &config))
-            }
-            Engine::Parallel(ParEngine::ProbeRetry) => {
-                State::Probe(ProbeState::build(&compiled, bag, &config))
+            Engine::Parallel(engine) => {
+                State::Par(Box::new(ParState::build(&compiled, engine, bag, &config)))
             }
         };
         let trace = (config.record_trace && matches!(config.engine, Engine::Seq)).then(Vec::new);
@@ -674,11 +672,8 @@ impl Session {
                 matcher: SeqMatcher::Rete(n),
                 ..
             } => Some((1, n.stats.tokens_created)),
-            State::Sharded(st) => {
-                let (slices, tokens) = st.slices_info();
-                Some((slices, tokens))
-            }
-            _ => None,
+            State::Par(st) => st.slices_info(),
+            State::Seq { .. } => None,
         };
         if let Some((slices, tokens)) = built {
             self.emit(TraceEvent::ReteBuilt {
@@ -737,8 +732,7 @@ impl Session {
     pub fn bag_len(&self) -> usize {
         match &self.state {
             State::Seq { multiset, .. } => multiset.len(),
-            State::Sharded(st) => st.len(),
-            State::Probe(st) => st.len(),
+            State::Par(st) => st.len(),
         }
     }
 
@@ -777,8 +771,7 @@ impl Session {
                 }
                 matcher.on_inserted(&self.compiled, multiset, &elements);
             }
-            State::Sharded(st) => st.inject(&self.compiled, &elements),
-            State::Probe(st) => st.inject(&elements),
+            State::Par(st) => st.inject(&self.compiled, &elements),
         }
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::Injected {
@@ -798,8 +791,7 @@ impl Session {
     pub fn snapshot(&self) -> ElementBag {
         match &self.state {
             State::Seq { multiset, .. } => multiset.clone(),
-            State::Sharded(st) => st.snapshot(),
-            State::Probe(st) => st.snapshot(),
+            State::Par(st) => st.snapshot(),
         }
     }
 
@@ -825,8 +817,7 @@ impl Session {
                 }
                 std::mem::take(multiset)
             }
-            State::Sharded(st) => st.drain_reset(&self.compiled),
-            State::Probe(st) => st.drain(),
+            State::Par(st) => st.drain(&self.compiled),
         };
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::Drained {
@@ -920,10 +911,7 @@ impl Session {
                 steps,
             }
             .run()?,
-            State::Sharded(st) => {
-                st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?
-            }
-            State::Probe(st) => {
+            State::Par(st) => {
                 st.wave(&self.compiled, budget, self.waves_run, &mut self.par, &ctl)?
             }
         };
@@ -979,8 +967,8 @@ impl Session {
                 matcher: SeqMatcher::Rete(n),
                 ..
             } => Some(n.take_reaction_counters()),
-            State::Sharded(st) => Some(st.take_reaction_counters()),
-            _ => None,
+            State::Par(st) => st.take_reaction_counters(),
+            State::Seq { .. } => None,
         };
         if let Some(counters) = counters {
             for (r, c) in counters.into_iter().enumerate() {
@@ -1076,8 +1064,7 @@ impl Session {
         ExecResult {
             multiset: match self.state {
                 State::Seq { multiset, .. } => multiset,
-                State::Sharded(st) => st.into_bag(),
-                State::Probe(st) => st.into_bag(),
+                State::Par(st) => st.into_bag(),
             },
             status: self.last_status,
             stats: self.stats,
@@ -1099,10 +1086,8 @@ impl Session {
     /// counters plus the persistent slices' lifetime spill/peak figures.
     pub fn par_stats(&self) -> ParStats {
         let mut par = self.par.clone();
-        match &self.state {
-            State::Seq { .. } => {}
-            State::Sharded(st) => st.fold_lifetime_stats(&mut par),
-            State::Probe(st) => st.fold_lifetime_stats(&mut par),
+        if let State::Par(st) = &self.state {
+            st.fold_lifetime_stats(&mut par);
         }
         par
     }
@@ -1248,8 +1233,7 @@ impl Session {
     pub fn snapshot_state(&self) -> SessionSnapshot {
         let (bag, directory) = match &self.state {
             State::Seq { multiset, .. } => (multiset.clone(), Vec::new()),
-            State::Sharded(st) => (st.snapshot(), st.directory_export()),
-            State::Probe(st) => (st.snapshot(), st.directory_export()),
+            State::Par(st) => (st.snapshot(), st.directory_export()),
         };
         if self.config.telemetry.enabled() {
             self.emit(TraceEvent::SnapshotTaken {
@@ -1327,8 +1311,7 @@ impl Session {
                     }
                 }
             },
-            State::Sharded(st) => st.directory_preload(&snapshot.directory),
-            State::Probe(st) => st.directory_preload(&snapshot.directory),
+            State::Par(st) => st.directory_preload(&snapshot.directory),
         }
         session.rebase_wave_aggregates();
         session.stats = snapshot.stats;
@@ -1659,9 +1642,17 @@ mod tests {
 
     #[test]
     fn drain_stable_resets_the_matcher() {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for (engine, scheduling) in [
+            (Engine::Seq, Scheduling::Rescan),
+            (Engine::Seq, Scheduling::Delta),
+            (Engine::Seq, Scheduling::Rete),
+            (Engine::Parallel(ParEngine::ShardedRete), Scheduling::Rete),
+            (Engine::Parallel(ParEngine::ProbeRetry), Scheduling::Rete),
+        ] {
             let initial: ElementBag = (1..=6).map(|v| e(v, "n")).collect();
             let mut session = Session::build(&sum_program())
+                .engine(engine)
+                .workers(2)
                 .scheduling(scheduling)
                 .start(initial)
                 .unwrap();
@@ -1669,14 +1660,16 @@ mod tests {
             let drained = session.drain_stable();
             assert_eq!(drained.sorted_elements(), vec![e(21, "n")]);
             assert!(session.snapshot().is_empty());
+            assert_eq!(session.bag_len(), 0, "{engine:?}");
             // The emptied session accepts fresh input.
             assert!(session.inject([e(1, "n"), e(2, "n")]).is_accepted());
             let wave = session.run_to_stable().unwrap();
-            assert_eq!(wave.status, Status::Stable, "{scheduling:?}");
+            assert_eq!(wave.status, Status::Stable, "{engine:?} {scheduling:?}");
+            assert_eq!(wave.fired, 1, "{engine:?} {scheduling:?}");
             assert_eq!(
                 session.finish().multiset.sorted_elements(),
                 vec![e(3, "n")],
-                "{scheduling:?}"
+                "{engine:?} {scheduling:?}"
             );
         }
     }

@@ -379,3 +379,44 @@ fn recovery_events_reconcile_with_par_stats() {
         assert_eq!(degraded, 1, "{engine:?}");
     }
 }
+
+/// Worker loss with no replay point (`RecoveryPolicy::disabled()`): the
+/// wave surfaces `WorkerLost { replays: 0 }` at once, and the bag keeps
+/// the partial wave's committed claims. Each claim is one Γ step of the
+/// fold, so the values still sum to the initial total.
+#[test]
+fn worker_loss_without_replay_point_keeps_committed_claims() {
+    let n = 32i64;
+    let w = cross_sum(n);
+    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
+        let plan = FaultPlan::single(
+            0,
+            Fault::WorkerPanic {
+                worker: 0,
+                at_firing: 1,
+            },
+        );
+        let mut session = Session::build(&w.program)
+            .engine(Engine::Parallel(engine))
+            .workers(1)
+            .faults(plan)
+            .recovery(RecoveryPolicy::disabled())
+            .start(w.initial.clone())
+            .expect("program compiles");
+        let Err(err) = session.run_to_stable() else {
+            panic!("{engine:?}: the sole worker fires first, so the panic must trip");
+        };
+        let ExecError::Par(ParError::WorkerLost { workers, replays }) = err else {
+            panic!("{engine:?}: expected WorkerLost, got {err:?}");
+        };
+        assert_eq!((workers, replays), (vec![0], 0), "{engine:?}");
+        let snapshot = session.snapshot();
+        let sum: i64 = snapshot
+            .iter()
+            .map(|e| e.value.as_int().expect("integer fold"))
+            .sum();
+        assert_eq!(sum, n * (n + 1) / 2, "{engine:?}");
+        assert_eq!(snapshot.len(), n as usize - 1, "{engine:?}: one claim");
+        assert_eq!(session.bag_len(), snapshot.len(), "{engine:?}");
+    }
+}
