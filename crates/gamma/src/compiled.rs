@@ -14,9 +14,11 @@
 //!
 //! Search order is chosen by static selectivity (literal labels before
 //! `OneOf` before wildcards), a micro query-planner. Nondeterminism is
-//! honest: given an RNG, every candidate list is shuffled, so any fireable
-//! tuple can be selected — the paper's "reactions occur freely" — while
-//! remaining reproducible from the seed.
+//! honest: given an RNG, label and tag candidates are shuffled and a
+//! bucket's values are drawn one at a time from a lazily generated
+//! uniform permutation of its rows, so any fireable tuple can be
+//! selected — the paper's "reactions occur freely" — while a probe costs
+//! only the candidates it tries and stays reproducible from the seed.
 
 use crate::expr::{Env, EvalError, Expr};
 use crate::spec::{
@@ -26,6 +28,7 @@ use crate::spec::{
 use crate::vm::{ClauseGuardChunk, GuardEvalMode, OutputChunks, ReactionVm, Tier};
 use gammaflow_multiset::{ElemId, Element, ElementBag, FxHashMap, Symbol, Tag, Value};
 use rand::seq::SliceRandom;
+use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
 /// Variable bindings as value slots; implements [`Env`] for expression
@@ -157,6 +160,13 @@ impl LabelFilter {
 /// parallel interpreter searches a sharded bag through a sampled view
 /// (stale reads are fine — claims re-validate atomically). Making the
 /// search generic keeps one matching implementation for both engines.
+///
+/// Seeded search reads a bucket's values by physical row:
+/// [`MatchSource::row_count`] sizes a random permutation and
+/// [`MatchSource::row`] fetches the rows it draws, so a probe that
+/// accepts its first candidate reads one row, not the bucket. A source
+/// without random row access keeps the defaults, and the search collects
+/// [`MatchSource::values_at`] and permutes the copy instead.
 pub trait MatchSource {
     /// Distinct labels currently (or recently) present.
     fn all_labels(&self) -> Vec<Symbol>;
@@ -231,6 +241,23 @@ pub trait MatchSource {
         };
         (count, id)
     }
+
+    /// Physical row count of the `(label, tag)` bucket, dead rows
+    /// included — the index space of [`MatchSource::row`] — or `None`
+    /// when the source has no random row access (the default).
+    fn row_count(&self, _label: Symbol, _tag: Tag) -> Option<usize> {
+        None
+    }
+
+    /// `(value, multiplicity)` at physical row `i` of the `(label, tag)`
+    /// bucket; a dead row reads with multiplicity 0. `None` past the end,
+    /// which a concurrently compacted bucket may produce for an index
+    /// drawn against an older [`MatchSource::row_count`]: the candidate
+    /// is then skipped, as is any row whose content changed under it and
+    /// that a claim will reject.
+    fn row(&self, _label: Symbol, _tag: Tag, _i: usize) -> Option<(Value, usize)> {
+        None
+    }
 }
 
 impl MatchSource for ElementBag {
@@ -299,13 +326,22 @@ impl MatchSource for ElementBag {
         };
         (count, id)
     }
+
+    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+        Some(self.bucket(label, tag).map_or(0, |b| b.row_count()))
+    }
+
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        let (value, count) = self.bucket(label, tag)?.row(i)?;
+        Some((value.clone(), count))
+    }
 }
 
-/// Reusable per-depth candidate buffers for the shuffled (seeded) search
-/// path. One `SearchScratch` lives for a whole engine run, so the steady
-/// state of the matcher allocates nothing: every probe reuses these
-/// vectors instead of collecting fresh `Vec`s at each search depth
-/// (the allocation hot spot the delta-scheduling PR removes).
+/// Reusable per-depth state for the seeded search: shuffled label and
+/// tag candidates, and the swap map of the lazy value permutation (plus
+/// a collected bucket copy for sources without random row access). One
+/// `SearchScratch` lives for a whole engine run, so the steady state of
+/// the matcher allocates nothing per probe.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     levels: Vec<ScratchLevel>,
@@ -321,7 +357,29 @@ pub struct SearchScratch {
 struct ScratchLevel {
     labels: Vec<Symbol>,
     tags: Vec<Tag>,
+    /// The bucket copy, when the source has no random row access.
     values: Vec<(Value, usize)>,
+    /// Lazy Fisher–Yates state: position → row for every position of the
+    /// current permutation that a swap has displaced.
+    swaps: FxHashMap<usize, usize>,
+}
+
+impl ScratchLevel {
+    /// Step `i` of a Fisher–Yates shuffle of `0..n` run lazily: the
+    /// `i`-th element of a uniformly random permutation, for `i` counting
+    /// up from 0 since the last `swaps.clear()`. One RNG draw (none for
+    /// the last position) and a few swap-map probes, whatever `n` is.
+    fn draw(&mut self, i: usize, n: usize, rng: &mut ChaCha8Rng) -> usize {
+        let at_i = self.swaps.remove(&i).unwrap_or(i);
+        if i + 1 == n {
+            return at_i;
+        }
+        let j = i + (rng.next_u64() % (n - i) as u64) as usize;
+        if j == i {
+            return at_i;
+        }
+        self.swaps.insert(j, at_i).unwrap_or(j)
+    }
 }
 
 impl SearchScratch {
@@ -910,162 +968,19 @@ impl CompiledReaction {
     }
 
     /// Find one enabled match in `bag`, or `None` if the reaction is not
-    /// enabled anywhere. With an RNG, candidate orders are shuffled so the
-    /// selected tuple is a uniform-ish draw from the enabled set; without,
-    /// the search is deterministic (first match in index order).
+    /// enabled anywhere: [`Self::find_match_fast`] with fresh scratch.
+    /// With an RNG, candidates are tried in a seeded random order, so any
+    /// enabled tuple can be selected; without, the search is
+    /// deterministic (first match in index order).
     ///
     /// `reaction_index` is recorded into the returned [`Firing`].
     pub fn find_match<S: MatchSource>(
         &self,
         reaction_index: usize,
         bag: &S,
-        mut rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut ChaCha8Rng>,
     ) -> Result<Option<Firing>, MatchError> {
-        let mut bindings = Bindings::new(self.nvars, &self.var_index);
-        // consumed[i] is the element matched by replace-list position i.
-        let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
-        let found = self.search(0, bag, &mut bindings, &mut consumed, &mut rng)?;
-        if !found {
-            return Ok(None);
-        }
-        let consumed: Vec<Element> = consumed.into_iter().map(|e| e.unwrap()).collect();
-        let (clause, produced) = self
-            .outputs_for(&bindings)?
-            .expect("search only succeeds with an enabled clause");
-        Ok(Some(Firing {
-            reaction: reaction_index,
-            consumed,
-            produced,
-            clause,
-        }))
-    }
-
-    /// Depth-first search over search-plan step `depth`.
-    fn search<S: MatchSource>(
-        &self,
-        depth: usize,
-        bag: &S,
-        bindings: &mut Bindings<'_>,
-        consumed: &mut [Option<Element>],
-        rng: &mut Option<&mut ChaCha8Rng>,
-    ) -> Result<bool, MatchError> {
-        if depth == self.order.len() {
-            // Full tuple bound: check `where`, then that some clause guard
-            // holds. Condition evaluation errors mean "not enabled".
-            return Ok(self.accept(bindings));
-        }
-        let pos_idx = self.order[depth];
-        let pat = &self.positions[pos_idx];
-
-        // Candidate labels.
-        let mut labels: Vec<Symbol> = match &pat.label {
-            LabelFilter::Exact(l) => vec![*l],
-            LabelFilter::OneOf(ls) => ls.to_vec(),
-            LabelFilter::Any => bag.all_labels(),
-        };
-        if let Some(r) = rng.as_deref_mut() {
-            labels.shuffle(r);
-        }
-
-        for label in labels {
-            // Candidate tags for this label.
-            let mut tags: Vec<Tag> = match pat.tag_pin(&bindings.slots) {
-                Some(pinned) => pinned.into_iter().collect(),
-                None => bag.tags_for_label(label),
-            };
-            if tags.len() > 1 {
-                if let Some(r) = rng.as_deref_mut() {
-                    tags.shuffle(r);
-                }
-            }
-
-            for tag in tags {
-                // Candidate values in this bucket. When the value is
-                // already pinned (literal pattern or repeated variable) we
-                // only need its exact multiplicity.
-                let bound_value = pat
-                    .value_var
-                    .and_then(|v| bindings.slots[v as usize].clone());
-                let mut values: Vec<(Value, usize)> = match (&pat.value_lit, &bound_value) {
-                    (Some(lit), _) => {
-                        vec![(lit.clone(), bag.count_at(label, tag, lit))]
-                    }
-                    (None, Some(b)) => vec![(b.clone(), bag.count_at(label, tag, b))],
-                    _ => bag.values_at(label, tag),
-                };
-                if values.len() > 1 {
-                    if let Some(r) = rng.as_deref_mut() {
-                        values.shuffle(r);
-                    }
-                }
-
-                'values: for (value, available) in values {
-                    let candidate = Element {
-                        value: value.clone(),
-                        label,
-                        tag,
-                    };
-                    // Multiplicity: the bucket must hold more occurrences
-                    // than earlier positions already consumed.
-                    if available == 0 {
-                        continue;
-                    }
-                    let already_used = consumed
-                        .iter()
-                        .flatten()
-                        .filter(|e| **e == candidate)
-                        .count();
-                    if already_used >= available {
-                        continue;
-                    }
-
-                    // Bind fields, tracking fresh bindings for backtracking.
-                    let mut fresh: Vec<u16> = Vec::with_capacity(3);
-                    let mut ok = true;
-                    if let Some(v) = pat.value_var {
-                        match bindings.bind(v, value.clone()) {
-                            Some(true) => fresh.push(v),
-                            Some(false) => {}
-                            None => ok = false,
-                        }
-                    }
-                    if ok {
-                        if let Some(v) = pat.label_var {
-                            match bindings.bind(v, Value::str(label.as_str())) {
-                                Some(true) => fresh.push(v),
-                                Some(false) => {}
-                                None => ok = false,
-                            }
-                        }
-                    }
-                    if ok {
-                        if let Some(v) = pat.tag_var {
-                            match bindings.bind(v, Value::Int(tag.0 as i64)) {
-                                Some(true) => fresh.push(v),
-                                Some(false) => {}
-                                None => ok = false,
-                            }
-                        }
-                    }
-                    if !ok {
-                        for v in fresh {
-                            bindings.unbind(v);
-                        }
-                        continue 'values;
-                    }
-
-                    consumed[pos_idx] = Some(candidate);
-                    if self.search(depth + 1, bag, bindings, consumed, rng)? {
-                        return Ok(true);
-                    }
-                    consumed[pos_idx] = None;
-                    for v in fresh {
-                        bindings.unbind(v);
-                    }
-                }
-            }
-        }
-        Ok(false)
+        self.find_match_fast(reaction_index, bag, rng, &mut SearchScratch::new())
     }
 
     // --- delta-scheduling fast paths ------------------------------------
@@ -1136,7 +1051,7 @@ impl CompiledReaction {
     }
 
     /// Full-tuple acceptance: `where` condition plus some enabled clause.
-    /// Condition evaluation errors mean "not enabled", as in [`Self::search`].
+    /// Condition evaluation errors mean "not enabled".
     fn accept(&self, bindings: &Bindings<'_>) -> bool {
         match self.vm.mode() {
             GuardEvalMode::Vm => {
@@ -1200,10 +1115,9 @@ impl CompiledReaction {
         Some((fresh, nfresh))
     }
 
-    /// Deterministic allocation-free search: finds the same first-in-index-
-    /// order tuple as the materialising [`Self::search`] with no RNG, but by
-    /// lazy iteration over the bag index — no candidate vectors are built,
-    /// so a probe costs exactly the candidates it inspects.
+    /// Deterministic allocation-free search: the first tuple in index
+    /// order, by lazy iteration over the bag index — no candidate vectors
+    /// are built, so a probe costs exactly the candidates it inspects.
     fn det_search<S: MatchSource>(
         &self,
         depth: usize,
@@ -1283,15 +1197,23 @@ impl CompiledReaction {
         match pinned {
             Some(value) => {
                 let available = bag.count_at(label, tag, &value);
-                self.det_value(
-                    depth, order, label, tag, &value, available, bag, bindings, consumed,
+                self.try_candidate(
+                    order[depth],
+                    (label, tag, &value, available),
+                    bindings,
+                    consumed,
+                    |b, c| self.det_search(depth + 1, order, bag, b, c),
                 )
             }
             None => {
                 let mut found = false;
                 bag.visit_values(label, tag, &mut |value, available| {
-                    found = self.det_value(
-                        depth, order, label, tag, value, available, bag, bindings, consumed,
+                    found = self.try_candidate(
+                        order[depth],
+                        (label, tag, value, available),
+                        bindings,
+                        consumed,
+                        |b, c| self.det_search(depth + 1, order, bag, b, c),
                     );
                     !found
                 });
@@ -1300,18 +1222,17 @@ impl CompiledReaction {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn det_value<S: MatchSource>(
+    /// Try one candidate `(label, tag, value, available)` for the plan
+    /// position `pos_idx`: check its multiplicity against what earlier
+    /// positions consumed, bind it, and hand the rest of the plan to
+    /// `next`; undo the binding when `next` fails.
+    fn try_candidate(
         &self,
-        depth: usize,
-        order: &[usize],
-        label: Symbol,
-        tag: Tag,
-        value: &Value,
-        available: usize,
-        bag: &S,
+        pos_idx: usize,
+        (label, tag, value, available): (Symbol, Tag, &Value, usize),
         bindings: &mut Bindings<'_>,
         consumed: &mut [Option<Element>],
+        next: impl FnOnce(&mut Bindings<'_>, &mut [Option<Element>]) -> bool,
     ) -> bool {
         if available == 0 {
             return false;
@@ -1329,24 +1250,28 @@ impl CompiledReaction {
         if already_used >= available {
             return false;
         }
-        let pat = &self.positions[order[depth]];
+        let pat = &self.positions[pos_idx];
         let Some((fresh, nfresh)) = self.bind_position(pat, label, tag, value, bindings) else {
             return false;
         };
-        consumed[order[depth]] = Some(candidate);
-        if self.det_search(depth + 1, order, bag, bindings, consumed) {
+        consumed[pos_idx] = Some(candidate);
+        if next(bindings, consumed) {
             return true;
         }
-        consumed[order[depth]] = None;
+        consumed[pos_idx] = None;
         for &v in &fresh[..nfresh] {
             bindings.unbind(v);
         }
         false
     }
 
-    /// Seeded search over reusable scratch buffers: same candidate
-    /// shuffling as [`Self::search`], but per-depth candidate lists live in
-    /// `scratch` instead of fresh `Vec`s.
+    /// Seeded search over reusable `scratch`: labels and tags are
+    /// shuffled, and a bucket's values are drawn one at a time from a
+    /// lazily generated uniform permutation of its physical rows
+    /// ([`ScratchLevel::draw`]), so a level costs the candidates it
+    /// tries, not the bucket size. A dead row, or one a stale read no
+    /// longer finds, is skipped like a rejected candidate; live rows
+    /// still come in uniformly random order and every one is reachable.
     #[allow(clippy::too_many_arguments)]
     fn scratch_search<S: MatchSource>(
         &self,
@@ -1392,61 +1317,51 @@ impl CompiledReaction {
 
             for ti in 0..level.tags.len() {
                 let tag = level.tags[ti];
-                let bound_value = pat
+                // A pinned value (literal, or a repeated variable already
+                // bound) needs only its exact multiplicity.
+                let bound = pat
                     .value_var
                     .and_then(|v| bindings.slots[v as usize].clone());
-                level.values.clear();
-                match (&pat.value_lit, &bound_value) {
-                    (Some(lit), _) => {
-                        let c = bag.count_at(label, tag, lit);
-                        level.values.push((lit.clone(), c));
-                    }
-                    (None, Some(b)) => {
-                        let c = bag.count_at(label, tag, b);
-                        level.values.push((b.clone(), c));
-                    }
-                    _ => bag.visit_values(label, tag, &mut |v, c| {
-                        level.values.push((v.clone(), c));
-                        true
-                    }),
-                }
-                if level.values.len() > 1 {
-                    level.values.shuffle(rng);
-                }
-
-                'values: for vi in 0..level.values.len() {
-                    let (value, available) = {
-                        let entry = &level.values[vi];
-                        (entry.0.clone(), entry.1)
-                    };
-                    if available == 0 {
-                        continue;
-                    }
-                    let candidate = Element {
-                        value: value.clone(),
-                        label,
-                        tag,
-                    };
-                    let already_used = consumed
-                        .iter()
-                        .flatten()
-                        .filter(|e| **e == candidate)
-                        .count();
-                    if already_used >= available {
-                        continue;
-                    }
-                    let Some((fresh, nfresh)) =
-                        self.bind_position(pat, label, tag, &value, bindings)
-                    else {
-                        continue 'values;
-                    };
-                    consumed[pos_idx] = Some(candidate);
-                    if self.scratch_search(depth + 1, order, bag, bindings, consumed, rng, rest) {
+                if let Some(value) = pat.value_lit.clone().or(bound) {
+                    let available = bag.count_at(label, tag, &value);
+                    if self.try_candidate(
+                        pos_idx,
+                        (label, tag, &value, available),
+                        bindings,
+                        consumed,
+                        |b, c| self.scratch_search(depth + 1, order, bag, b, c, rng, rest),
+                    ) {
                         return true;
                     }
-                    consumed[pos_idx] = None;
-                    for &v in &fresh[..nfresh] {
-                        bindings.unbind(v);
+                    continue;
+                }
+                let lazy = bag.row_count(label, tag);
+                let rows = lazy.unwrap_or_else(|| {
+                    level.values.clear();
+                    bag.visit_values(label, tag, &mut |v, c| {
+                        level.values.push((v.clone(), c));
+                        true
+                    });
+                    level.values.len()
+                });
+                level.swaps.clear();
+                for i in 0..rows {
+                    let r = level.draw(i, rows, rng);
+                    let row = match lazy {
+                        Some(_) => bag.row(label, tag, r),
+                        None => Some(level.values[r].clone()),
+                    };
+                    let Some((value, available)) = row else {
+                        continue;
+                    };
+                    if self.try_candidate(
+                        pos_idx,
+                        (label, tag, &value, available),
+                        bindings,
+                        consumed,
+                        |b, c| self.scratch_search(depth + 1, order, bag, b, c, rng, rest),
+                    ) {
+                        return true;
                     }
                 }
             }
@@ -1473,10 +1388,9 @@ impl CompiledReaction {
         }))
     }
 
-    /// Like [`Self::find_match`], but allocation-free on the steady state:
-    /// deterministic mode iterates the index lazily, seeded mode reuses
-    /// `scratch` buffers. Selects the same tuple as [`Self::find_match`]
-    /// when deterministic.
+    /// [`Self::find_match`] over reusable `scratch`, allocation-free on
+    /// the steady state: deterministic mode iterates the index lazily,
+    /// seeded mode draws candidates through the scratch levels.
     pub fn find_match_fast<S: MatchSource>(
         &self,
         reaction_index: usize,
@@ -1765,9 +1679,9 @@ impl CompiledReaction {
     }
 
     /// Complete a spilled prefix into a full [`Firing`], or `None` when no
-    /// completion exists. With an RNG the remaining levels shuffle their
-    /// candidates exactly like [`Self::find_match`]; without, the first
-    /// completion in index order is taken.
+    /// completion exists. With an RNG the remaining levels draw their
+    /// candidates in seeded random order, as [`Self::find_match`] does;
+    /// without, the first completion in index order is taken.
     pub(crate) fn complete_prefix<S: MatchSource>(
         &self,
         reaction_index: usize,
@@ -1956,24 +1870,19 @@ impl CompiledProgram {
     }
 
     /// Find any enabled firing in `bag`, trying reactions in `order`
-    /// (indices into `reactions`).
+    /// (indices into `reactions`): [`Self::find_any_fast`] with fresh
+    /// scratch.
     pub fn find_any<S: MatchSource>(
         &self,
         order: &[usize],
         bag: &S,
-        mut rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut ChaCha8Rng>,
     ) -> Result<Option<Firing>, MatchError> {
-        for &i in order {
-            if let Some(f) = self.reactions[i].find_match(i, bag, rng.as_deref_mut())? {
-                return Ok(Some(f));
-            }
-        }
-        Ok(None)
+        self.find_any_fast(order, bag, rng, &mut SearchScratch::new())
     }
 
-    /// Allocation-free [`Self::find_any`]: identical semantics and (when
-    /// deterministic) identical tuple selection, running on the fast
-    /// search paths with reusable `scratch`.
+    /// Find any enabled firing in `bag`, trying reactions in `order`,
+    /// with reusable `scratch` so a long run allocates nothing per probe.
     pub fn find_any_fast<S: MatchSource>(
         &self,
         order: &[usize],
@@ -1996,6 +1905,92 @@ impl CompiledProgram {
 /// the underlying constructors.
 pub fn pat(value_var: &str, label: &str, tag_var: &str) -> Pattern {
     Pattern::tagged(value_var, label, tag_var)
+}
+
+/// A [`MatchSource`] that counts the rows a search reads through it:
+/// one per label, tag or `(value, count)` row yielded, one per
+/// `count_at` and one per `row`. `row_count` reads a length, not a row.
+/// The physical indices passed to `row` are logged in call order.
+#[cfg(test)]
+pub(crate) struct CountingSource<S> {
+    pub(crate) inner: S,
+    pub(crate) reads: std::cell::Cell<usize>,
+    pub(crate) rows_read: std::cell::RefCell<Vec<usize>>,
+}
+
+#[cfg(test)]
+impl<S: MatchSource> CountingSource<S> {
+    pub(crate) fn new(inner: S) -> CountingSource<S> {
+        CountingSource {
+            inner,
+            reads: std::cell::Cell::new(0),
+            rows_read: std::cell::RefCell::new(Vec::new()),
+        }
+    }
+
+    fn read(&self, rows: usize) {
+        self.reads.set(self.reads.get() + rows);
+    }
+}
+
+#[cfg(test)]
+impl<S: MatchSource> MatchSource for CountingSource<S> {
+    fn all_labels(&self) -> Vec<Symbol> {
+        let out = self.inner.all_labels();
+        self.read(out.len());
+        out
+    }
+    fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
+        let out = self.inner.tags_for_label(label);
+        self.read(out.len());
+        out
+    }
+    fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
+        let out = self.inner.values_at(label, tag);
+        self.read(out.len());
+        out
+    }
+    fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
+        self.read(1);
+        self.inner.count_at(label, tag, value)
+    }
+    fn visit_labels(&self, f: &mut dyn FnMut(Symbol) -> bool) {
+        self.inner.visit_labels(&mut |l| {
+            self.read(1);
+            f(l)
+        });
+    }
+    fn visit_tags(&self, label: Symbol, f: &mut dyn FnMut(Tag) -> bool) {
+        self.inner.visit_tags(label, &mut |t| {
+            self.read(1);
+            f(t)
+        });
+    }
+    fn visit_values(&self, label: Symbol, tag: Tag, f: &mut dyn FnMut(&Value, usize) -> bool) {
+        self.inner.visit_values(label, tag, &mut |v, c| {
+            self.read(1);
+            f(v, c)
+        });
+    }
+    fn visit_value_ids(
+        &self,
+        label: Symbol,
+        tag: Tag,
+        f: &mut dyn FnMut(ElemId, &Value, usize) -> bool,
+    ) {
+        self.inner.visit_value_ids(label, tag, &mut |id, v, c| {
+            self.read(1);
+            f(id, v, c)
+        });
+    }
+    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+        self.inner.row_count(label, tag)
+    }
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        self.read(1);
+        self.rows_read.borrow_mut().push(i);
+        self.inner.row(label, tag, i)
+    }
 }
 
 #[cfg(test)]
@@ -2212,6 +2207,95 @@ mod tests {
         // Different seeds eventually pick different elements.
         let distinct = (0..10).map(pick).collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 1, "shuffling should vary selection");
+    }
+
+    /// A `'v'` bucket of `dead.len()` rows, the flagged ones emptied
+    /// again. Emptied rows stay in place as dead rows until they
+    /// outnumber both the live rows and 8 (bucket compaction).
+    fn bucket_with_dead_rows(dead: &[bool]) -> ElementBag {
+        let mut bag: ElementBag = (0..dead.len() as i64).map(|v| e(v, "v", 0)).collect();
+        for (v, _) in dead.iter().enumerate().filter(|(_, &d)| d) {
+            bag.remove(&e(v as i64, "v", 0));
+        }
+        bag
+    }
+
+    /// Unary reaction over `'v'`, accepting every value or none.
+    fn take_v(accept: bool) -> CompiledReaction {
+        let r = ReactionSpec::new("take").replace(Pattern::pair("x", "v"));
+        let r = if accept {
+            r
+        } else {
+            r.where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::int(0)))
+        };
+        compile(r.by(vec![]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The lazy order reads every physical row exactly once when all
+        /// candidates are rejected, so every live row is reachable; with
+        /// every candidate accepted, the selection is the first live row
+        /// in that order — dead rows are skipped, never selected.
+        #[test]
+        fn lazy_order_visits_each_live_row_once(
+            dead in proptest::collection::vec(proptest::any::<bool>(), 1..40),
+            seed in 0u64..1_000_000,
+        ) {
+            let bag = bucket_with_dead_rows(&dead);
+            let (label, tag) = (Symbol::intern("v"), Tag::ZERO);
+            let rows = bag.row_count(label, tag).unwrap();
+            let live: Vec<usize> = (0..rows)
+                .filter(|&i| bag.row(label, tag, i).unwrap().1 > 0)
+                .collect();
+
+            let src = CountingSource::new(bag.clone());
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            assert_eq!(take_v(false).find_match(0, &src, Some(&mut rng)), Ok(None));
+            let mut order = src.rows_read.borrow().clone();
+            order.sort_unstable();
+            assert_eq!(order, (0..rows).collect::<Vec<_>>());
+
+            let src = CountingSource::new(bag.clone());
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let firing = take_v(true).find_match(0, &src, Some(&mut rng)).unwrap();
+            let first_live = src.rows_read.borrow().iter().copied().find(|i| live.contains(i));
+            let picked = firing.map(|f| f.consumed[0].value.clone());
+            assert_eq!(picked, first_live.map(|i| bag.row(label, tag, i).unwrap().0));
+        }
+    }
+
+    #[test]
+    fn lazy_order_first_candidate_is_uniform_over_live_rows() {
+        // 10 physical rows, 4 of them dead.
+        let dead = [
+            false, true, false, false, true, true, false, false, true, false,
+        ];
+        let bag = bucket_with_dead_rows(&dead);
+        assert_eq!(bag.row_count(Symbol::intern("v"), Tag::ZERO), Some(10));
+        let r = take_v(true);
+        let mut hits = [0usize; 10];
+        let seeds = 4000;
+        for seed in 0..seeds {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let f = r.find_match(0, &bag, Some(&mut rng)).unwrap().unwrap();
+            hits[f.consumed[0].value.as_int().unwrap() as usize] += 1;
+        }
+        let p = 1.0 / 6.0;
+        let mean = seeds as f64 * p;
+        let sigma = (seeds as f64 * p * (1.0 - p)).sqrt();
+        for (row, &n) in hits.iter().enumerate() {
+            if dead[row] {
+                assert_eq!(n, 0, "dead row {row} selected");
+            } else {
+                let dev = (n as f64 - mean).abs();
+                assert!(
+                    dev <= 4.0 * sigma,
+                    "row {row}: {n} of {seeds}, mean {mean:.0}"
+                );
+            }
+        }
     }
 
     #[test]

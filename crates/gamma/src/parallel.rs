@@ -447,11 +447,29 @@ impl Directory {
 }
 
 /// A sampled, lock-per-probe view of the sharded bag for worker search.
+///
+/// A bucket longer than `sample_cap` rows shows only a salted window:
+/// `sample_cap` consecutive physical rows (wrapping) from a per-probe
+/// pseudo-random offset. Missed candidates are recovered by retries or
+/// the terminal locked-shard check. Rows are read one at a time under a
+/// transient shard lock, so a probe reads the rows it tries and never
+/// copies the bucket.
 struct ShardedView<'a> {
     bag: &'a ShardedBag,
     directory: &'a Directory,
     sample_cap: usize,
     salt: u64,
+}
+
+impl ShardedView<'_> {
+    /// `(first physical row, window length)` over a bucket of `rows`.
+    fn window(&self, rows: usize) -> (usize, usize) {
+        if rows > self.sample_cap {
+            ((self.salt % rows as u64) as usize, self.sample_cap)
+        } else {
+            (0, rows)
+        }
+    }
 }
 
 impl MatchSource for ShardedView<'_> {
@@ -469,17 +487,13 @@ impl MatchSource for ShardedView<'_> {
             let Some(bucket) = b.bucket(label, tag) else {
                 return Vec::new();
             };
-            let mut values: Vec<(Value, usize)> =
-                bucket.iter_counts().map(|(v, c)| (v.clone(), c)).collect();
-            if values.len() > self.sample_cap {
-                // Salted subsample: rotate to a pseudo-random offset and
-                // keep a window. Missed candidates are recovered by retries
-                // or the terminal snapshot check.
-                let skip = (self.salt as usize) % values.len();
-                values.rotate_left(skip);
-                values.truncate(self.sample_cap);
-            }
-            values
+            let rows = bucket.row_count();
+            let (start, len) = self.window(rows);
+            (0..len)
+                .filter_map(|i| bucket.row((start + i) % rows))
+                .filter(|&(_, c)| c > 0)
+                .map(|(v, c)| (v.clone(), c))
+                .collect()
         })
     }
 
@@ -487,6 +501,31 @@ impl MatchSource for ShardedView<'_> {
         let shard = self.bag.shard_of(label, tag);
         self.bag.with_shard(shard, |b| {
             b.bucket(label, tag).map_or(0, |x| x.count(value))
+        })
+    }
+
+    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+        let shard = self.bag.shard_of(label, tag);
+        let rows = self
+            .bag
+            .with_shard(shard, |b| b.bucket(label, tag).map_or(0, |x| x.row_count()));
+        Some(self.window(rows).1)
+    }
+
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        let shard = self.bag.shard_of(label, tag);
+        self.bag.with_shard(shard, |b| {
+            let bucket = b.bucket(label, tag)?;
+            // Re-derived from the live row count: a bucket edited since
+            // `row_count` shifts the window, which only hides or offers
+            // candidates the claim re-validates.
+            let rows = bucket.row_count();
+            let (start, len) = self.window(rows);
+            if i >= len {
+                return None;
+            }
+            let (value, count) = bucket.row((start + i) % rows)?;
+            Some((value.clone(), count))
         })
     }
 }
@@ -550,6 +589,14 @@ impl MatchSource for LockedShards<'_> {
 
     fn visit_values(&self, label: Symbol, tag: Tag, f: &mut dyn FnMut(&Value, usize) -> bool) {
         self.shard(label, tag).visit_values(label, tag, f);
+    }
+
+    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+        self.shard(label, tag).row_count(label, tag)
+    }
+
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        self.shard(label, tag).row(label, tag, i)
     }
 }
 
@@ -1240,7 +1287,7 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
                 sample_cap,
                 salt: rng.gen(),
             };
-            match compiled.find_any(&order, &view, Some(&mut rng)) {
+            match compiled.find_any_fast(&order, &view, Some(&mut rng), &mut scratch) {
                 Ok(f) => f,
                 Err(e) => {
                     *error.lock() = Some(e);
@@ -1464,10 +1511,22 @@ impl MatchSource for ShardedSource<'_> {
             .with_shard(shard, |b| MatchSource::count_at(b, label, tag, value))
     }
 
-    // Note: no visitor overrides. The defaults collect each bucket into a
-    // Vec *outside* the shard lock (values_at locks, copies, unlocks),
-    // which keeps the search free of nested lock acquisitions — a
-    // recursive search level probing another shard while a lock is held
+    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+        let shard = self.bag.shard_of(label, tag);
+        self.bag
+            .with_shard(shard, |b| MatchSource::row_count(b, label, tag))
+    }
+
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        let shard = self.bag.shard_of(label, tag);
+        self.bag
+            .with_shard(shard, |b| MatchSource::row(b, label, tag, i))
+    }
+
+    // Note: every read takes and releases its own shard lock, and there
+    // are no visitor overrides (the defaults copy a bucket out of
+    // `values_at` before visiting it). No lock is held across search
+    // levels — a recursive level probing another shard under a held lock
     // could deadlock against the sorted multi-shard claim path.
 }
 
@@ -1926,6 +1985,7 @@ fn wake_dependents(shared: &SharedRun<'_>, w: usize, firing: &Firing) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CountingSource;
     use crate::expr::Expr;
     use crate::seq::Selection;
     use crate::session::{Engine, Session};
@@ -1989,6 +2049,38 @@ mod tests {
             .replace(Pattern::pair("y", "n"))
             .where_(Expr::cmp(CmpOp::Ge, Expr::var("x"), Expr::var("y")))
             .by(vec![ElementSpec::pair(Expr::var("x"), "n")])])
+    }
+
+    #[test]
+    fn sampled_view_reads_at_most_sample_cap_rows() {
+        // Every candidate is rejected, so a seeded search tries the whole
+        // salted window of a 10^4-row bucket — and reads nothing past it.
+        let initial: ElementBag = (0..10_000).map(|v| e(v, "n", 0)).collect();
+        let bag = ShardedBag::new(2);
+        bag.insert_all(initial.iter());
+        let directory = Directory::new(&initial);
+        let never = ReactionSpec::new("never")
+            .replace(Pattern::pair("x", "n"))
+            .where_(Expr::cmp(CmpOp::Lt, Expr::var("x"), Expr::int(0)))
+            .by(vec![]);
+        let compiled = CompiledProgram::compile(&GammaProgram::new(vec![never])).unwrap();
+        let sample_cap = 64;
+        // The pattern's tag is a wildcard: one tag read, then value rows.
+        let tag_reads = 1;
+        for salt in [0, 1, 9_990, u64::MAX] {
+            let view = CountingSource::new(ShardedView {
+                bag: &bag,
+                directory: &directory,
+                sample_cap,
+                salt,
+            });
+            let mut rng = ChaCha8Rng::seed_from_u64(salt);
+            let found = compiled.reactions[0].find_match(0, &view, Some(&mut rng));
+            assert_eq!(found, Ok(None));
+            assert_eq!(view.reads.get(), tag_reads + sample_cap, "salt {salt}");
+            let window = view.inner.values_at(Symbol::intern("n"), Tag::ZERO);
+            assert_eq!(window.len(), sample_cap, "salt {salt}");
+        }
     }
 
     #[test]

@@ -1818,6 +1818,7 @@ impl ReteNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CountingSource;
     use crate::expr::Expr;
     use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
@@ -2152,76 +2153,11 @@ mod tests {
     fn virtual_level_probe_reads_o1_rows() {
         // `sum`'s level 1 joins on nothing and prunes nothing, so it is
         // virtual; `has_match` completes the first frontier prefix it
-        // tries: a handful of bag reads, not one per element.
-        struct CountingBag {
-            bag: ElementBag,
-            reads: std::cell::Cell<usize>,
-        }
-        impl CountingBag {
-            fn read(&self, rows: usize) {
-                self.reads.set(self.reads.get() + rows);
-            }
-        }
-        impl MatchSource for CountingBag {
-            fn all_labels(&self) -> Vec<Symbol> {
-                let out = self.bag.all_labels();
-                self.read(out.len());
-                out
-            }
-            fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
-                let out = self.bag.tags_for_label(label);
-                self.read(out.len());
-                out
-            }
-            fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
-                let out = self.bag.values_at(label, tag);
-                self.read(out.len());
-                out
-            }
-            fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
-                self.read(1);
-                self.bag.count_at(label, tag, value)
-            }
-            fn visit_labels(&self, f: &mut dyn FnMut(Symbol) -> bool) {
-                self.bag.visit_labels(&mut |l| {
-                    self.read(1);
-                    f(l)
-                });
-            }
-            fn visit_tags(&self, label: Symbol, f: &mut dyn FnMut(Tag) -> bool) {
-                self.bag.visit_tags(label, &mut |t| {
-                    self.read(1);
-                    f(t)
-                });
-            }
-            fn visit_values(
-                &self,
-                label: Symbol,
-                tag: Tag,
-                f: &mut dyn FnMut(&Value, usize) -> bool,
-            ) {
-                self.bag.visit_values(label, tag, &mut |v, c| {
-                    self.read(1);
-                    f(v, c)
-                });
-            }
-            fn visit_value_ids(
-                &self,
-                label: Symbol,
-                tag: Tag,
-                f: &mut dyn FnMut(ElemId, &Value, usize) -> bool,
-            ) {
-                self.bag.visit_value_ids(label, tag, &mut |id, v, c| {
-                    self.read(1);
-                    f(id, v, c)
-                });
-            }
-        }
+        // tries, and a seeded `pick_firing` draws the completing row from
+        // a lazy random order: a handful of bag reads, not one per
+        // element.
         let compiled = sum_program();
-        let bag = CountingBag {
-            bag: (1..=1000).map(|v| e(v, "n", 0)).collect(),
-            reads: std::cell::Cell::new(0),
-        };
+        let bag = CountingSource::new((1..=1000).map(|v| e(v, "n", 0)).collect::<ElementBag>());
         // The plan keeps only the level-0 frontier; nothing was demoted.
         let mut net = ReteNetwork::new(&compiled, &bag);
         assert!(net.is_spilled(0));
@@ -2231,6 +2167,17 @@ mod tests {
         assert!(net.has_match(&compiled, &bag, 0));
         let reads = bag.reads.get() - before;
         assert!(reads <= 4, "one probe read {reads} rows of 1000");
+        for seed in 0..32 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let before = bag.reads.get();
+            let firing = net.pick_firing(&compiled, &bag, 0, &mut rng).unwrap();
+            let reads = bag.reads.get() - before;
+            assert_eq!(firing.map(|f| f.consumed.len()), Some(2));
+            assert!(
+                reads <= 8,
+                "seed {seed}: one pick read {reads} rows of 1000"
+            );
+        }
     }
 
     #[test]

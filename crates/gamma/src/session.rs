@@ -435,7 +435,7 @@ impl SeqMatcher {
                 if let Some(r) = rng.as_deref_mut() {
                     order.shuffle(r);
                 }
-                Ok(compiled.find_any(order, multiset, rng)?)
+                Ok(compiled.find_any_fast(order, multiset, rng, scratch)?)
             }
             SeqMatcher::Delta(scheduler) => Ok(scheduler.next_firing(compiled, multiset, rng)?),
             SeqMatcher::Rete(network) => {
@@ -1222,14 +1222,16 @@ impl Session {
     /// slices) is *not* serialized — it is a pure function of the
     /// multiset and is rebuilt exactly on restore, which is both smaller
     /// on the wire and immune to pointer-shaped state going stale.
-    /// Subsequent waves of a restored session are byte-identical to the
-    /// uninterrupted run (the durability test matrix asserts this for
-    /// every scheduler × engine combination). A snapshot taken *mid*
-    /// wave — after a budget pause — still resumes to the same stable
-    /// final, but the remaining firings may come in a different
-    /// confluence-equivalent order: serialization canonicalizes the
-    /// bag's insertion order, which is what a mid-wave deterministic
-    /// pick keys on.
+    /// Subsequent waves of a restored session reach finals
+    /// byte-identical to the uninterrupted run's (the durability test
+    /// matrix asserts this for every scheduler × engine combination),
+    /// and a deterministic session's firing trace is identical too; a
+    /// seeded one's order may differ ([`SessionSnapshot::rng`]). A
+    /// snapshot taken *mid* wave — after a budget pause — still resumes
+    /// to the same stable final, but the remaining firings may come in
+    /// a different confluence-equivalent order: serialization
+    /// canonicalizes the bag's insertion order, which is what a mid-wave
+    /// deterministic pick keys on.
     pub fn snapshot_state(&self) -> SessionSnapshot {
         let (bag, directory) = match &self.state {
             State::Seq { multiset, .. } => (multiset.clone(), Vec::new()),
@@ -1391,8 +1393,12 @@ pub struct SessionSnapshot {
     pub par: ParStats,
     /// The firing trace so far, when trace recording is on.
     pub trace: Option<Vec<FiringRecord>>,
-    /// Selection-RNG position (sequential seeded sessions), so restored
-    /// waves continue the same nondeterminism stream mid-flight.
+    /// Selection-RNG position (sequential seeded sessions): restored
+    /// waves continue the same stream. Seeded candidate draws index the
+    /// bag's physical bucket rows, dead rows included, and restore
+    /// compacts them away, so a restored seeded session continues
+    /// confluence-equivalently — the same stable final through a
+    /// possibly different order — as Rete's rebuilt lanes already do.
     pub rng: Option<[u64; 4]>,
     /// Cumulative delta-scheduler counters, when delta scheduling ran.
     pub sched: Option<SchedStats>,

@@ -218,6 +218,22 @@ impl ValueBucket {
         self.epoch
     }
 
+    /// Physical row count, dead rows included: the index space of
+    /// [`Self::row`], meaningful only at the current [`Self::epoch`].
+    #[inline]
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `(value, count)` at physical row `i`, or `None` past the end. A
+    /// dead row reads with count 0. The random-access twin of
+    /// [`Self::iter_counts`] that seeded match search draws candidates
+    /// through, so a probe costs the rows it tries.
+    #[inline]
+    pub fn row(&self, i: usize) -> Option<(&Value, usize)> {
+        self.rows.get(i).map(|row| (row.value, row.count))
+    }
+
     /// Iterate live rows starting at physical row `start`, yielding the
     /// row index alongside the id/value/count triple.
     ///
