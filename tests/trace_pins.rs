@@ -25,13 +25,13 @@ const PINS: [u64; 36] = [
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x80fa_9eb0_5bfc_3dd5,
     0xfe4f_8301_b422_329f,
-    0x918d_888d_4f10_587d,
-    0x383d_5d0d_fa85_97af,
+    0x3ae2_3198_b8d7_a70f,
+    0x387b_7371_21b7_bc6a,
     // Delta: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x80fa_9eb0_5bfc_3dd5,
     0xfe4f_8301_b422_329f,
-    0xeca8_76a0_c740_810b,
-    0xc333_cba4_4830_eac9,
+    0x0aea_d8a5_4bdb_e91b,
+    0x8c35_a83e_1568_0d1d,
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x80fa_9eb0_5bfc_3dd5,
     0xfe4f_8301_b422_329f,
@@ -41,18 +41,18 @@ const PINS: [u64; 36] = [
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
-    0x6e60_91a7_5033_ad92,
-    0x0101_3cc1_4b0a_a2cd,
+    0x9138_7c2a_0a76_2a1e,
+    0x220f_3547_56cb_0ea1,
     // Delta: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
-    0x20a2_0003_0bab_748e,
-    0xa07a_b0da_6804_828d,
+    0x2ae8_b4f4_8ee2_e290,
+    0xb4ad_1c00_5773_d3dd,
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
-    0xca55_8522_c44e_9f8c,
-    0x6456_81dd_14d5_5f85,
+    0x67c3_e204_fcaa_5a94,
+    0xbfb8_aa8d_c2d4_6f23,
     // Algorithm-1 image of one Fig. 2 loop
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x4419_deee_e256_a3bd,
