@@ -1199,7 +1199,10 @@ impl CompiledReaction {
                 let available = bag.count_at(label, tag, &value);
                 self.try_candidate(
                     order[depth],
-                    (label, tag, &value, available),
+                    label,
+                    tag,
+                    &value,
+                    available,
                     bindings,
                     consumed,
                     |b, c| self.det_search(depth + 1, order, bag, b, c),
@@ -1210,7 +1213,10 @@ impl CompiledReaction {
                 bag.visit_values(label, tag, &mut |value, available| {
                     found = self.try_candidate(
                         order[depth],
-                        (label, tag, value, available),
+                        label,
+                        tag,
+                        value,
+                        available,
                         bindings,
                         consumed,
                         |b, c| self.det_search(depth + 1, order, bag, b, c),
@@ -1222,14 +1228,18 @@ impl CompiledReaction {
         }
     }
 
-    /// Try one candidate `(label, tag, value, available)` for the plan
-    /// position `pos_idx`: check its multiplicity against what earlier
-    /// positions consumed, bind it, and hand the rest of the plan to
-    /// `next`; undo the binding when `next` fails.
+    /// Try one candidate for the plan position `pos_idx`, of which the
+    /// bucket holds `available` occurrences: check that against what
+    /// earlier positions consumed, bind it, and hand the rest of the plan
+    /// to `next`; undo the binding when `next` fails.
+    #[allow(clippy::too_many_arguments)]
     fn try_candidate(
         &self,
         pos_idx: usize,
-        (label, tag, value, available): (Symbol, Tag, &Value, usize),
+        label: Symbol,
+        tag: Tag,
+        value: &Value,
+        available: usize,
         bindings: &mut Bindings<'_>,
         consumed: &mut [Option<Element>],
         next: impl FnOnce(&mut Bindings<'_>, &mut [Option<Element>]) -> bool,
@@ -1326,7 +1336,10 @@ impl CompiledReaction {
                     let available = bag.count_at(label, tag, &value);
                     if self.try_candidate(
                         pos_idx,
-                        (label, tag, &value, available),
+                        label,
+                        tag,
+                        &value,
+                        available,
                         bindings,
                         consumed,
                         |b, c| self.scratch_search(depth + 1, order, bag, b, c, rng, rest),
@@ -1356,7 +1369,10 @@ impl CompiledReaction {
                     };
                     if self.try_candidate(
                         pos_idx,
-                        (label, tag, &value, available),
+                        label,
+                        tag,
+                        &value,
+                        available,
                         bindings,
                         consumed,
                         |b, c| self.scratch_search(depth + 1, order, bag, b, c, rng, rest),

@@ -100,7 +100,7 @@ use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
 use crate::trace::ExecStats;
 use crossbeam_channel::{Receiver, Sender};
 use gammaflow_multiset::{
-    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value,
+    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value, ValueBucket,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rand::seq::SliceRandom;
@@ -462,13 +462,18 @@ struct ShardedView<'a> {
 }
 
 impl ShardedView<'_> {
-    /// `(first physical row, window length)` over a bucket of `rows`.
-    fn window(&self, rows: usize) -> (usize, usize) {
-        if rows > self.sample_cap {
-            ((self.salt % rows as u64) as usize, self.sample_cap)
-        } else {
-            (0, rows)
+    /// Row `i` of the window over `bucket`, or `None` past its end.
+    fn window_row<'b>(&self, bucket: &'b ValueBucket, i: usize) -> Option<(&'b Value, usize)> {
+        let rows = bucket.row_count();
+        if i >= rows.min(self.sample_cap) {
+            return None;
         }
+        let start = if rows > self.sample_cap {
+            (self.salt % rows as u64) as usize
+        } else {
+            0
+        };
+        bucket.row((start + i) % rows)
     }
 }
 
@@ -487,10 +492,8 @@ impl MatchSource for ShardedView<'_> {
             let Some(bucket) = b.bucket(label, tag) else {
                 return Vec::new();
             };
-            let rows = bucket.row_count();
-            let (start, len) = self.window(rows);
-            (0..len)
-                .filter_map(|i| bucket.row((start + i) % rows))
+            (0..)
+                .map_while(|i| self.window_row(bucket, i))
                 .filter(|&(_, c)| c > 0)
                 .map(|(v, c)| (v.clone(), c))
                 .collect()
@@ -509,22 +512,16 @@ impl MatchSource for ShardedView<'_> {
         let rows = self
             .bag
             .with_shard(shard, |b| b.bucket(label, tag).map_or(0, |x| x.row_count()));
-        Some(self.window(rows).1)
+        Some(rows.min(self.sample_cap))
     }
 
     fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        // The window is re-derived from the live bucket: one edited since
+        // `row_count` shifts it, which only hides candidates or offers
+        // ones the claim re-validates.
         let shard = self.bag.shard_of(label, tag);
         self.bag.with_shard(shard, |b| {
-            let bucket = b.bucket(label, tag)?;
-            // Re-derived from the live row count: a bucket edited since
-            // `row_count` shifts the window, which only hides or offers
-            // candidates the claim re-validates.
-            let rows = bucket.row_count();
-            let (start, len) = self.window(rows);
-            if i >= len {
-                return None;
-            }
-            let (value, count) = bucket.row((start + i) % rows)?;
+            let (value, count) = self.window_row(b.bucket(label, tag)?, i)?;
             Some((value.clone(), count))
         })
     }

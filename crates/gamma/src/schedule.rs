@@ -324,8 +324,8 @@ impl DeltaScheduler {
     /// ascending reaction order, which makes the selected firing identical
     /// to the rescanning reference's "first enabled reaction in program
     /// order". Seeded mode picks a uniformly random dirty reaction and
-    /// shuffles candidate tuples, preserving the engine's honest
-    /// nondeterminism.
+    /// draws its candidates in seeded random order, preserving the
+    /// engine's honest nondeterminism.
     ///
     /// At drain time one authoritative whole-program search double-checks
     /// stability; if it unexpectedly finds a firing (scheduler bug), the

@@ -69,8 +69,8 @@ pub enum Selection {
     /// First enabled reaction in program order, first tuple in index order.
     /// Fast and deterministic, but biased.
     Deterministic,
-    /// Seeded uniform-ish choice: reaction order and candidate orders are
-    /// shuffled per step with a ChaCha8 stream.
+    /// Seeded uniform-ish choice: per step, reaction order is shuffled
+    /// and candidates are drawn in random order from a ChaCha8 stream.
     Seeded(u64),
 }
 
