@@ -250,11 +250,11 @@ pub trait MatchSource {
     }
 
     /// `(value, multiplicity)` at physical row `i` of the `(label, tag)`
-    /// bucket; a dead row reads with multiplicity 0. `None` past the end,
-    /// which a concurrently compacted bucket may produce for an index
-    /// drawn against an older [`MatchSource::row_count`]: the candidate
-    /// is then skipped, as is any row whose content changed under it and
-    /// that a claim will reject.
+    /// bucket; a dead row reads with multiplicity 0. `None` past the end.
+    /// A concurrently edited bucket may answer for an index drawn against
+    /// an older [`MatchSource::row_count`]: `None` hides that candidate,
+    /// and a row that changed under it is offered for the claim to
+    /// reject.
     fn row(&self, _label: Symbol, _tag: Tag, _i: usize) -> Option<(Value, usize)> {
         None
     }
