@@ -163,10 +163,9 @@ impl LabelFilter {
 ///
 /// Seeded search reads a bucket's values by physical row:
 /// [`MatchSource::row_count`] sizes a random permutation and
-/// [`MatchSource::row`] fetches the rows it draws, so a probe that
-/// accepts its first candidate reads one row, not the bucket. A source
-/// without random row access keeps the defaults, and the search collects
-/// [`MatchSource::values_at`] and permutes the copy instead.
+/// [`MatchSource::row`] fetches the rows it draws, so over an indexed
+/// source a probe that accepts its first candidate reads one row, not
+/// the bucket.
 pub trait MatchSource {
     /// Distinct labels currently (or recently) present.
     fn all_labels(&self) -> Vec<Symbol>;
@@ -243,10 +242,10 @@ pub trait MatchSource {
     }
 
     /// Physical row count of the `(label, tag)` bucket, dead rows
-    /// included — the index space of [`MatchSource::row`] — or `None`
-    /// when the source has no random row access (the default).
-    fn row_count(&self, _label: Symbol, _tag: Tag) -> Option<usize> {
-        None
+    /// included: the index space of [`MatchSource::row`]. The default
+    /// counts [`MatchSource::values_at`], whose pairs are then the rows.
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
+        self.values_at(label, tag).len()
     }
 
     /// `(value, multiplicity)` at physical row `i` of the `(label, tag)`
@@ -254,9 +253,10 @@ pub trait MatchSource {
     /// A concurrently edited bucket may answer for an index drawn against
     /// an older [`MatchSource::row_count`]: `None` hides that candidate,
     /// and a row that changed under it is offered for the claim to
-    /// reject.
-    fn row(&self, _label: Symbol, _tag: Tag, _i: usize) -> Option<(Value, usize)> {
-        None
+    /// reject. The default reads pair `i` of [`MatchSource::values_at`],
+    /// so it is linear in the bucket; indexed sources override it.
+    fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        self.values_at(label, tag).into_iter().nth(i)
     }
 }
 
@@ -327,8 +327,8 @@ impl MatchSource for ElementBag {
         (count, id)
     }
 
-    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
-        Some(self.bucket(label, tag).map_or(0, |b| b.row_count()))
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
+        self.bucket(label, tag).map_or(0, |b| b.row_count())
     }
 
     fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
@@ -338,8 +338,7 @@ impl MatchSource for ElementBag {
 }
 
 /// Reusable per-depth state for the seeded search: shuffled label and
-/// tag candidates, and the swap map of the lazy value permutation (plus
-/// a collected bucket copy for sources without random row access). One
+/// tag candidates, and the swap map of the lazy value permutation. One
 /// `SearchScratch` lives for a whole engine run, so the steady state of
 /// the matcher allocates nothing per probe.
 #[derive(Debug, Default)]
@@ -357,8 +356,6 @@ pub struct SearchScratch {
 struct ScratchLevel {
     labels: Vec<Symbol>,
     tags: Vec<Tag>,
-    /// The bucket copy, when the source has no random row access.
-    values: Vec<(Value, usize)>,
     /// Lazy Fisher–Yates state: position → row for every position of the
     /// current permutation that a swap has displaced.
     swaps: FxHashMap<usize, usize>,
@@ -1348,23 +1345,11 @@ impl CompiledReaction {
                     }
                     continue;
                 }
-                let lazy = bag.row_count(label, tag);
-                let rows = lazy.unwrap_or_else(|| {
-                    level.values.clear();
-                    bag.visit_values(label, tag, &mut |v, c| {
-                        level.values.push((v.clone(), c));
-                        true
-                    });
-                    level.values.len()
-                });
+                let rows = bag.row_count(label, tag);
                 level.swaps.clear();
                 for i in 0..rows {
                     let r = level.draw(i, rows, rng);
-                    let row = match lazy {
-                        Some(_) => bag.row(label, tag, r),
-                        None => Some(level.values[r].clone()),
-                    };
-                    let Some((value, available)) = row else {
+                    let Some((value, available)) = bag.row(label, tag, r) else {
                         continue;
                     };
                     if self.try_candidate(
@@ -1999,7 +1984,7 @@ impl<S: MatchSource> MatchSource for CountingSource<S> {
             f(id, v, c)
         });
     }
-    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
         self.inner.row_count(label, tag)
     }
     fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
@@ -2261,7 +2246,7 @@ mod tests {
         ) {
             let bag = bucket_with_dead_rows(&dead);
             let (label, tag) = (Symbol::intern("v"), Tag::ZERO);
-            let rows = bag.row_count(label, tag).unwrap();
+            let rows = bag.row_count(label, tag);
             let live: Vec<usize> = (0..rows)
                 .filter(|&i| bag.row(label, tag, i).unwrap().1 > 0)
                 .collect();
@@ -2282,6 +2267,45 @@ mod tests {
         }
     }
 
+    /// A source with only the required methods: rows come from the
+    /// `row_count`/`row` defaults over `values_at`.
+    struct ValuesOnly(ElementBag);
+
+    impl MatchSource for ValuesOnly {
+        fn all_labels(&self) -> Vec<Symbol> {
+            self.0.all_labels()
+        }
+        fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
+            self.0.tags_for_label(label)
+        }
+        fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
+            self.0.values_at(label, tag)
+        }
+        fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
+            self.0.count_at(label, tag, value)
+        }
+    }
+
+    #[test]
+    fn default_row_access_reads_live_pairs() {
+        let dead = [true, false, true, false, false];
+        let src = ValuesOnly(bucket_with_dead_rows(&dead));
+        let (label, tag) = (Symbol::intern("v"), Tag::ZERO);
+        assert_eq!(src.row_count(label, tag), 3);
+        assert_eq!(src.row(label, tag, 0), Some((Value::Int(1), 1)));
+        assert_eq!(src.row(label, tag, 3), None);
+        let mut picked = Vec::new();
+        for seed in 0..64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            assert_eq!(take_v(false).find_match(0, &src, Some(&mut rng)), Ok(None));
+            let f = take_v(true).find_match(0, &src, Some(&mut rng)).unwrap();
+            picked.push(f.unwrap().consumed[0].value.as_int().unwrap());
+        }
+        picked.sort_unstable();
+        picked.dedup();
+        assert_eq!(picked, vec![1, 3, 4]);
+    }
+
     #[test]
     fn lazy_order_first_candidate_is_uniform_over_live_rows() {
         // 10 physical rows, 4 of them dead.
@@ -2289,7 +2313,7 @@ mod tests {
             false, true, false, false, true, true, false, false, true, false,
         ];
         let bag = bucket_with_dead_rows(&dead);
-        assert_eq!(bag.row_count(Symbol::intern("v"), Tag::ZERO), Some(10));
+        assert_eq!(bag.row_count(Symbol::intern("v"), Tag::ZERO), 10);
         let r = take_v(true);
         let mut hits = [0usize; 10];
         let seeds = 4000;

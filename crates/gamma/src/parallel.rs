@@ -454,6 +454,13 @@ impl Directory {
 /// the terminal locked-shard check. Rows are read one at a time under a
 /// transient shard lock, so a probe reads the rows it tries and never
 /// copies the bucket.
+///
+/// The window counts dead rows, so it can hold no live row at all when
+/// it falls inside a run of consumed rows. Compaction keeps dead rows at
+/// most `max(live, 8)`, so once the window is wider than 8 rows fewer
+/// than half of the offsets land wholly on dead rows. Each retry draws
+/// a fresh salt, so fewer than one empty window is expected before one
+/// that shows a live row.
 struct ShardedView<'a> {
     bag: &'a ShardedBag,
     directory: &'a Directory,
@@ -507,12 +514,12 @@ impl MatchSource for ShardedView<'_> {
         })
     }
 
-    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
         let shard = self.bag.shard_of(label, tag);
         let rows = self
             .bag
             .with_shard(shard, |b| b.bucket(label, tag).map_or(0, |x| x.row_count()));
-        Some(rows.min(self.sample_cap))
+        rows.min(self.sample_cap)
     }
 
     fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
@@ -588,7 +595,7 @@ impl MatchSource for LockedShards<'_> {
         self.shard(label, tag).visit_values(label, tag, f);
     }
 
-    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
         self.shard(label, tag).row_count(label, tag)
     }
 
@@ -1508,7 +1515,7 @@ impl MatchSource for ShardedSource<'_> {
             .with_shard(shard, |b| MatchSource::count_at(b, label, tag, value))
     }
 
-    fn row_count(&self, label: Symbol, tag: Tag) -> Option<usize> {
+    fn row_count(&self, label: Symbol, tag: Tag) -> usize {
         let shard = self.bag.shard_of(label, tag);
         self.bag
             .with_shard(shard, |b| MatchSource::row_count(b, label, tag))
@@ -2078,6 +2085,37 @@ mod tests {
             let window = view.inner.values_at(Symbol::intern("n"), Tag::ZERO);
             assert_eq!(window.len(), sample_cap, "salt {salt}");
         }
+    }
+
+    #[test]
+    fn sampled_view_window_over_a_dead_run() {
+        // 200 rows with the first 100 consumed: dead rows equal live ones,
+        // so the bucket stays uncompacted, and a 64-row window shows
+        // every row of [start, start + 64) that lies in the live half.
+        let initial: ElementBag = (0..200).map(|v| e(v, "n", 0)).collect();
+        let bag = ShardedBag::new(2);
+        bag.insert_all(initial.iter());
+        let consumed: Vec<Element> = (0..100).map(|v| e(v, "n", 0)).collect();
+        assert!(bag.claim_and_replace(&consumed, &[]));
+        let directory = Directory::new(&initial);
+        let (label, tag) = (Symbol::intern("n"), Tag::ZERO);
+        let sample_cap = 64;
+        let mut empty = 0;
+        for start in 0..200u64 {
+            let view = ShardedView {
+                bag: &bag,
+                directory: &directory,
+                sample_cap,
+                salt: start,
+            };
+            assert_eq!(view.row_count(label, tag), sample_cap);
+            let live = view.values_at(label, tag).len();
+            let expected = (start..start + 64).filter(|r| r % 200 >= 100).count();
+            assert_eq!(live, expected, "start {start}");
+            empty += usize::from(live == 0);
+        }
+        // Starts 0..=36 see only consumed rows: under half of the offsets.
+        assert_eq!(empty, 37);
     }
 
     #[test]
