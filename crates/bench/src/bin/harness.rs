@@ -2395,13 +2395,14 @@ fn s10() {
             .map(|j| Element::pair((i * 1_000 + w * 100 + j) as i64, "s10in"))
             .collect()
     };
-    // Small-wave serving regime: one engine worker per wave (waves of a
-    // few elements have no intra-wave parallelism worth paying for), so
-    // the dispatch mechanism — lease a parked worker vs spawn a fresh
-    // thread — is exactly what the strategies vary.
+    // Two engine workers per wave: a one-worker wave runs inline on the
+    // driver thread under every dispatch, so only a multi-worker wave
+    // acquires threads, and the dispatch mechanism — lease parked
+    // workers vs spawn fresh threads — is exactly what the strategies
+    // vary.
     let par_config = || EngineConfig {
         engine: Engine::Parallel(ParEngine::ShardedRete),
-        workers: 1,
+        workers: 2,
         ..EngineConfig::default()
     };
 

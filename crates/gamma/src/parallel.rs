@@ -12,16 +12,21 @@
 //! map giving workers a lock-light view of which buckets exist) and the
 //! dependency index, plus what the chosen [`ParEngine`] keeps on top —
 //! per-worker network slices, or dirty flags. One wave driver serves both
-//! engines. It snapshots the wave-entry bag, leases workers and runs each
-//! body under `catch_unwind`. When a worker is lost it quarantines the
-//! attempt, then replays it, degrades to a sequential wave, or surfaces
-//! [`ParError::WorkerLost`], as the [`RecoveryPolicy`] says. Every exit
-//! goes through one reset: the bag is restored and the engine's matcher
-//! state is re-derived over it — slices rebuilt with their lifetime
-//! counters kept, or every dirty flag re-armed. Replay is sound because a
-//! wave starts from a quiescent bag that fully describes its input, and by
-//! the Generalized Kahn Principle (PAPERS.md) the stable multiset is a
-//! function of that input, not of the attempt that computed it.
+//! engines. It opens an undo journal on the bag, runs each worker body
+//! under `catch_unwind` — a one-worker wave on the calling thread, a wider
+//! one on leased workers — and drops the journal when the wave ends. A
+//! wave therefore pays for its recovery point in proportion to the claims
+//! it commits, not to the bag. When a worker is lost the driver
+//! quarantines the attempt: it rolls the journal back, which restores the
+//! exact entry multiset, and then replays the wave, degrades to a
+//! sequential wave, or surfaces [`ParError::WorkerLost`], as the
+//! [`RecoveryPolicy`] says. Every exit goes through one reset: the
+//! engine's matcher state is re-derived over the bag — slices rebuilt
+//! with their lifetime counters kept, or every dirty flag re-armed.
+//! Replay is sound because a wave starts from a quiescent bag that fully
+//! describes its input, and by the Generalized Kahn Principle (PAPERS.md)
+//! the stable multiset is a function of that input, not of the attempt
+//! that computed it; any exact copy of it is as good a start as another.
 //!
 //! # The sharded-rete engine ([`ParEngine::ShardedRete`], the default)
 //!
@@ -100,9 +105,10 @@ use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
 use crate::trace::ExecStats;
 use crossbeam_channel::{Receiver, Sender};
 use gammaflow_multiset::{
-    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardedBag, Symbol, Tag, Value, ValueBucket,
+    ElemId, Element, ElementBag, FxHashMap, FxHashSet, ShardGuard, ShardedBag, Symbol, Tag, Value,
+    ValueBucket,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -174,12 +180,14 @@ pub enum ParEngine {
 /// input-determinacy argument from PAPERS.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryPolicy {
-    /// How many times a poisoned wave is replayed from its entry snapshot
-    /// before `on_exhausted` applies. `0` disables the wave-entry
-    /// snapshot entirely (no per-wave clone cost): a lost worker then
-    /// surfaces as [`ParError::WorkerLost`] immediately, with the bag
-    /// keeping the partial wave's atomically committed claims (a legal
-    /// reachable multiset — each claim is one Γ step).
+    /// How many times a poisoned wave is replayed from its entry multiset
+    /// before `on_exhausted` applies. While it is above `0`, every wave
+    /// keeps an undo journal of its committed claims (as arena ids, in the
+    /// shards they edit), and a lost worker's attempt is rolled back
+    /// through it. `0` keeps no journal: a lost worker then surfaces as
+    /// [`ParError::WorkerLost`] immediately, with the bag keeping the
+    /// partial wave's atomically committed claims (a legal reachable
+    /// multiset — each claim is one Γ step).
     pub max_replays: u32,
     /// The action once replays are exhausted.
     pub on_exhausted: OnExhausted,
@@ -208,9 +216,9 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// A policy that never snapshots and never replays: a lost worker is
-    /// an immediate [`ParError::WorkerLost`]. This is the zero-overhead
-    /// configuration for throughput benchmarking.
+    /// A policy that keeps no undo journal and never replays: a lost
+    /// worker is an immediate [`ParError::WorkerLost`], and claims record
+    /// nothing beyond their edit.
     pub fn disabled() -> Self {
         RecoveryPolicy {
             max_replays: 0,
@@ -269,11 +277,13 @@ pub struct ParStats {
     /// Waves completed by the sequential fallback after the replay budget
     /// ran out ([`OnExhausted::DegradeToSeq`]).
     pub degraded_waves: u64,
-    /// Wave attempts that ran on workers leased from a parked
-    /// [`crate::pool::WorkerPool`].
+    /// Wave attempts of two or more workers that ran on workers leased
+    /// from a parked [`crate::pool::WorkerPool`]. A one-worker attempt
+    /// runs inline on the calling thread and counts here no more than in
+    /// `pool_spawns`.
     pub pool_leases: u64,
-    /// Wave attempts that fell back to per-wave scoped thread spawn
-    /// (pool full, or dispatch configured as
+    /// Wave attempts of two or more workers that fell back to per-wave
+    /// scoped thread spawn (pool full, or dispatch configured as
     /// [`crate::pool::WaveDispatch::SpawnPerWave`]).
     pub pool_spawns: u64,
 }
@@ -542,7 +552,7 @@ impl MatchSource for ShardedView<'_> {
 /// `claim_and_replace`, so concurrent claimants block but never deadlock.
 struct LockedShards<'a> {
     bag: &'a ShardedBag,
-    guards: Vec<MutexGuard<'a, ElementBag>>,
+    guards: Vec<ShardGuard<'a>>,
 }
 
 impl<'a> LockedShards<'a> {
@@ -915,7 +925,7 @@ impl ParState {
         }
     }
 
-    /// One wave (see the module docs), replayed from its entry snapshot
+    /// One wave (see the module docs), replayed from its entry multiset
     /// under `ctl.recovery` if a worker is lost. This is the one place a
     /// lost worker is handled: quarantine, replay, degrade to the
     /// sequential fallback, or surface [`ParError::WorkerLost`] — each
@@ -936,21 +946,30 @@ impl ParState {
             return Ok((ExecStats::new(self.nreactions), Status::BudgetExhausted));
         }
 
-        // Wave-entry snapshot: the bag between waves is quiescent (either
+        // Recovery point: the bag between waves is quiescent (either
         // engine's termination check certified it), so it is the valid
-        // replay point. Skipped — with its clone cost — when replay is
-        // disabled. `kept` holds the slices' counters at the same point.
-        let entry = (ctl.recovery.max_replays > 0).then(|| self.bag.snapshot());
+        // replay point, and undoing the attempt's own claims gets back to
+        // it. The bag journals those claims as ids, O(claims) rather than
+        // a copy of the bag; no journal when replay is disabled. `kept`
+        // holds the slices' counters at the same point.
+        let journal = ctl.recovery.max_replays > 0;
         let kept = self.slice_stats();
         let mut attempt: u32 = 0;
         loop {
+            if journal {
+                self.bag.open_journal();
+            }
             let wf = WaveFaults::new(ctl.faults, wave_index, attempt, ctl.tel);
             let workers = match self.attempt(compiled, budget, wave_index, par, wf, ctl) {
                 Ok(out) => {
+                    self.bag.close_journal();
                     par.waves_replayed += u64::from(attempt);
                     return Ok(out);
                 }
-                Err(WaveFailure::Exec(e)) => return Err(e),
+                Err(WaveFailure::Exec(e)) => {
+                    self.bag.close_journal();
+                    return Err(e);
+                }
                 Err(WaveFailure::Lost(workers)) => workers,
             };
             par.workers_lost += workers.len() as u64;
@@ -964,21 +983,15 @@ impl ParState {
                     },
                 );
             }
-            let Some(entry) = entry.as_ref() else {
-                // No replay point: surface the loss. The bag keeps the
-                // partial wave's atomically committed claims — a legal
-                // reachable multiset — and the matcher state is reset over
-                // it, so the session stays structurally usable.
-                let current = self.bag.snapshot();
-                self.reset(compiled, &current, &kept);
-                return Err(ParError::WorkerLost {
-                    workers,
-                    replays: attempt,
-                }
-                .into());
-            };
-            // Quarantine the poisoned attempt: back to the entry multiset.
-            self.reset(compiled, entry, &kept);
+            // Quarantine the poisoned attempt. Every worker has been
+            // joined, so rolling the journal back restores the exact entry
+            // multiset. With no journal the bag keeps the partial wave's
+            // atomically committed claims — a legal reachable multiset.
+            // Either way the matcher state is reset over the bag, so the
+            // session stays structurally usable.
+            self.bag.rollback_journal();
+            let entry = self.bag.snapshot();
+            self.reset(compiled, &entry, &kept);
             if attempt < ctl.recovery.max_replays {
                 attempt += 1;
                 if ctl.tel.enabled() {
@@ -992,7 +1005,8 @@ impl ParState {
                 }
                 continue;
             }
-            if ctl.recovery.on_exhausted == OnExhausted::Error {
+            // Without a journal there is no entry multiset to degrade from.
+            if !journal || ctl.recovery.on_exhausted == OnExhausted::Error {
                 return Err(ParError::WorkerLost {
                     workers,
                     replays: attempt,
@@ -1004,7 +1018,7 @@ impl ParState {
             if ctl.tel.enabled() {
                 ctl.emit(wave_index, TraceEvent::DegradedToSeq { wave: wave_index });
             }
-            let mut bag = entry.clone();
+            let mut bag = entry;
             let out = seq_fallback_wave(compiled, &mut bag, budget, wave_index, ctl)?;
             let kept = self.slice_stats();
             self.reset(compiled, &bag, &kept);
@@ -1181,12 +1195,12 @@ impl ParState {
     }
 }
 
-/// Lease `workers` threads through `ctl.dispatch` and run `body(w)` on
-/// each under `catch_unwind`, so a worker panic becomes a lost-worker
-/// report instead of a process abort; `done` wakes the peers so the
-/// failed attempt winds down promptly. Returns the bodies' results in
-/// worker order, or [`WaveFailure::Lost`] naming every worker whose body
-/// did not return.
+/// Run `body(w)` for each of `workers` workers under `catch_unwind`, so a
+/// worker panic becomes a lost-worker report instead of a process abort;
+/// `done` wakes the peers so the failed attempt winds down promptly. One
+/// worker runs inline on the calling thread; more are leased through
+/// `ctl.dispatch`. Returns the bodies' results in worker order, or
+/// [`WaveFailure::Lost`] naming every worker whose body did not return.
 fn run_workers<T: Send>(
     workers: usize,
     done: &AtomicBool,
@@ -1199,7 +1213,11 @@ fn run_workers<T: Send>(
         Ok(out) => *outs[w].lock() = Some(out),
         Err(_) => done.store(true, Ordering::Release),
     };
-    if ctl.dispatch.run(workers, &run) {
+    if workers == 1 {
+        // Nothing to overlap with: run the one body here, with no
+        // hand-off to another thread.
+        run(0);
+    } else if ctl.dispatch.run(workers, &run) {
         par.pool_leases += 1;
     } else {
         par.pool_spawns += 1;
@@ -2137,6 +2155,33 @@ mod tests {
         let result = run_par(&max_program(), initial, &sharded(3)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert_eq!(result.exec.multiset.sorted_elements(), vec![e(99, "n", 0)]);
+    }
+
+    /// A one-worker wave runs on the calling thread, so it neither
+    /// leases nor spawns; two workers under spawn-per-wave dispatch spawn
+    /// once per wave.
+    #[test]
+    fn one_worker_wave_neither_leases_nor_spawns() {
+        for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
+            for (workers, spawns) in [(1usize, 0u64), (2, 3)] {
+                let mut session = Session::build(&sum_program())
+                    .engine(Engine::Parallel(engine))
+                    .workers(workers)
+                    .wave_dispatch(WaveDispatch::SpawnPerWave)
+                    .start(ElementBag::new())
+                    .unwrap();
+                for wave in 0..3 {
+                    let _ = session.inject((1..=8).map(|v| e(v + 8 * wave, "n", 0)));
+                    assert_eq!(session.run_to_stable().unwrap().status, Status::Stable);
+                }
+                let par = session.finish_parallel().par;
+                assert_eq!(
+                    (par.pool_leases, par.pool_spawns),
+                    (0, spawns),
+                    "{engine:?} x{workers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! every stream. This module keeps a fixed set of workers **parked** on
 //! a condvar between waves and leases them to whichever wave runs next.
 //!
+//! Only waves of two or more workers come here. A one-worker wave runs
+//! its body inline on the calling thread (`parallel::run_workers`): with
+//! no peer to overlap, a lease would be a pure condvar round trip.
+//!
 //! # Leasing discipline
 //!
 //! [`WorkerPool::try_run_scoped`] is all-or-nothing: a wave needing `k`
@@ -221,7 +225,9 @@ pub enum WaveDispatch {
     /// scoped spawn whenever the pool can not seat the whole wave.
     Parked(Arc<WorkerPool>),
     /// Spawn scoped threads every wave (the historical behaviour; kept
-    /// as the measurable baseline — harness step `S10`).
+    /// as the measurable baseline — harness step `S10`). Like
+    /// [`WaveDispatch::Parked`], it applies to waves of two or more
+    /// workers only.
     SpawnPerWave,
 }
 

@@ -160,7 +160,7 @@ pub enum TraceEvent {
         /// Workers lost in the attempt.
         workers_lost: u64,
     },
-    /// A quarantined wave is being replayed from its entry snapshot.
+    /// A quarantined wave is being replayed from its entry multiset.
     WaveReplayed {
         /// Wave index.
         wave: u64,

@@ -64,7 +64,7 @@ pub use arena::{arena_stats, ArenaStats, ElemId};
 pub use bag::HashBag;
 pub use element::{Element, Tag};
 pub use indexed::{ElementBag, ValueBucket};
-pub use sharded::{shard_index, ShardedBag};
+pub use sharded::{shard_index, ShardGuard, ShardedBag};
 pub use symbol::Symbol;
 pub use value::{Value, ValueError};
 

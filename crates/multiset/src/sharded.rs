@@ -1,7 +1,8 @@
 //! Concurrent sharded multiset for the parallel Gamma interpreter.
 //!
 //! The Γ operator lets reactions fire "freely and in parallel" over disjoint
-//! sub-multisets. A shared-memory realisation needs two things:
+//! sub-multisets. A shared-memory realisation needs two things, and its
+//! wave recovery a third:
 //!
 //! 1. **Atomic claims** — a worker must consume its matched tuple and insert
 //!    the products without another worker consuming the same occurrences.
@@ -13,16 +14,22 @@
 //!    [`version`](ShardedBag::version) counter, bumped on every successful
 //!    claim, lets workers detect "I scanned everything and nothing changed
 //!    meanwhile", the classic scan-version protocol.
+//! 3. **An undo journal** — while a journal is open, every committed claim
+//!    records its edits as arena ids in the shards it locked, under the
+//!    same locks. [`ShardedBag::rollback_journal`] undoes them, restoring
+//!    the multiset the journal was opened on; the cost is O(claims), not
+//!    O(|M|). The parallel engine opens one per wave as its replay point.
 //!
 //! Shards are `CachePadded` to avoid false sharing between worker threads
 //! (Rust Atomics & Locks, ch. 7).
 
+use crate::arena::ElemId;
 use crate::element::{Element, Tag};
 use crate::fxhash;
 use crate::indexed::ElementBag;
 use crate::symbol::Symbol;
 use crossbeam_utils_shim::CachePadded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 // `crossbeam_utils::CachePadded` without forcing the dependency on every
@@ -60,11 +67,56 @@ pub fn shard_index(label: Symbol, tag: Tag, num_shards: usize) -> usize {
     (fxhash::hash_u64(key) & (num_shards as u64 - 1)) as usize
 }
 
+/// One shard: its part of the multiset and its part of the undo journal,
+/// guarded by one lock.
+#[derive(Default)]
+struct Shard {
+    bag: ElementBag,
+    journal: Journal,
+}
+
+/// A shard's undo records: the ids its claims removed and inserted while
+/// the journal `epoch` was open. Records of an older epoch belong to a
+/// closed journal; the next record in the shard discards them.
+#[derive(Default)]
+struct Journal {
+    epoch: u64,
+    removed: Vec<ElemId>,
+    inserted: Vec<ElemId>,
+}
+
+impl Journal {
+    /// The records of journal `epoch`, dropping a closed journal's.
+    fn at(&mut self, epoch: u64) -> &mut Journal {
+        if self.epoch != epoch {
+            self.epoch = epoch;
+            self.removed.clear();
+            self.inserted.clear();
+        }
+        self
+    }
+}
+
+/// A locked shard, read as its [`ElementBag`] (see
+/// [`ShardedBag::lock_all`]).
+pub struct ShardGuard<'a>(MutexGuard<'a, Shard>);
+
+impl std::ops::Deref for ShardGuard<'_> {
+    type Target = ElementBag;
+    fn deref(&self) -> &ElementBag {
+        &self.0.bag
+    }
+}
+
 /// A sharded, internally synchronised multiset of [`Element`]s.
 pub struct ShardedBag {
-    shards: Box<[CachePadded<Mutex<ElementBag>>]>,
+    shards: Box<[CachePadded<Mutex<Shard>>]>,
     version: AtomicU64,
     len: AtomicUsize,
+    /// The epoch of the open undo journal, if one is open.
+    journal: Option<u64>,
+    /// Journals opened so far; the next one gets epoch `epochs + 1`.
+    epochs: u64,
 }
 
 impl ShardedBag {
@@ -73,13 +125,15 @@ impl ShardedBag {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shards = (0..n)
-            .map(|_| CachePadded(Mutex::new(ElementBag::new())))
+            .map(|_| CachePadded(Mutex::new(Shard::default())))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         ShardedBag {
             shards,
             version: AtomicU64::new(0),
             len: AtomicUsize::new(0),
+            journal: None,
+            epochs: 0,
         }
     }
 
@@ -118,20 +172,20 @@ impl ShardedBag {
         self.len() == 0
     }
 
-    /// Insert a single element.
+    /// Insert a single element. Not journaled.
     pub fn insert(&self, e: Element) {
         let s = self.shard_of(e.label, e.tag);
-        self.shards[s].lock().insert(e);
+        self.shards[s].lock().bag.insert(e);
         self.len.fetch_add(1, Ordering::AcqRel);
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Insert many elements (one version bump).
+    /// Insert many elements (one version bump). Not journaled.
     pub fn insert_all(&self, elems: impl IntoIterator<Item = Element>) {
         let mut n = 0usize;
         for e in elems {
             let s = self.shard_of(e.label, e.tag);
-            self.shards[s].lock().insert(e);
+            self.shards[s].lock().bag.insert(e);
             n += 1;
         }
         if n > 0 {
@@ -143,7 +197,9 @@ impl ShardedBag {
     /// Atomically perform one Γ step: consume every element of `consumed`
     /// (with multiplicity) and insert every element of `produced`. Returns
     /// `false` — leaving the bag untouched — if any consumed element is
-    /// unavailable, which is how optimistic matches lose races.
+    /// unavailable, which is how optimistic matches lose races. While a
+    /// journal is open, each edit is recorded in its shard under the lock
+    /// that makes the edit.
     pub fn claim_and_replace(&self, consumed: &[Element], produced: &[Element]) -> bool {
         // Collect the set of shards we must hold, sorted ascending so all
         // claimants acquire locks in the same global order.
@@ -155,8 +211,7 @@ impl ShardedBag {
         shard_ids.sort_unstable();
         shard_ids.dedup();
 
-        let mut guards: Vec<parking_lot::MutexGuard<'_, ElementBag>> =
-            Vec::with_capacity(shard_ids.len());
+        let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shard_ids.len());
         for &s in &shard_ids {
             guards.push(self.shards[s].lock());
         }
@@ -170,7 +225,7 @@ impl ShardedBag {
             }
             for (e, need) in demand {
                 let g = &guards[guard_pos(self.shard_of(e.label, e.tag))];
-                if g.count(e) < need {
+                if g.bag.count(e) < need {
                     return false;
                 }
             }
@@ -178,12 +233,20 @@ impl ShardedBag {
 
         for e in consumed {
             let g = &mut guards[guard_pos(self.shard_of(e.label, e.tag))];
-            let removed = g.remove(e);
+            let id = ElemId::lookup(e).expect("an available element is interned");
+            let removed = g.bag.remove_id(id, e.tag);
             debug_assert!(removed, "availability was just checked");
+            if let Some(epoch) = self.journal {
+                g.journal.at(epoch).removed.push(id);
+            }
         }
         for e in produced {
             let g = &mut guards[guard_pos(self.shard_of(e.label, e.tag))];
-            g.insert_ref(e);
+            let id = ElemId::intern(e);
+            g.bag.insert_id(id, 1);
+            if let Some(epoch) = self.journal {
+                g.journal.at(epoch).inserted.push(id);
+            }
         }
         drop(guards);
 
@@ -198,11 +261,59 @@ impl ShardedBag {
         true
     }
 
+    /// Open an undo journal, closing any open one: from now on every
+    /// committed [`claim_and_replace`](Self::claim_and_replace) is
+    /// recorded, as ids, until [`close_journal`](Self::close_journal) or
+    /// [`rollback_journal`](Self::rollback_journal). Inserts and drains
+    /// are not recorded, so a rollback restores the opening multiset only
+    /// if claims were its sole edits. O(1): a closed journal's records are
+    /// dropped lazily, by the next record in their shard.
+    pub fn open_journal(&mut self) {
+        self.epochs += 1;
+        self.journal = Some(self.epochs);
+    }
+
+    /// Stop recording and drop the open journal's records.
+    pub fn close_journal(&mut self) {
+        self.journal = None;
+    }
+
+    /// Undo every claim the open journal recorded, then close it. Multiset
+    /// edits commute, so each shard re-inserts what its claims removed and
+    /// then removes what they inserted — an element produced by one claim
+    /// and consumed by a later one is re-inserted before it is removed —
+    /// and the bag is again the multiset the journal was opened on, with
+    /// multiplicities. O(shards + records). Does nothing if no journal is
+    /// open.
+    pub fn rollback_journal(&mut self) {
+        let Some(epoch) = self.journal.take() else {
+            return;
+        };
+        let mut len = 0;
+        for shard in self.shards.iter_mut() {
+            let Shard { bag, journal } = shard.get_mut();
+            if journal.epoch == epoch {
+                for &id in &journal.removed {
+                    bag.insert_id(id, 1);
+                }
+                for &id in &journal.inserted {
+                    let undone = bag.remove_id(id, id.tag());
+                    debug_assert!(undone, "a recorded insert is present until undone");
+                }
+                journal.removed.clear();
+                journal.inserted.clear();
+            }
+            len += bag.len();
+        }
+        *self.len.get_mut() = len;
+        *self.version.get_mut() += 1;
+    }
+
     /// Run `f` with the shard `i` locked. The workhorse of parallel match
     /// scans: workers iterate shards (starting from different offsets) and
     /// search each local [`ElementBag`] index.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&ElementBag) -> R) -> R {
-        f(&self.shards[i].lock())
+        f(&self.shards[i].lock().bag)
     }
 
     /// Lock every shard in index order and return the guards. While the
@@ -211,13 +322,13 @@ impl ShardedBag {
     /// O(|M|) clone that [`Self::snapshot`] pays. Lock order matches
     /// [`Self::claim_and_replace`], so holders and claimants cannot
     /// deadlock.
-    pub fn lock_all(&self) -> Vec<parking_lot::MutexGuard<'_, ElementBag>> {
-        self.shards.iter().map(|s| s.lock()).collect()
+    pub fn lock_all(&self) -> Vec<ShardGuard<'_>> {
+        self.shards.iter().map(|s| ShardGuard(s.lock())).collect()
     }
 
     /// Lock every shard (in order) and produce a consistent snapshot.
     pub fn snapshot(&self) -> ElementBag {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let guards = self.lock_all();
         let mut out = ElementBag::new();
         for g in &guards {
             for (e, c) in g.iter_counts() {
@@ -227,15 +338,15 @@ impl ShardedBag {
         out
     }
 
-    /// Move all contents out, leaving the bag empty.
+    /// Move all contents out, leaving the bag empty. Not journaled.
     pub fn drain(&self) -> ElementBag {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut out = ElementBag::new();
         for g in guards.iter_mut() {
-            for (e, c) in g.iter_counts() {
+            for (e, c) in g.bag.iter_counts() {
                 out.insert_n(e, c);
             }
-            g.clear();
+            g.bag.clear();
         }
         self.len.store(0, Ordering::Release);
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -284,6 +395,7 @@ impl std::fmt::Debug for ShardedBag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn e(v: i64, l: &str, t: u64) -> Element {
@@ -411,6 +523,159 @@ mod tests {
         assert_eq!(back.num_shards(), 8);
         assert_eq!(back.len(), 3);
         assert_eq!(back.snapshot(), bag.snapshot());
+    }
+
+    /// Records held by the open journal: one per element a recorded
+    /// claim consumed or produced (0 when no journal is open).
+    fn journal_len(bag: &ShardedBag) -> usize {
+        let Some(epoch) = bag.journal else {
+            return 0;
+        };
+        bag.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock();
+                if shard.journal.epoch == epoch {
+                    shard.journal.removed.len() + shard.journal.inserted.len()
+                } else {
+                    0
+                }
+            })
+            .sum()
+    }
+
+    /// Every element of the journal tests' small domain, so per-element
+    /// counts can be compared exhaustively.
+    fn domain() -> Vec<Element> {
+        let mut out = Vec::new();
+        for v in 0..4 {
+            for l in ["L0", "L1", "L2"] {
+                for t in 0..3 {
+                    out.push(e(v, l, t));
+                }
+            }
+        }
+        out
+    }
+
+    fn arb_elem() -> impl Strategy<Value = Element> {
+        (0i64..4, 0usize..3, 0u64..3).prop_map(|(v, l, t)| e(v, ["L0", "L1", "L2"][l], t))
+    }
+
+    proptest! {
+        /// Random claims over a journaled bag — each step consumes up to
+        /// two live elements, the first of them a product of the step
+        /// before when it made one, and some steps try a claim that must
+        /// fail — then a rollback restores the entry multiset exactly.
+        #[test]
+        fn rollback_restores_the_entry_multiset(
+            entry in proptest::collection::vec(arb_elem(), 0..30),
+            steps in proptest::collection::vec(
+                (0usize..64, 0usize..64, 0usize..3, proptest::collection::vec(arb_elem(), 0..3)),
+                0..24,
+            ),
+        ) {
+            let mut bag = ShardedBag::new(4);
+            bag.insert_all(entry.iter().cloned());
+            let before = bag.snapshot();
+            bag.open_journal();
+            let mut live = entry.clone();
+            let mut last_products: Vec<Element> = Vec::new();
+            let mut records = 0;
+            for (a, b, want, produced) in steps {
+                if a % 7 == 0 {
+                    prop_assert!(!bag.claim_and_replace(&[e(99, "L0", 0)], &produced));
+                }
+                let mut consumed = Vec::new();
+                if want > 0 {
+                    if let Some(p) = last_products.first() {
+                        let at = live.iter().position(|x| x == p).expect("a product is live");
+                        consumed.push(live.swap_remove(at));
+                    }
+                }
+                for pick in [a, b].into_iter().take(want) {
+                    if consumed.len() == want || live.is_empty() {
+                        break;
+                    }
+                    consumed.push(live.swap_remove(pick % live.len()));
+                }
+                prop_assert!(bag.claim_and_replace(&consumed, &produced));
+                records += consumed.len() + produced.len();
+                live.extend(produced.iter().cloned());
+                last_products = produced;
+            }
+            prop_assert_eq!(journal_len(&bag), records);
+            prop_assert_eq!(bag.len(), live.len());
+            bag.rollback_journal();
+            prop_assert_eq!(journal_len(&bag), 0);
+            let after = bag.snapshot();
+            prop_assert_eq!(after.sorted_elements(), before.sorted_elements());
+            prop_assert_eq!(bag.len(), entry.len());
+            prop_assert_eq!(after.len(), entry.len());
+            for x in domain() {
+                prop_assert_eq!(after.count(&x), before.count(&x), "{}", x);
+            }
+        }
+    }
+
+    /// One wave's claims — a four-element fold to one sum — journal
+    /// exactly Σ(|consumed| + |produced|) records, whether the bag around
+    /// them holds 10² or 10⁵ elements: the recovery point costs what the
+    /// wave touches, not what the bag holds.
+    #[test]
+    fn journal_size_is_the_claims_not_the_bag() {
+        let claims: Vec<(Vec<Element>, Vec<Element>)> = vec![
+            (vec![e(1, "x", 0), e(2, "x", 0)], vec![e(3, "x", 0)]),
+            (vec![e(3, "x", 0), e(3, "x", 0)], vec![e(6, "x", 0)]),
+            (vec![e(6, "x", 0), e(4, "x", 0)], vec![e(10, "x", 0)]),
+        ];
+        let expected: usize = claims.iter().map(|(c, p)| c.len() + p.len()).sum();
+        assert_eq!(expected, 9);
+        for n in [100usize, 100_000] {
+            let mut bag = ShardedBag::new(64);
+            bag.insert_all((0..n).map(|i| e(i as i64, "bystander", (i % 16) as u64)));
+            bag.insert_all([e(1, "x", 0), e(2, "x", 0), e(3, "x", 0), e(4, "x", 0)]);
+            bag.open_journal();
+            for (consumed, produced) in &claims {
+                assert!(bag.claim_and_replace(consumed, produced));
+            }
+            assert_eq!(journal_len(&bag), expected, "n = {n}");
+            assert_eq!(bag.len(), n + 1);
+            bag.rollback_journal();
+            assert_eq!(bag.len(), n + 4, "n = {n}");
+            let x = bag.snapshot();
+            for v in 1..=4 {
+                assert_eq!(x.count(&e(v, "x", 0)), 1, "n = {n}, value {v}");
+            }
+            assert_eq!(x.count_label(Symbol::intern("bystander")), n);
+        }
+    }
+
+    /// A closed journal stops recording, its records never reach the next
+    /// journal, and a rollback returns to the state the *open* journal
+    /// started from. With no journal open, a rollback does nothing.
+    #[test]
+    fn journals_are_scoped_to_their_opening() {
+        let mut bag = ShardedBag::new(8);
+        bag.insert_all([e(1, "A", 0), e(2, "A", 0), e(3, "B", 1)]);
+        bag.rollback_journal();
+        assert_eq!(bag.len(), 3);
+        bag.open_journal();
+        assert!(bag.claim_and_replace(&[e(1, "A", 0)], &[e(10, "C", 0)]));
+        assert_eq!(journal_len(&bag), 2);
+        bag.close_journal();
+        assert_eq!(journal_len(&bag), 0);
+        assert!(bag.claim_and_replace(&[e(2, "A", 0)], &[e(20, "C", 0)]));
+        let reopened = bag.snapshot();
+        bag.open_journal();
+        assert_eq!(journal_len(&bag), 0, "stale records stay closed");
+        assert!(bag.claim_and_replace(&[e(10, "C", 0), e(3, "B", 1)], &[]));
+        assert_eq!(journal_len(&bag), 2);
+        bag.rollback_journal();
+        assert_eq!(bag.snapshot(), reopened);
+        assert_eq!(bag.len(), 3);
+        bag.rollback_journal();
+        assert_eq!(bag.snapshot(), reopened);
     }
 
     #[test]

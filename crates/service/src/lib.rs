@@ -5,10 +5,12 @@
 //! and injection backpressure. This crate multiplexes *thousands* of
 //! them — one per tenant/stream — over shared process resources:
 //!
-//! * **One parked-worker pool.** Every parallel-engine session leases
-//!   wave workers from the process-wide [`WorkerPool`] instead of spawning
-//!   threads per wave, which is what makes thousands of concurrent
-//!   small-wave sessions viable (see harness step S10).
+//! * **One parked-worker pool.** A parallel-engine wave of two or more
+//!   workers leases them from the process-wide [`WorkerPool`] instead of
+//!   spawning threads per wave, which is what makes thousands of
+//!   concurrent small-wave sessions viable (see harness step S10). A
+//!   one-worker wave leases nothing: it runs on the driver thread that
+//!   called [`ServiceRuntime::run_next_wave`].
 //! * **A tenant registry with fair wave scheduling.** Injects enqueue
 //!   their tenant on a FIFO ready queue; any number of driver threads
 //!   call [`ServiceRuntime::run_next_wave`] and each runs exactly one
@@ -58,9 +60,9 @@ pub struct ServiceConfig {
     /// (default) disables service-side tracing; tenants may still carry
     /// their own sinks.
     pub trace_path: Option<String>,
-    /// Wave dispatch applied to every tenant session:
-    /// [`WaveDispatch::default`] leases from the process-wide parked
-    /// pool.
+    /// Wave dispatch applied to every tenant session's multi-worker
+    /// waves: [`WaveDispatch::default`] leases from the process-wide
+    /// parked pool.
     pub dispatch: WaveDispatch,
 }
 
@@ -808,5 +810,65 @@ mod tests {
             let rec: TraceRecord = serde_json::from_str(line).expect("line parses");
             let _ = rec;
         }
+    }
+
+    /// A tenant's one-worker wave runs inline on the driver thread, so a
+    /// worker panic there unwinds on that thread. It must be caught and
+    /// surface as that tenant's `WorkerLost`, after the replays have
+    /// rolled back; the next tenant's wave on the same thread then runs
+    /// normally. Needs the engines' fault points (`--features
+    /// fault-inject`); without them the panic never trips.
+    #[test]
+    fn inline_worker_panic_fails_only_its_tenant() {
+        use gammaflow_gamma::{Engine, Fault, FaultPlan, ParEngine, ParError};
+        if !gammaflow_gamma::fault::ENABLED {
+            return;
+        }
+        let svc = ServiceRuntime::with_defaults();
+        let program = doubler();
+        let one_worker = EngineConfig {
+            engine: Engine::Parallel(ParEngine::ShardedRete),
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let panics = EngineConfig {
+            faults: FaultPlan {
+                persistent: true,
+                ..FaultPlan::single(
+                    0,
+                    Fault::WorkerPanic {
+                        worker: 0,
+                        at_firing: 2,
+                    },
+                )
+            },
+            ..one_worker.clone()
+        };
+        svc.register("bad", &program, panics, ElementBag::new())
+            .unwrap();
+        svc.register("good", &program, one_worker, ElementBag::new())
+            .unwrap();
+        let _ = svc.inject("bad", elems(0..4)).unwrap();
+        let _ = svc.inject("good", elems(10..14)).unwrap();
+        let Err(err) = svc.run_next_wave() else {
+            panic!("bad's wave must lose its worker");
+        };
+        assert!(
+            matches!(
+                err,
+                ServiceError::Exec(ExecError::Par(ParError::WorkerLost { ref workers, replays: 2 }))
+                    if *workers == vec![0]
+            ),
+            "got {err:?}"
+        );
+        let report = svc.run_next_wave().unwrap().expect("good is ready");
+        assert_eq!(report.tenant, "good");
+        assert_eq!(report.wave.status, Status::Stable);
+        assert_eq!(report.wave.fired, 4);
+        let result = svc.finish("good").unwrap();
+        assert_eq!(
+            result.multiset,
+            (10..14).map(|v| Element::pair(2 * v, "out")).collect()
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! The deterministic fault-injection matrix (requires `--features
 //! fault-inject`).
 //!
-//! Every test here runs a real multi-threaded wave with a seeded
-//! [`FaultPlan`] armed: workers genuinely panic mid-firing, mailboxes
+//! Every test here runs a real wave — one worker inline on the calling
+//! thread, more on their own threads — with a seeded [`FaultPlan`] armed: workers genuinely panic mid-firing, mailboxes
 //! genuinely lose deltas. The engines must catch the unwind, quarantine
-//! the poisoned wave, and replay it from the wave-entry snapshot — and
+//! the poisoned wave, and replay it from the wave-entry multiset — and
 //! because the stable multiset is a function of the input history alone
 //! (the Kahn-style determinacy argument), every recovered run must land
 //! on the byte-identical final of the fault-free sequential reference.
@@ -19,7 +19,7 @@ use gammaflow::gamma::{
     Engine, ExecError, Fault, FaultPlan, OnExhausted, ParEngine, ParError, RecoveryPolicy,
     RingSink, Selection, Session, SessionSnapshot, Status, TraceEvent,
 };
-use gammaflow::multiset::ElementBag;
+use gammaflow::multiset::{Element, ElementBag, Symbol};
 use gammaflow::workloads::cross_sum;
 use std::sync::Arc;
 
@@ -418,5 +418,64 @@ fn worker_loss_without_replay_point_keeps_committed_claims() {
         assert_eq!(sum, n * (n + 1) / 2, "{engine:?}");
         assert_eq!(snapshot.len(), n as usize - 1, "{engine:?}: one claim");
         assert_eq!(session.bag_len(), snapshot.len(), "{engine:?}");
+    }
+}
+
+/// A worker lost deep into a wave, with the wave's claims journaled
+/// among 10⁴ bystander elements on a label no reaction reads: the
+/// rollback undoes every committed claim, the replay lands on the
+/// fault-free reference, the bystanders come through untouched and the
+/// live count is exact. One worker runs inline on the calling thread,
+/// two run on their own threads; a panic at each worker's fifth firing
+/// trips in either case, since ≥ 9 firings give one worker ≥ 5.
+#[test]
+fn worker_lost_after_several_claims_rolls_back_exactly() {
+    let w = cross_sum(48);
+    let bystanders: Vec<Element> = (0..10_000).map(|v| Element::pair(v, "bystander")).collect();
+    let mut initial = w.initial.clone();
+    initial.extend(bystanders.iter().cloned());
+    let reference = Session::build(&w.program)
+        .selection(Selection::Deterministic)
+        .run(initial.clone())
+        .expect("reference runs")
+        .multiset;
+    assert_eq!(reference.len(), 1 + bystanders.len());
+    for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
+        for workers in [1usize, 2] {
+            let plan = FaultPlan {
+                faults: (0..workers)
+                    .map(|worker| Fault::WorkerPanic {
+                        worker,
+                        at_firing: 5,
+                    })
+                    .collect(),
+                ..FaultPlan::default()
+            };
+            let mut session = Session::build(&w.program)
+                .engine(Engine::Parallel(engine))
+                .workers(workers)
+                .faults(plan)
+                .start(initial.clone())
+                .expect("program compiles");
+            let wv = session.run_to_stable().expect("wave replay recovers");
+            assert_eq!(wv.status, Status::Stable, "{engine:?} x{workers}");
+            // The replay starts from the whole entry multiset: it fires
+            // every one of the fold's 47 steps, none left done by the
+            // lost attempt.
+            assert_eq!(wv.fired, 47, "{engine:?} x{workers}");
+            assert_eq!(session.bag_len(), reference.len(), "{engine:?} x{workers}");
+            let result = session.finish_parallel();
+            assert!(
+                result.par.workers_lost >= 1 && result.par.waves_replayed >= 1,
+                "{engine:?} x{workers}: the panic must trip and be replayed"
+            );
+            assert_eq!(
+                result.exec.multiset, reference,
+                "{engine:?} x{workers}: replayed final diverged"
+            );
+            let label = Symbol::intern("bystander");
+            let kept = result.exec.multiset.project(|l| l == label);
+            assert_eq!(kept, bystanders.iter().cloned().collect::<ElementBag>());
+        }
     }
 }
