@@ -356,9 +356,10 @@ impl<'a> SessionBuilder<'a> {
 
     /// How parallel waves of two or more workers acquire their threads
     /// (see [`WaveDispatch`]; a one-worker wave runs on the calling
-    /// thread). Defaults to leasing from the process-wide parked pool. Not part
-    /// of [`EngineConfig`] or the snapshot: dispatch is a process-local
-    /// execution concern and never changes results, only latency.
+    /// thread). Defaults to leasing from the process-wide parked pool.
+    /// Not part of [`EngineConfig`] or the snapshot: dispatch is a
+    /// process-local execution concern and never changes results, only
+    /// latency.
     pub fn wave_dispatch(mut self, dispatch: WaveDispatch) -> Self {
         self.dispatch = dispatch;
         self
@@ -551,8 +552,8 @@ pub struct Session {
     /// [`Session::maybe_tier_up`]).
     tier_ups: u64,
     /// Worker acquisition policy for multi-worker parallel waves (parked
-    /// pool lease with spawn fallback, or per-wave spawn). Process-local — never
-    /// serialized; a restored session defaults back to the pool.
+    /// pool lease with spawn fallback, or per-wave spawn). Process-local
+    /// — never serialized; a restored session defaults back to the pool.
     dispatch: WaveDispatch,
 }
 
