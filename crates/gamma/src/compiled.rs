@@ -497,6 +497,9 @@ pub(crate) enum MatchPlan {
     /// Tokens for level 0 and each level `k ≤ prunes.len()`, kept
     /// because of `prunes[k - 1]`; deeper levels are virtual.
     Tokens(Vec<Prune>),
+    /// No level prunes and level 0 filters nothing but a literal label:
+    /// every level is virtual, and a match is found by search.
+    Searched,
 }
 
 /// Why a join level `k ≥ 1` prunes, and so is materialised.
@@ -794,6 +797,11 @@ impl CompiledReaction {
     /// 0, levels are materialised while they prune (see [`Prune`]); from
     /// the first that does not, their tokens would be a cross product the
     /// `(label, tag)` bag index already enumerates, so they are virtual.
+    /// When nothing prunes at all — no level `k ≥ 1`, no conjunct pushed
+    /// to level 0, no clause disjunction over a one-level join — level 0
+    /// would copy the index too, and the reaction is searched. Only
+    /// under a literal label at join position 0: a wildcard's matches
+    /// anchor at labels no one slice owns (see `SlicePlan::owner_of`).
     pub(crate) fn match_plan(&self) -> MatchPlan {
         let guards = self.guard_plan();
         if let Some(slot) = self.tag_key(&guards) {
@@ -820,6 +828,15 @@ impl CompiledReaction {
             for v in vars.into_iter().flatten() {
                 bound[v as usize] = true;
             }
+        }
+        let literal = self
+            .order
+            .first()
+            .is_some_and(|&p| !self.positions[p].label.literals().is_empty());
+        let filters = !guards.level_conjuncts[0].is_empty()
+            || (self.arity() == 1 && guards.clause_disjunction.is_some());
+        if prunes.is_empty() && literal && !filters {
+            return MatchPlan::Searched;
         }
         MatchPlan::Tokens(prunes)
     }
@@ -858,10 +875,11 @@ impl CompiledReaction {
         Some(v)
     }
 
-    /// Render the compiled join plan for debugging: the planner-chosen
-    /// join order with each level's label filter and `match_plan`
-    /// answer (`materialised (pushes a < b)`, `virtual`, …), plus the
-    /// terminal clause disjunction. Set
+    /// Render the compiled join plan for debugging: the `match_plan`
+    /// answer (`tag-keyed on v`, `join tokens`, `searched (no pruning
+    /// level)`), the planner-chosen join order with each level's label
+    /// filter and, for join tokens, its store (`materialised (pushes
+    /// a < b)`, `virtual`, …), plus the terminal clause disjunction. Set
     /// `GAMMAFLOW_EXPLAIN_PLAN=1` to print every reaction's plan to
     /// stderr as programs compile.
     pub fn explain_plan(&self) -> String {
@@ -881,6 +899,10 @@ impl CompiledReaction {
             MatchPlan::Tokens(prunes) => {
                 let _ = writeln!(out, "  plan: join tokens");
                 Some(prunes)
+            }
+            MatchPlan::Searched => {
+                let _ = writeln!(out, "  plan: searched (no pruning level)");
+                None
             }
         };
         for (k, &p) in self.order.iter().enumerate() {

@@ -701,8 +701,9 @@ impl ParState {
                 // Startup pruning: a rete probe over the initial multiset
                 // answers exact per-reaction enabledness; at watermark 0 it
                 // demotes every level above the level-0 frontier on first
-                // use, so it keeps one token per element and answers deeper
-                // levels by on-demand search. Reactions with no enabled
+                // use, so it keeps at most one token per element (none for
+                // a searched reaction) and answers deeper levels by
+                // on-demand search. Reactions with no enabled
                 // match start clean, and workers skip probing them until
                 // something they consume is produced. The locked-shard
                 // terminal check stays the exactness backstop either way.
@@ -1742,7 +1743,7 @@ fn sharded_worker(
 
     // Initial readiness from the freshly built slice.
     for r in 0..nreactions {
-        let en = slice.has_match(shared.compiled, &src, r);
+        let en = slice.may_match(shared.compiled, &src, r);
         ready.set(r, en);
     }
 
@@ -1782,7 +1783,7 @@ fn sharded_worker(
         routed.sort_unstable();
         routed.dedup();
         for &r in routed.iter() {
-            let en = slice.has_match(shared.compiled, &src, r);
+            let en = slice.may_match(shared.compiled, &src, r);
             ready.set(r, en);
         }
     };
@@ -1806,7 +1807,8 @@ fn sharded_worker(
         }
 
         // 2. Fire from the slice: an O(1) read of a memorised match (or a
-        //    cached spill completion), then an atomic claim.
+        //    cached spill completion, or a searched reaction's seeded
+        //    search), then an atomic claim.
         if let Some(r) = ready.pick(&mut rng) {
             match slice.pick_firing(shared.compiled, &src, r, &mut rng) {
                 Err(e) => {
@@ -1815,8 +1817,9 @@ fn sharded_worker(
                     break 'main;
                 }
                 Ok(None) => {
-                    // A stale cached spill answer raced a concurrent
-                    // claim; the correcting delta is already on its way.
+                    // A searched reaction's search missed, or a stale
+                    // cached spill answer raced a concurrent claim; any
+                    // claim that changes the answer sends its delta here.
                     ready.set(r, false);
                 }
                 Ok(Some(firing)) => {

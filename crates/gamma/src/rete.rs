@@ -54,22 +54,40 @@
 //! a join level that joins on no bound variable and prunes with no guard
 //! would instead memorise a cross product (`sum`'s n² pairs) the
 //! `(label, tag)` bag index already enumerates. So
-//! `CompiledReaction::match_plan` fixes each reaction's levels once:
-//! level 0 and each following level that *prunes* (a pushed conjunct, a
-//! variable an earlier level binds, the terminal clause disjunction) are
-//! materialised; from the first that does not, levels are *virtual* and
-//! the net is *spilled*. Virtual matches are recomputed on demand by
-//! resuming the index search from the deepest materialised frontier
-//! tokens (`CompiledReaction::prefix_completes` / `complete_prefix`).
-//! Exactness is preserved: every full match's join-order prefix survives
-//! at the frontier, because pushed guards only reject prefixes that no
-//! match extends. Spilled enabledness answers are cached and invalidated
-//! monotonically — an insert can only enable (a cached "no match" is
-//! dropped), a removal can only disable — so per-firing cost stays
-//! proportional to the delta. A probe stops at the first completing
-//! prefix: O(1) bag reads on every committed workload. Its hazard, every
-//! virtual bucket non-empty yet no prefix completing, costs frontier ×
-//! bucket reads; no committed workload has that shape.
+//! `CompiledReaction::match_plan` fixes each reaction's store once, as
+//! one of three answers:
+//!
+//! * **Tag-keyed** — the Algorithm-1 shape keeps the dataflow matching
+//!   store and no tokens (next section).
+//! * **Join tokens** — level 0 and each following level that *prunes*
+//!   (a pushed conjunct, a variable an earlier level binds, the terminal
+//!   clause disjunction) are materialised; from the first that does not,
+//!   levels are *virtual* and the net is *spilled*. Virtual matches are
+//!   recomputed on demand by resuming the index search from the deepest
+//!   materialised frontier tokens (`CompiledReaction::prefix_completes`
+//!   / `complete_prefix`). Exactness is preserved: every full match's
+//!   join-order prefix survives at the frontier, because pushed guards
+//!   only reject prefixes that no match extends.
+//! * **Searched** — nothing prunes at all: no level `k ≥ 1`, no conjunct
+//!   pushed to level 0, no clause disjunction over a one-position
+//!   reaction, and a literal label at join position 0. Level 0
+//!   would only copy the bag index, so every level is virtual and the
+//!   net keeps no tokens, no `uses` and no `by_key` entries; the build
+//!   reads no row for it. A match is a search from the empty prefix —
+//!   the lazy seeded [`CompiledReaction::find_match_fast`] under seeded
+//!   selection — and that one search both decides enabledness and
+//!   supplies the tuple ([`ReteNetwork::next_firing`]). This is the
+//!   paper's rule that a reaction fires as soon as matching elements
+//!   exist, with no store where nothing waits on a key.
+//!
+//! Enabledness answers of spilled and searched reactions are cached and
+//! invalidated monotonically — an insert can only enable (a cached "no
+//! match" is dropped), a removal can only disable — so per-firing
+//! maintenance is O(1) per routed delta for a searched reaction and
+//! proportional to the delta otherwise. A frontier probe stops at the
+//! first completing prefix: O(1) bag reads on every committed workload.
+//! Its hazard, every virtual bucket non-empty yet no prefix completing,
+//! costs frontier × bucket reads; no committed workload has that shape.
 //!
 //! The **token watermark** is a one-way cap on tokens *above* level 0:
 //! past it the deepest materialised level demotes to virtual for good.
@@ -101,7 +119,14 @@
 //!
 //! Beside the nets, `ready` and `spilled` bitsets over reactions are
 //! re-derived after every routed update, so a pick walks only reactions
-//! that can be enabled (probing the spilled ones), in ascending order.
+//! that can be enabled (probing the spilled ones, searching the searched
+//! ones), in ascending order.
+//!
+//! A searched reaction in a slice is searched only by the slice owning
+//! its join-position-0 labels: they lie in one dependency component, so
+//! one worker answers for all its matches. A label wildcard there would
+//! anchor matches at labels the plan hashes across workers, which is
+//! why the searched answer needs a literal label.
 //!
 //! # Exactness and stability
 //!
@@ -109,8 +134,10 @@
 //! materialised reactions the terminal beta tokens are in bijection with
 //! the enabled `(tuple, reaction)` instances of Eq. (1), and for spilled
 //! reactions the frontier-completion probe decides enabledness against
-//! the live bag. A drained network — no terminal token anywhere, no spilled
-//! reaction whose frontier completes — therefore **proves** the paper's
+//! the live bag, as the search does for searched ones. A drained network —
+//! no terminal token anywhere, no spilled reaction whose frontier
+//! completes, no searched reaction whose search finds a match — therefore
+//! **proves** the paper's
 //! global termination state; the engine needs no authoritative rescan
 //! (debug builds still cross-check).
 
@@ -296,8 +323,9 @@ pub struct ReteStats {
     /// Join levels demoted to virtual by the token watermark (levels the
     /// static plan leaves virtual are not counted).
     pub spill_demotions: u64,
-    /// On-demand frontier-completion enabledness probes run for spilled
-    /// reactions (cache misses; cached answers are free).
+    /// On-demand enabledness searches: frontier-completion probes of
+    /// spilled reactions and every search of a searched reaction — its
+    /// seeded pick is its probe (cache misses; cached answers are free).
     pub spill_probes: u64,
     /// Always zero: a demoted level is never re-materialised. Kept so
     /// readers of this counter keep compiling.
@@ -421,9 +449,14 @@ struct ReactionNet {
     /// Join levels `0..materialized` are maintained exactly; deeper
     /// levels are virtual, recomputed by frontier-completion search.
     /// Starts at the static plan's depth (`materialized == arity` means
-    /// the terminal memory is live) and only shrinks, never below 1 (the
-    /// level-0/alpha frontier stays materialised).
+    /// the terminal memory is live, `0` a searched reaction) and only
+    /// shrinks, never below 1 by demotion (the level-0/alpha frontier
+    /// stays materialised).
     materialized: usize,
+    /// A searched net in a slice that does not own its join-position-0
+    /// labels: another slice answers for all its matches, so this one
+    /// never searches.
+    foreign: bool,
     /// Cached spilled-enabledness answer; `None` forces a re-probe.
     /// Invalidated monotonically: inserts drop a cached `false`,
     /// removals drop a cached `true`.
@@ -539,6 +572,7 @@ impl ReactionNet {
                 }),
             ),
             MatchPlan::Tokens(prunes) => (1 + prunes.len(), None),
+            MatchPlan::Searched => (0, None),
         };
         ReactionNet {
             arity: cr.arity(),
@@ -550,6 +584,7 @@ impl ReactionNet {
             uses: FxHashMap::default(),
             watermark,
             materialized,
+            foreign: false,
             cached_enabled: None,
             next_tag_slot,
             tag_joins,
@@ -631,6 +666,21 @@ impl ReactionNet {
         self.materialized < self.arity
     }
 
+    /// True when every level is virtual: the plan's searched answer.
+    fn is_searched(&self) -> bool {
+        self.materialized == 0
+    }
+
+    /// Keep the cached enabledness answer honest across a routed delta.
+    /// Insertion is monotone — it can enable the reaction but never
+    /// disable it — so it drops only a cached "no match"; a removal, only
+    /// a cached "match".
+    fn invalidate(&mut self, inserted: bool) {
+        if self.cached_enabled == Some(!inserted) {
+            self.cached_enabled = None;
+        }
+    }
+
     /// Demote the deepest materialised level: drop its tokens and leave
     /// its matches to on-demand recomputation.
     fn demote_deepest(&mut self, stats: &mut ReteStats) {
@@ -682,11 +732,7 @@ impl ReactionNet {
         stats: &mut ReteStats,
     ) {
         stats.inserts += 1;
-        // Insertion is monotone: it can enable a spilled reaction but
-        // never disable one, so only a cached "no match" goes stale.
-        if self.cached_enabled == Some(false) {
-            self.cached_enabled = None;
-        }
+        self.invalidate(true);
         let entry_levels = if first_position_only {
             1
         } else {
@@ -760,11 +806,7 @@ impl ReactionNet {
     /// element more often than its remaining multiplicity.
     fn on_remove(&mut self, id: ElemId, remaining: usize, stats: &mut ReteStats) {
         stats.removals += 1;
-        // Removal is anti-monotone: a cached "match" may now be gone, a
-        // cached "no match" cannot come back.
-        if self.cached_enabled == Some(true) {
-            self.cached_enabled = None;
-        }
+        self.invalidate(false);
         let Some(ids) = self.uses.get(&id) else {
             return;
         };
@@ -1155,39 +1197,53 @@ impl ReactionNet {
     }
 }
 
-/// A firing's **net** delta: the distinct removed and inserted elements
-/// after cancelling every element both consumed and produced (a dataflow
-/// token passing through unchanged is a no-op). The single source of the
-/// cancellation rule, shared by [`ReteNetwork::on_firing_applied`] and
-/// the parallel engine's delta-mailbox publisher — the two must agree or
-/// worker slices would silently diverge from the sequential reference.
-///
-/// Elements are interned once here and everything downstream — the
-/// cancellation check, dedup, mailbox routing, slice feeds — works on
-/// arena ids: interning is injective, so id equality *is* element
-/// equality and the cancellation rule is unchanged.
+/// A firing's **net** delta: the distinct removed, then the distinct
+/// inserted elements (`delta(e, inserted)`), after cancelling every
+/// element both consumed and produced (a dataflow token passing through
+/// unchanged is a no-op). The single source of the cancellation rule,
+/// shared by [`ReteNetwork::on_firing_applied`] (over elements) and the
+/// parallel engine's delta-mailbox publisher (over arena ids,
+/// [`firing_net_delta_ids`]) — the two must agree or worker slices would
+/// silently diverge from the sequential reference. A firing of up to 32
+/// elements allocates nothing.
+fn net_delta<T: PartialEq>(consumed: &[T], produced: &[T], mut delta: impl FnMut(&T, bool)) {
+    let n = consumed.len() + produced.len();
+    let (mut small, mut big) = ([false; 32], Vec::new());
+    let cancelled = match n <= small.len() {
+        true => &mut small[..n],
+        false => {
+            big.resize(n, false);
+            &mut big[..]
+        }
+    };
+    let (cancelled_c, cancelled_p) = cancelled.split_at_mut(consumed.len());
+    for (i, c) in consumed.iter().enumerate() {
+        if let Some(j) = (0..produced.len()).find(|&j| !cancelled_p[j] && produced[j] == *c) {
+            cancelled_p[j] = true;
+            cancelled_c[i] = true;
+        } else if !(0..i).any(|k| !cancelled_c[k] && consumed[k] == *c) {
+            delta(c, false);
+        }
+    }
+    for (i, p) in produced.iter().enumerate() {
+        if !cancelled_p[i] && !(0..i).any(|k| !cancelled_p[k] && produced[k] == *p) {
+            delta(p, true);
+        }
+    }
+}
+
+/// [`net_delta`] over arena ids: elements are interned once here and
+/// everything downstream — dedup, mailbox routing, slice feeds — works
+/// on ids. Interning is injective, so id equality *is* element equality
+/// and the cancellation rule is unchanged.
 pub(crate) fn firing_net_delta_ids(firing: &Firing) -> (Vec<ElemId>, Vec<ElemId>) {
     let consumed: Vec<ElemId> = firing.consumed.iter().map(ElemId::intern).collect();
     let produced: Vec<ElemId> = firing.produced.iter().map(ElemId::intern).collect();
-    let mut produced_cancelled = vec![false; produced.len()];
-    let mut removed: Vec<ElemId> = Vec::new();
-    'consumed: for &c in &consumed {
-        for (i, &p) in produced.iter().enumerate() {
-            if !produced_cancelled[i] && p == c {
-                produced_cancelled[i] = true;
-                continue 'consumed;
-            }
-        }
-        if !removed.contains(&c) {
-            removed.push(c);
-        }
-    }
-    let mut inserted: Vec<ElemId> = Vec::new();
-    for (i, &p) in produced.iter().enumerate() {
-        if !produced_cancelled[i] && !inserted.contains(&p) {
-            inserted.push(p);
-        }
-    }
+    let (mut removed, mut inserted) = (Vec::new(), Vec::new());
+    net_delta(&consumed, &produced, |&id, ins| match ins {
+        true => inserted.push(id),
+        false => removed.push(id),
+    });
     (removed, inserted)
 }
 
@@ -1229,8 +1285,13 @@ pub struct ReteNetwork {
     /// join-order position-0 element's `(label, tag)` key the slice owns
     /// are materialised (see [`AlphaSlice`]).
     slice: Option<AlphaSlice>,
-    /// Scratch for delta routing (dependents, deduplicated).
+    /// Scratch for delta routing: the token and keyed nets a delta
+    /// reaches.
     route: Vec<usize>,
+    /// The label `dependents` was collected for.
+    dependents_of: Option<Symbol>,
+    /// Every reaction consuming `dependents_of`, ascending.
+    dependents: Vec<usize>,
     /// Bitset over reactions: a non-empty terminal or keyed lane.
     ready: Vec<u64>,
     /// Bitset over reactions: spilled, so enabledness needs a probe.
@@ -1298,6 +1359,8 @@ impl ReteNetwork {
             deps: DependencyIndex::new(compiled),
             slice,
             route: Vec::new(),
+            dependents_of: None,
+            dependents: Vec::new(),
             ready: vec![0; words],
             spilled: vec![0; words],
             picks: Vec::new(),
@@ -1306,14 +1369,38 @@ impl ReteNetwork {
             elem_scratch: Vec::new(),
             stats: ReteStats::default(),
         };
+        // A slice searches a searched reaction only where it owns the
+        // reaction's join-position-0 labels: they lie in one dependency
+        // component, so exactly one slice answers for its matches.
+        if let Some(slice) = &net.slice {
+            for (cr, rnet) in compiled.reactions.iter().zip(&mut net.nets) {
+                if rnet.is_searched() {
+                    let label = cr.positions()[cr.join_order()[0]].label.literals()[0];
+                    rnet.foreign = !slice.owns(label, Tag::ZERO);
+                }
+            }
+        }
         // Bulk build: one event per distinct element (joins read live bag
         // multiplicities), entering at position 0 only — every tuple is
         // generated by its position-0 element's event completing rightward
         // through the full bag, so deeper entries would only duplicate.
         // A slice additionally skips elements it does not own: their
         // tuples are anchored in (and built by) another worker's slice.
+        // Searched nets keep nothing, so labels only they consume are
+        // never read.
         let mut distinct: Vec<Element> = Vec::new();
-        for label in initial.all_labels() {
+        let labels = match net.nets.iter().all(ReactionNet::is_searched) {
+            true => Vec::new(),
+            false => initial.all_labels(),
+        };
+        for label in labels {
+            let mut token_consumers = false;
+            net.deps.for_each_dependent(label, |r| {
+                token_consumers |= !net.nets[r].is_searched();
+            });
+            if !token_consumers {
+                continue;
+            }
             for tag in initial.tags_for_label(label) {
                 for (value, _) in initial.values_at(label, tag) {
                     distinct.push(Element { value, label, tag });
@@ -1325,6 +1412,9 @@ impl ReteNetwork {
                 continue;
             }
             net.feed_insert(compiled, initial, e, true);
+        }
+        for r in 0..net.nets.len() {
+            net.resync(r);
         }
         net
     }
@@ -1338,31 +1428,139 @@ impl ReteNetwork {
         self.spilled[w] = (self.spilled[w] & !bit) | if spilled { bit } else { 0 };
     }
 
-    /// Collect into `picks` the enabled reactions (only the first with
-    /// `first_only`), ascending: the ready set read off directly, spilled
-    /// reactions probed.
+    /// Collect into `picks` the enabled reactions, ascending: the ready
+    /// set read off directly, spilled reactions probed. With
+    /// `defer_searched`, a searched reaction is collected unprobed unless
+    /// known disabled: the caller's search decides it.
     fn collect_enabled<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
         bag: &S,
-        first_only: bool,
+        defer_searched: bool,
     ) {
         let mut picks = std::mem::take(&mut self.picks);
         picks.clear();
-        'words: for w in 0..self.ready.len() {
+        for w in 0..self.ready.len() {
             let mut bits = self.ready[w] | self.spilled[w];
             while bits != 0 {
                 let r = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.spilled[w] & (1 << (r % 64)) == 0 || self.has_match(compiled, bag, r) {
+                let net = &self.nets[r];
+                let enabled = if defer_searched && net.is_searched() {
+                    !net.foreign && net.cached_enabled != Some(false)
+                } else {
+                    self.has_match(compiled, bag, r)
+                };
+                if enabled {
                     picks.push(r);
-                    if first_only {
-                        break 'words;
-                    }
                 }
             }
         }
         self.picks = picks;
+    }
+
+    /// The seeded search of searched reaction `r` (deterministic without
+    /// `rng`), which is also its enabledness probe: a hit caches "enabled",
+    /// a miss caches "disabled". A foreign or cached-disabled net is
+    /// `Ok(None)` without a search. A slice caches nothing: a concurrent
+    /// claim can hide a row from a lazy draw, so a miss there only
+    /// unreadies the reaction until its next delta (see
+    /// [`Self::may_match`]).
+    fn search<S: MatchSource>(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &S,
+        r: usize,
+        rng: Option<&mut ChaCha8Rng>,
+    ) -> Result<Option<Firing>, MatchError> {
+        let net = &mut self.nets[r];
+        if net.foreign || net.cached_enabled == Some(false) {
+            return Ok(None);
+        }
+        self.stats.spill_probes += 1;
+        let found = compiled.reactions[r].find_match_fast(r, bag, rng, &mut self.probe_scratch)?;
+        if self.slice.is_none() {
+            net.cached_enabled = Some(found.is_some());
+        }
+        Ok(found)
+    }
+
+    /// [`Self::has_match`], except that a searched reaction this slice
+    /// owns answers "maybe" unprobed: the pick's seeded search decides
+    /// it, and a miss is [`Self::pick_firing`]'s `Ok(None)`. A sharded
+    /// worker reads readiness through this after every delta, so a
+    /// searched reaction costs one search per pick, not two.
+    pub(crate) fn may_match<S: MatchSource>(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &S,
+        r: usize,
+    ) -> bool {
+        match self.nets[r].is_searched() {
+            true => !self.nets[r].foreign,
+            false => self.has_match(compiled, bag, r),
+        }
+    }
+
+    /// Eq. (1)'s pick in one call: an enabled reaction and its firing
+    /// (`rng == None` is the deterministic first-match rule), or `None`
+    /// when nothing is enabled — a drained network is the stability
+    /// proof. A searched reaction is decided by the search that supplies
+    /// its tuple, never probed first: deterministically, reactions are
+    /// tried in ascending order, each taking the tuple the reference
+    /// search takes; seeded, one is drawn uniformly among those not known
+    /// disabled, and a searched draw that misses is dropped and the draw
+    /// repeated — uniform over the enabled reactions, and with no
+    /// searched reaction exactly [`Self::pick_ready`] then
+    /// [`Self::pick_firing`]. A `None` firing beside a reaction is the
+    /// [`Self::pick_firing`] maintenance-bug answer.
+    pub fn next_firing<S: MatchSource>(
+        &mut self,
+        compiled: &CompiledProgram,
+        bag: &S,
+        rng: Option<&mut ChaCha8Rng>,
+    ) -> Result<Option<(usize, Option<Firing>)>, MatchError> {
+        let Some(rng) = rng else {
+            for w in 0..self.ready.len() {
+                let mut bits = self.ready[w] | self.spilled[w];
+                while bits != 0 {
+                    let r = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.nets[r].is_searched() {
+                        if let Some(f) = self.search(compiled, bag, r, None)? {
+                            return Ok(Some((r, Some(f))));
+                        }
+                    } else if self.has_match(compiled, bag, r) {
+                        let cr = &compiled.reactions[r];
+                        let found = cr.find_match_fast(r, bag, None, &mut self.probe_scratch)?;
+                        return Ok(Some((r, found)));
+                    }
+                }
+            }
+            return Ok(None);
+        };
+        self.collect_enabled(compiled, bag, true);
+        let mut picks = std::mem::take(&mut self.picks);
+        let picked = loop {
+            if picks.is_empty() {
+                break Ok(None);
+            }
+            let i = (rng.next_u64() % picks.len() as u64) as usize;
+            let r = picks[i];
+            if !self.nets[r].is_searched() {
+                break self
+                    .pick_firing(compiled, bag, r, rng)
+                    .map(|f| Some((r, f)));
+            }
+            match self.search(compiled, bag, r, Some(rng)) {
+                Ok(None) => {
+                    picks.remove(i);
+                }
+                found => break found.map(|f| f.map(|f| (r, Some(f)))),
+            }
+        };
+        self.picks = picks;
+        picked
     }
 
     /// The slice filter this network was built with, if any.
@@ -1379,7 +1577,8 @@ impl ReteNetwork {
     }
 
     /// True when reaction `r` has virtual join levels: left virtual by
-    /// its static plan or demoted by the watermark.
+    /// its static plan (every level, for a searched reaction) or demoted
+    /// by the watermark.
     pub fn is_spilled(&self, r: usize) -> bool {
         self.nets[r].is_spilled()
     }
@@ -1414,8 +1613,9 @@ impl ReteNetwork {
     /// Exact enabledness of reaction `r`: read off the terminal memory
     /// when fully materialised; decided by completing frontier prefixes
     /// against the live bag (then cached until the next routed delta)
-    /// when spilled. For a sliced network the answer covers the matches
-    /// this slice owns.
+    /// when spilled, and by a search from the empty prefix when
+    /// searched. For a sliced network the answer covers the matches this
+    /// slice owns.
     pub fn has_match<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
@@ -1436,29 +1636,22 @@ impl ReteNetwork {
         if let Some(cached) = net.cached_enabled {
             return cached;
         }
+        if net.foreign {
+            return false;
+        }
         stats.spill_probes += 1;
         let cr = &compiled.reactions[r];
-        let enabled = net.levels[net.materialized - 1].iter().any(|&id| {
-            let t = net.tokens[id as usize].as_ref().expect("live token");
-            elem_scratch.clear();
-            elem_scratch.extend(t.elems.iter().map(|eid| eid.to_element()));
-            cr.prefix_completes(bag, elem_scratch, &t.slots, probe_scratch)
-        });
+        let enabled = match net.materialized.checked_sub(1) {
+            None => cr.prefix_completes(bag, &[], &net.empty_slots, probe_scratch),
+            Some(frontier) => net.levels[frontier].iter().any(|&id| {
+                let t = net.tokens[id as usize].as_ref().expect("live token");
+                elem_scratch.clear();
+                elem_scratch.extend(t.elems.iter().map(|eid| eid.to_element()));
+                cr.prefix_completes(bag, elem_scratch, &t.slots, probe_scratch)
+            }),
+        };
         net.cached_enabled = Some(enabled);
         enabled
-    }
-
-    /// Lowest-indexed enabled reaction — the deterministic engine's
-    /// selection rule ("first enabled reaction in program order"),
-    /// answered from memory (or the cached/on-demand spill probe)
-    /// instead of by whole-program search.
-    pub fn first_ready<S: MatchSource>(
-        &mut self,
-        compiled: &CompiledProgram,
-        bag: &S,
-    ) -> Option<usize> {
-        self.collect_enabled(compiled, bag, true);
-        self.picks.first().copied()
     }
 
     /// A uniformly random reaction among the enabled ones.
@@ -1478,7 +1671,8 @@ impl ReteNetwork {
     /// Materialise a [`Firing`] for reaction `r`: from a random terminal
     /// token (a random ready tag, for a keyed net) when fully
     /// materialised, by seeded completion of a random frontier prefix
-    /// when spilled. Output evaluation errors propagate exactly as in the
+    /// when spilled, by seeded search when searched (a miss caches the
+    /// reaction as disabled). Output evaluation errors propagate exactly as in the
     /// searching engines. `Ok(None)` when `r` has no match; for an
     /// unsliced network asked about an enabled reaction it is only
     /// possible on a maintenance bug (debug builds assert) and tells the
@@ -1492,6 +1686,9 @@ impl ReteNetwork {
         r: usize,
         rng: &mut ChaCha8Rng,
     ) -> Result<Option<Firing>, MatchError> {
+        if self.nets[r].is_searched() {
+            return self.search(compiled, bag, r, Some(rng));
+        }
         let cr = &compiled.reactions[r];
         let net = &self.nets[r];
         if let Some(store) = &net.keyed {
@@ -1583,13 +1780,14 @@ impl ReteNetwork {
         bag: &S,
         firing: &Firing,
     ) {
-        let (removed, inserted) = firing_net_delta_ids(firing);
-        for &id in &removed {
-            self.feed_remove_id(compiled, bag, id);
-        }
-        for &id in &inserted {
-            self.feed_insert_id(compiled, bag, id);
-        }
+        net_delta(
+            &firing.consumed,
+            &firing.produced,
+            |e, inserted| match inserted {
+                true => self.feed_insert(compiled, bag, e, false),
+                false => self.feed_remove(compiled, bag, e),
+            },
+        );
     }
 
     /// Account externally removed occurrences (maximal-parallel stepping
@@ -1658,14 +1856,37 @@ impl ReteNetwork {
         }
     }
 
-    fn collect_route(&mut self, label: Symbol) {
-        // A reaction can be reachable both via the label class and the
-        // wildcard list; deduplicate so it processes each delta once.
+    /// Collect into `route` the token and keyed nets a delta at `label`
+    /// reaches. Searched nets are settled here and left out: a delta
+    /// only moves their cached answer, so they need neither the element's
+    /// id nor its payload.
+    fn collect_route(&mut self, label: Symbol, inserted: bool) {
+        // The dependents are static: a firing's deltas mostly share a
+        // label, so the lookup is memoised for the last one.
+        if self.dependents_of != Some(label) {
+            self.dependents_of = Some(label);
+            self.dependents.clear();
+            let all = &mut self.dependents;
+            self.deps.for_each_dependent(label, |r| all.push(r));
+            // A reaction can be reachable both via the label class and
+            // the wildcard list; deduplicate so it processes each delta
+            // once.
+            all.sort_unstable();
+            all.dedup();
+        }
         self.route.clear();
-        let route = &mut self.route;
-        self.deps.for_each_dependent(label, |r| route.push(r));
-        route.sort_unstable();
-        route.dedup();
+        for &r in &self.dependents {
+            let net = &mut self.nets[r];
+            if !net.is_searched() {
+                self.route.push(r);
+                continue;
+            }
+            match inserted {
+                true => self.stats.inserts += 1,
+                false => self.stats.removals += 1,
+            }
+            net.invalidate(inserted);
+        }
     }
 
     fn feed_insert<S: MatchSource>(
@@ -1675,7 +1896,7 @@ impl ReteNetwork {
         e: &Element,
         first_position_only: bool,
     ) {
-        self.collect_route(e.label);
+        self.collect_route(e.label, true);
         if self.route.is_empty() {
             return;
         }
@@ -1697,7 +1918,7 @@ impl ReteNetwork {
     /// borrow the join levels compare against.
     fn feed_insert_id<S: MatchSource>(&mut self, compiled: &CompiledProgram, bag: &S, id: ElemId) {
         let label = id.label();
-        self.collect_route(label);
+        self.collect_route(label, true);
         if self.route.is_empty() {
             return;
         }
@@ -1755,7 +1976,10 @@ impl ReteNetwork {
         // one lookup serves every routed net. `None` can only happen for
         // an element that never entered any bag — no token can use it,
         // but a spilled reaction's cached answer may still go stale.
-        self.collect_route(e.label);
+        self.collect_route(e.label, false);
+        if self.route.is_empty() {
+            return;
+        }
         let id = ElemId::lookup(e);
         self.feed_remove_routed(compiled, bag, id, &e.value, e.label, e.tag);
     }
@@ -1764,7 +1988,10 @@ impl ReteNetwork {
     /// [`ReteNetwork::feed_remove`], minus the arena lookup).
     fn feed_remove_id<S: MatchSource>(&mut self, compiled: &CompiledProgram, bag: &S, id: ElemId) {
         let label = id.label();
-        self.collect_route(label);
+        self.collect_route(label, false);
+        if self.route.is_empty() {
+            return;
+        }
         let (value, tag) = id.resolve();
         self.feed_remove_routed(compiled, bag, Some(id), value, label, *tag);
     }
@@ -1805,9 +2032,7 @@ impl ReteNetwork {
                 // "enabled" may have rested on a virtual completion
                 // through this element.
                 self.stats.removals += 1;
-                if self.nets[r].cached_enabled == Some(true) {
-                    self.nets[r].cached_enabled = None;
-                }
+                self.nets[r].invalidate(false);
             }
             self.resync(r);
         }
@@ -2051,7 +2276,8 @@ mod tests {
         bag.insert(b.clone());
         net.on_inserted(&compiled, &bag, std::slice::from_ref(&b));
         assert_eq!(net.match_count(0), 1);
-        assert_eq!(net.first_ready(&compiled, &bag), Some(0));
+        let picked = net.next_firing(&compiled, &bag, None).unwrap();
+        assert_eq!(picked.map(|(r, f)| (r, f.is_some())), Some((0, true)));
     }
 
     fn sum_program() -> CompiledProgram {
@@ -2149,19 +2375,37 @@ mod tests {
         assert_eq!((net.match_count(0), net.stats.spill_demotions), (2, 0));
     }
 
+    /// A pair joined on its tag, then a free `C` operand: level 1 prunes
+    /// (it joins on `t`), level 2 joins on nothing and prunes nothing, so
+    /// the plan keeps the pair frontier above one virtual level.
+    fn pair_then_free_program() -> CompiledProgram {
+        compile(vec![ReactionSpec::new("tri")
+            .replace(Pattern::tagged("a", "A", "t"))
+            .replace(Pattern::tagged("b", "B", "t"))
+            .replace(Pattern::pair("c", "C"))
+            .by(vec![ElementSpec::pair(
+                Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("c")),
+                "D",
+            )])])
+    }
+
     #[test]
     fn virtual_level_probe_reads_o1_rows() {
-        // `sum`'s level 1 joins on nothing and prunes nothing, so it is
-        // virtual; `has_match` completes the first frontier prefix it
-        // tries, and a seeded `pick_firing` draws the completing row from
-        // a lazy random order: a handful of bag reads, not one per
-        // element.
-        let compiled = sum_program();
-        let bag = CountingSource::new((1..=1000).map(|v| e(v, "n", 0)).collect::<ElementBag>());
-        // The plan keeps only the level-0 frontier; nothing was demoted.
+        // `has_match` completes the first frontier prefix it tries, and a
+        // seeded `pick_firing` draws the completing row from a lazy
+        // random order: a handful of bag reads, not one per element.
+        let compiled = pair_then_free_program();
+        let mut bag = ElementBag::new();
+        for t in 0..1000u64 {
+            bag.insert(e(t as i64, "A", t));
+            bag.insert(e(t as i64, "B", t));
+            bag.insert(e(t as i64, "C", 0));
+        }
+        let bag = CountingSource::new(bag);
+        // The plan keeps the pair frontier; nothing was demoted.
         let mut net = ReteNetwork::new(&compiled, &bag);
         assert!(net.is_spilled(0));
-        assert_eq!(net.total_tokens(), 1000);
+        assert_eq!(net.total_tokens(), 2000);
         assert_eq!(net.stats.spill_demotions, 0);
         let before = bag.reads.get();
         assert!(net.has_match(&compiled, &bag, 0));
@@ -2172,7 +2416,7 @@ mod tests {
             let before = bag.reads.get();
             let firing = net.pick_firing(&compiled, &bag, 0, &mut rng).unwrap();
             let reads = bag.reads.get() - before;
-            assert_eq!(firing.map(|f| f.consumed.len()), Some(2));
+            assert_eq!(firing.map(|f| f.consumed.len()), Some(3));
             assert!(
                 reads <= 8,
                 "seed {seed}: one pick read {reads} rows of 1000"
@@ -2181,11 +2425,79 @@ mod tests {
     }
 
     #[test]
-    fn spilled_network_tracks_enabledness_through_deltas() {
+    fn searched_sum_keeps_no_tokens_and_reads_o1_rows() {
+        // `sum` prunes nowhere, so its plan is searched: the build reads
+        // no row and keeps no token however large the bag, and a seeded
+        // pick is one lazy search.
         let compiled = sum_program();
+        assert_eq!(compiled.reactions[0].match_plan(), MatchPlan::Searched);
+        for n in [1_000i64, 100_000] {
+            let bag = CountingSource::new((1..=n).map(|v| e(v, "n", 0)).collect::<ElementBag>());
+            let mut net = ReteNetwork::new(&compiled, &bag);
+            assert_eq!(bag.reads.get(), 0, "n = {n}: the build read rows");
+            assert_eq!(net.total_tokens(), 0);
+            assert!(net.is_spilled(0));
+            assert!(net.has_match(&compiled, &bag, 0));
+            for seed in 0..32 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let before = bag.reads.get();
+                let firing = net.pick_firing(&compiled, &bag, 0, &mut rng).unwrap();
+                let reads = bag.reads.get() - before;
+                assert_eq!(firing.map(|f| f.consumed.len()), Some(2));
+                assert!(
+                    reads <= 8,
+                    "n = {n}, seed {seed}: one pick read {reads} rows"
+                );
+            }
+            assert_eq!(net.stats.tokens_created, 0);
+        }
+    }
+
+    #[test]
+    fn searched_sum_fires_to_stability() {
+        // Through the public pick pair and through the one-call pick,
+        // seeded and deterministic: n − 1 firings, the closed-form total,
+        // and never a token.
+        let compiled = sum_program();
+        let n = 40i64;
+        let initial: ElementBag = (1..=n).map(|v| e(v, "n", 0)).collect();
+        let mut bag = initial.clone();
+        let mut net = ReteNetwork::new(&compiled, &bag);
+        assert_eq!(fire_to_stable(&compiled, &mut bag, &mut net, 9), 39);
+        assert_eq!(bag.sorted_elements(), vec![e(820, "n", 0)]);
+        assert!(!net.has_match(&compiled, &bag, 0));
+        for seed in [None, Some(9)] {
+            let mut bag = initial.clone();
+            let mut net = ReteNetwork::new(&compiled, &bag);
+            let mut rng = seed.map(ChaCha8Rng::seed_from_u64);
+            let mut firings = 0;
+            while let Some((r, f)) = net.next_firing(&compiled, &bag, rng.as_mut()).unwrap() {
+                let f = f.expect("a searched pick is its own proof");
+                assert_eq!((r, f.reaction), (0, 0));
+                if seed.is_none() {
+                    let reference = compiled.find_any(&[0], &bag, None).unwrap().unwrap();
+                    assert_eq!(f, reference, "deterministic picks take the reference tuple");
+                }
+                assert!(bag.remove_all(&f.consumed));
+                for p in &f.produced {
+                    bag.insert(p.clone());
+                }
+                net.on_firing_applied(&compiled, &bag, &f);
+                firings += 1;
+            }
+            assert_eq!(firings, 39, "{seed:?}");
+            assert_eq!(bag.sorted_elements(), vec![e(820, "n", 0)]);
+            assert_eq!(net.total_tokens(), 0);
+        }
+    }
+
+    #[test]
+    fn spilled_network_tracks_enabledness_through_deltas() {
+        let compiled = guarded_sum_program();
         let mut bag: ElementBag = (1..=40).map(|v| e(v, "n", 0)).collect();
         let mut net = ReteNetwork::with_watermark(&compiled, &bag, 16);
         assert!(net.is_spilled(0));
+        assert!(net.stats.spill_demotions > 0);
         // Drive the spilled net to stability by firing through it.
         let firings = fire_to_stable(&compiled, &mut bag, &mut net, 9);
         assert_eq!(firings, 39, "sum fold fires n-1 times");
@@ -2198,30 +2510,38 @@ mod tests {
 
     #[test]
     fn spilled_cache_invalidates_monotonically() {
-        let compiled = sum_program();
-        let mut bag = ElementBag::new();
-        bag.insert(e(1, "n", 0));
-        // Watermark 0 forces an immediate spill to the level-0 frontier.
-        let mut net = ReteNetwork::with_watermark(&compiled, &bag, 0);
-        assert!(net.is_spilled(0));
-        assert!(
-            !net.has_match(&compiled, &bag, 0),
-            "one element cannot pair"
-        );
-        let probes = net.stats.spill_probes;
-        // Cached negative answer: asking again costs nothing.
-        assert!(!net.has_match(&compiled, &bag, 0));
-        assert_eq!(net.stats.spill_probes, probes);
-        // An insert drops the cached "no match".
-        let b = e(2, "n", 0);
-        bag.insert(b.clone());
-        net.on_inserted(&compiled, &bag, std::slice::from_ref(&b));
-        assert!(net.has_match(&compiled, &bag, 0));
-        assert_eq!(net.stats.spill_probes, probes + 1);
-        // A removal drops the cached "match".
-        assert!(bag.remove(&b));
-        net.on_removed(&compiled, &bag, std::slice::from_ref(&b));
-        assert!(!net.has_match(&compiled, &bag, 0));
+        // Watermark 0 demotes the guarded pair level as soon as the
+        // build makes a pair; the searched plan keeps nothing at all.
+        // Either way a cached answer is free and moves only with deltas.
+        for compiled in [guarded_sum_program(), sum_program()] {
+            let a = e(1, "n", 0);
+            let b = e(2, "n", 0);
+            let mut bag: ElementBag = [a.clone(), b.clone()].into_iter().collect();
+            let mut net = ReteNetwork::with_watermark(&compiled, &bag, 0);
+            assert!(net.is_spilled(0));
+            assert!(net.has_match(&compiled, &bag, 0));
+            let probes = net.stats.spill_probes;
+            // Cached positive answer: asking again costs nothing.
+            assert!(net.has_match(&compiled, &bag, 0));
+            assert_eq!(net.stats.spill_probes, probes);
+            // A removal drops the cached "match".
+            assert!(bag.remove(&b));
+            net.on_removed(&compiled, &bag, std::slice::from_ref(&b));
+            assert!(
+                !net.has_match(&compiled, &bag, 0),
+                "one element cannot pair"
+            );
+            assert_eq!(net.stats.spill_probes, probes + 1);
+            // Cached negative answer: asking again costs nothing.
+            assert!(!net.has_match(&compiled, &bag, 0));
+            assert_eq!(net.stats.spill_probes, probes + 1);
+            // An insert drops the cached "no match".
+            let c = e(3, "n", 0);
+            bag.insert(c.clone());
+            net.on_inserted(&compiled, &bag, std::slice::from_ref(&c));
+            assert!(net.has_match(&compiled, &bag, 0));
+            assert_eq!(net.stats.spill_probes, probes + 2);
+        }
     }
 
     fn tag_pair_program() -> CompiledProgram {

@@ -419,12 +419,14 @@ impl SeqMatcher {
     /// * Rescan searches every reaction from scratch — the reference.
     /// * Delta re-searches only reactions reachable from elements
     ///   produced since they last failed (see [`crate::schedule`]).
-    /// * Rete reads enabledness off the join network; a drained network
-    ///   *is* the stability proof. Under deterministic selection the
-    ///   network only answers *which reaction*, and the tuple comes from
-    ///   the same index search the reference runs, so the trace is
-    ///   identical by construction; under seeded selection the firing is
-    ///   read off a random terminal token.
+    /// * Rete asks [`ReteNetwork::next_firing`] for the reaction and its
+    ///   tuple in one call; a drained network *is* the stability proof.
+    ///   A searched reaction is decided by the very search that supplies
+    ///   its tuple. Under deterministic selection every tuple comes from
+    ///   the index search the reference runs, tried in program order, so
+    ///   the trace is identical by construction; under seeded selection
+    ///   the reaction is drawn uniformly among the enabled ones and the
+    ///   tuple read off a random terminal token or drawn by seeded search.
     fn next_firing(
         &mut self,
         compiled: &CompiledProgram,
@@ -441,17 +443,10 @@ impl SeqMatcher {
             }
             SeqMatcher::Delta(scheduler) => Ok(scheduler.next_firing(compiled, multiset, rng)?),
             SeqMatcher::Rete(network) => {
-                let picked = match rng.as_deref_mut() {
-                    None => network.first_ready(compiled, multiset),
-                    Some(r) => network.pick_ready(compiled, multiset, r),
-                };
-                let Some(reaction) = picked else {
+                let Some((reaction, found)) =
+                    network.next_firing(compiled, multiset, rng.as_deref_mut())?
+                else {
                     return Ok(None);
-                };
-                let found = match rng.as_deref_mut() {
-                    Some(r) => network.pick_firing(compiled, multiset, reaction, r)?,
-                    None => compiled.reactions[reaction]
-                        .find_match_fast(reaction, multiset, None, scratch)?,
                 };
                 if found.is_some() {
                     return Ok(found);

@@ -66,11 +66,11 @@ pub fn divisor_sieve(n: i64) -> Workload {
 ///
 /// Every ordered pair is enabled, so a join network memorising every
 /// level would hold all `n·(n-1)` terminal tokens before the first
-/// firing — the worst case that kept `Scheduling::Rete` opt-in once. The
-/// pair level prunes nothing, so the plan leaves it virtual: the network
-/// keeps only the `n`-token level-0 frontier and completes matches by
-/// index search on demand; the harness `S3` step records the peak token
-/// count alongside the three engines' throughput.
+/// firing — the worst case that kept `Scheduling::Rete` opt-in once. No
+/// level prunes, so the plan searches the reaction: the network keeps no
+/// token at all and finds each match by index search on demand; the
+/// harness `S3` step records the peak token count alongside the three
+/// engines' throughput.
 pub fn cross_sum(n: i64) -> Workload {
     let program = GammaProgram::new(vec![ReactionSpec::new("xsum")
         .replace(Pattern::pair("x", "n"))

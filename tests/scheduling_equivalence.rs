@@ -177,8 +177,14 @@ fn rete_is_the_default_scheduler() {
     // End-to-end: the default configuration runs on the rete join
     // network (with automatic spill) and computes the workloads'
     // self-check references.
+    // `sum` prunes nowhere, so its plan is searched: it builds no token
+    // and every pick is a search.
     assert_eq!(Scheduling::default(), Scheduling::Rete);
-    for w in [minimum(&[6, 1, 9]), sum(&[1, 2, 3, 4]), primes(60)] {
+    for (w, searched) in [
+        (minimum(&[6, 1, 9]), false),
+        (sum(&[1, 2, 3, 4]), true),
+        (primes(60), false),
+    ] {
         let result = Session::build(&w.program)
             .selection(Selection::Seeded(3))
             .run(w.initial.clone())
@@ -186,7 +192,8 @@ fn rete_is_the_default_scheduler() {
         assert_eq!(result.status, Status::Stable);
         assert_eq!(result.multiset, w.expected, "workload {}", w.name);
         let rete = result.rete.expect("rete scheduling is the default");
-        assert!(rete.tokens_created > 0);
+        assert_eq!(rete.tokens_created == 0, searched, "{}: {rete:?}", w.name);
+        assert_eq!(rete.spill_probes >= 3, searched, "{}: {rete:?}", w.name);
     }
 }
 
@@ -450,9 +457,9 @@ fn adversarial_cross_sum_peak_tokens_bounded_by_watermark() {
     );
 }
 
-/// The unguarded `cross_sum` fold keeps no pair memory at all: its pair
-/// level prunes nothing, so the plan leaves it virtual and the default
-/// watermark never trips.
+/// The unguarded `cross_sum` fold keeps no memory at all: no level
+/// prunes, so the plan searches it and the default watermark never
+/// trips.
 #[test]
 fn unguarded_cross_sum_keeps_only_level_zero() {
     let w = cross_sum(189);
@@ -467,7 +474,7 @@ fn unguarded_cross_sum_keeps_only_level_zero() {
     assert_eq!(result.multiset, w.expected);
     let rete = result.rete.unwrap();
     assert_eq!(rete.spill_demotions, 0, "{rete:?}");
-    assert!(rete.peak_live_tokens <= 189, "{rete:?}");
+    assert_eq!(rete.peak_live_tokens, 0, "{rete:?}");
 }
 
 /// The parallel-engine matrix: both worker loops (sampled probe-retry
@@ -852,50 +859,52 @@ fn keyed_buckets_with_several_values_reach_rescan_final() {
     }
 }
 
+/// Each reaction's `explain_plan` header and per-level stores: the
+/// rendering of `match_plan`, the one static plan the network builds.
+fn plans(program: &GammaProgram) -> Vec<(String, Vec<String>)> {
+    CompiledProgram::compile(program)
+        .unwrap()
+        .reactions
+        .iter()
+        .map(|cr| {
+            let plan = cr.explain_plan();
+            let header = plan
+                .lines()
+                .find_map(|l| l.strip_prefix("  plan: "))
+                .expect("a plan line")
+                .to_string();
+            let levels = plan
+                .lines()
+                .filter(|l| l.starts_with("  level "))
+                .filter_map(|l| l.split_once(")  ").map(|(_, store)| store.to_string()))
+                .collect();
+            (header, levels)
+        })
+        .collect()
+}
+
 /// `explain_plan` names the matching store the Rete network builds:
 /// every node image of Algorithm 1 is tag-keyed; a `where` clause
-/// (`primes`), an untagged pattern (`sum`) or one label at two positions
-/// (`windowed_sum`) keeps a reaction on join tokens. Per level it says
-/// why a token level is materialised, or that it is virtual.
+/// (`primes`) or one label at two positions (`windowed_sum`) keeps a
+/// reaction on join tokens, and a reaction that prunes nowhere (`sum`)
+/// is searched. Per level it says why a token level is materialised, or
+/// that it is virtual.
 #[test]
 fn explain_plan_names_the_matching_store() {
     let image = dataflow_to_gamma(&accumulator_loop(2, 3, 10).graph).unwrap();
-    let plans = |program: &GammaProgram| -> Vec<String> {
-        CompiledProgram::compile(program)
-            .unwrap()
-            .reactions
-            .iter()
-            .map(|cr| cr.explain_plan())
-            .collect()
-    };
-    for plan in plans(&image.program) {
-        assert!(plan.contains("  plan: tag-keyed on v\n"), "{plan}");
+    for (header, _) in plans(&image.program) {
+        assert_eq!(header, "tag-keyed on v");
     }
-    for program in [
-        primes(30).program,
-        sum(&[1, 2, 3]).program,
-        windowed_sum(1, 1, 2, 0).program,
-    ] {
-        for plan in plans(&program) {
-            assert!(plan.contains("  plan: join tokens\n"), "{plan}");
+    for program in [primes(30).program, windowed_sum(1, 1, 2, 0).program] {
+        for (header, _) in plans(&program) {
+            assert_eq!(header, "join tokens");
         }
     }
-    let levels = |program: &GammaProgram| -> Vec<String> {
-        plans(program)[0]
-            .lines()
-            .filter(|l| l.starts_with("  level "))
-            .map(|l| {
-                l.split_once(")  ")
-                    .expect("a store per level")
-                    .1
-                    .to_string()
-            })
-            .collect()
-    };
     assert_eq!(
-        levels(&sum(&[1, 2, 3]).program),
-        ["materialised", "virtual"]
+        plans(&sum(&[1, 2, 3]).program),
+        [("searched (no pruning level)".to_string(), Vec::new())]
     );
+    let levels = |program: &GammaProgram| plans(program).remove(0).1;
     assert_eq!(
         levels(&primes(30).program),
         ["materialised", "materialised (pushes x % y == 0)"]
@@ -917,4 +926,177 @@ fn explain_plan_names_the_matching_store() {
         levels(&gated),
         ["materialised", "materialised (clause guard)"]
     );
+}
+
+/// The plan table: what `match_plan` answers for every program the
+/// benchmarks and the classics run, so a rule that silently widens (or
+/// narrows) the searched answer shows up here by name. The `div6`
+/// filter and the service's `double` are the benchmark's programs,
+/// restated.
+#[test]
+fn match_plan_table_pins_every_benchmark_program() {
+    use gammaflow::gamma::{ElementSpec, Expr, Pattern, ReactionSpec};
+    use gammaflow::multiset::value::{BinOp, CmpOp};
+    use gammaflow::workloads::parallel_loops;
+
+    let searched = || vec![("searched (no pruning level)".to_string(), Vec::new())];
+    let tokens = |levels: &[&str]| {
+        vec![(
+            "join tokens".to_string(),
+            levels.iter().map(|l| l.to_string()).collect::<Vec<_>>(),
+        )]
+    };
+    let rem_is_zero = |m: i64| {
+        Expr::cmp(
+            CmpOp::Eq,
+            Expr::bin(BinOp::Rem, Expr::var("x"), Expr::int(m)),
+            Expr::int(0),
+        )
+    };
+    let div6 = GammaProgram::new(vec![ReactionSpec::new("div6")
+        .replace(Pattern::pair("x", "div6_in"))
+        .where_(Expr::and(
+            rem_is_zero(2),
+            Expr::and(
+                rem_is_zero(3),
+                Expr::cmp(CmpOp::Ge, Expr::var("x"), Expr::int(0)),
+            ),
+        ))
+        .by(vec![ElementSpec::pair(
+            Expr::bin(BinOp::Div, Expr::var("x"), Expr::int(6)),
+            "div6_out",
+        )])]);
+    let double = GammaProgram::new(vec![ReactionSpec::new("double")
+        .replace(Pattern::pair("x", "in"))
+        .by(vec![ElementSpec::pair(
+            Expr::bin(BinOp::Mul, Expr::var("x"), Expr::int(2)),
+            "out",
+        )])]);
+    let table = [
+        ("sum", plans(&sum(&[1, 2, 3]).program), searched()),
+        ("cross_sum", plans(&cross_sum(8).program), searched()),
+        ("double", plans(&double), searched()),
+        (
+            "maximum",
+            plans(&maximum(&[1, 2]).program),
+            tokens(&["materialised", "materialised (pushes x > y)"]),
+        ),
+        (
+            "minimum",
+            plans(&minimum(&[1, 2]).program),
+            tokens(&["materialised", "materialised (pushes x < y)"]),
+        ),
+        (
+            "primes",
+            plans(&primes(30).program),
+            tokens(&["materialised", "materialised (pushes x % y == 0)"]),
+        ),
+        (
+            "windowed_sum",
+            plans(&windowed_sum(1, 1, 2, 0).program),
+            tokens(&["materialised", "materialised (joins on t)"]),
+        ),
+        (
+            "div6",
+            plans(&div6),
+            tokens(&["materialised (pushes x % 2 == 0 and x % 3 == 0 and x >= 0)"]),
+        ),
+    ];
+    for (name, actual, expected) in table {
+        assert_eq!(actual, expected, "{name}");
+    }
+    // Algorithm-1 images: a loop's node images share the iteration tag
+    // and are tag-keyed (`loops_tagged`); an acyclic graph converts to
+    // untagged pair patterns over one label per edge, which prune
+    // nowhere and are searched.
+    let loops = dataflow_to_gamma(&parallel_loops(2, 3, 4, 5).graph).unwrap();
+    for (header, _) in plans(&loops.program) {
+        assert!(header.starts_with("tag-keyed on "), "{header}");
+    }
+    for seed in 0..8 {
+        let dag = random_dag(seed, &DagParams::default());
+        let image = dataflow_to_gamma(&dag.graph).unwrap();
+        for (header, levels) in plans(&image.program) {
+            assert_eq!(header, "searched (no pruning level)", "dag {seed}");
+            assert!(levels.is_empty());
+        }
+    }
+}
+
+/// A label wildcard at join position 0 keeps the token plan even where
+/// nothing prunes: its matches anchor at labels outside every dependency
+/// component, which the slice plan hashes across workers, so no one
+/// slice could search them all. Next to a searched `sum`, the sharded
+/// engine must still land on the sequential reference's final.
+#[test]
+fn sharded_wildcard_fold_next_to_searched_sum_is_exact() {
+    use gammaflow::gamma::{
+        ElementSpec, Expr, LabelPat, Pattern, ReactionSpec, TagPat, TagSpec, ValuePat,
+    };
+    use gammaflow::multiset::value::BinOp;
+    use gammaflow::multiset::{Element, Symbol, Tag};
+
+    let any = |v: &str, l: &str| Pattern {
+        value: ValuePat::Var(Symbol::intern(v)),
+        label: LabelPat::Var(Symbol::intern(l)),
+        tag: TagPat::Lit(Tag(7)),
+    };
+    let add = |a: &str, b: &str| Expr::bin(BinOp::Add, Expr::var(a), Expr::var(b));
+    let program = GammaProgram::new(vec![
+        ReactionSpec::new("sum")
+            .replace(Pattern::pair("x", "n"))
+            .replace(Pattern::pair("y", "n"))
+            .by(vec![ElementSpec::pair(add("x", "y"), "n")]),
+        ReactionSpec::new("wild")
+            .replace(any("a", "l"))
+            .replace(any("b", "m"))
+            .by(vec![ElementSpec::new(
+                add("a", "b"),
+                "w",
+                TagSpec::Expr(Expr::int(7)),
+            )]),
+    ]);
+    let plan = plans(&program);
+    assert_eq!(plan[0].0, "searched (no pruning level)");
+    assert_eq!(
+        plan[1],
+        (
+            "join tokens".to_string(),
+            vec!["materialised".to_string(), "virtual".to_string()]
+        )
+    );
+    let mut initial = ElementBag::new();
+    for v in 1..=24i64 {
+        initial.insert(Element::new(v, "n", 0));
+        for label in ["p", "q", "r", "s"] {
+            initial.insert(Element::new(100 * v, label, 7));
+        }
+    }
+    let reference = run_with(
+        &program,
+        &initial,
+        Selection::Deterministic,
+        Scheduling::Rescan,
+    );
+    assert_eq!(reference.status, Status::Stable);
+    assert_eq!(reference.multiset.len(), 2, "one total per fold");
+    for workers in [1usize, 2] {
+        for seed in 0..16 {
+            let config = EngineConfig {
+                workers,
+                engine: Engine::Parallel(ParEngine::ShardedRete),
+                seed,
+                ..EngineConfig::default()
+            };
+            let result = Session::build(&program)
+                .config(config)
+                .run(initial.clone())
+                .unwrap();
+            assert_eq!(result.status, Status::Stable, "x{workers} seed {seed}");
+            assert_eq!(
+                result.multiset, reference.multiset,
+                "x{workers} seed {seed}: final diverged from the sequential reference"
+            );
+        }
+    }
 }
