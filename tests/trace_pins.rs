@@ -51,8 +51,8 @@ const PINS: [u64; 36] = [
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
-    0x67c3_e204_fcaa_5a94,
-    0xbfb8_aa8d_c2d4_6f23,
+    0x2ae8_b4f4_8ee2_e290,
+    0x70f3_7bad_570a_c289,
     // Algorithm-1 image of one Fig. 2 loop
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x4419_deee_e256_a3bd,
