@@ -798,7 +798,7 @@ impl CompiledReaction {
     /// the first that does not, their tokens would be a cross product the
     /// `(label, tag)` bag index already enumerates, so they are virtual.
     /// When nothing prunes at all — no level `k ≥ 1`, no conjunct pushed
-    /// to level 0, no clause disjunction over a one-level join — level 0
+    /// to level 0, no clause disjunction over one position — level 0
     /// would copy the index too, and the reaction is searched. Only
     /// under a literal label at join position 0: a wildcard's matches
     /// anchor at labels no one slice owns (see `SlicePlan::owner_of`).

@@ -703,8 +703,8 @@ impl ParState {
                 // demotes every level above the level-0 frontier on first
                 // use, so it keeps at most one token per element (none for
                 // a searched reaction) and answers deeper levels by
-                // on-demand search. Reactions with no enabled
-                // match start clean, and workers skip probing them until
+                // on-demand search. Reactions with no enabled match start
+                // clean, and workers skip probing them until
                 // something they consume is produced. The locked-shard
                 // terminal check stays the exactness backstop either way.
                 let dirty = DirtyFlags::new(nreactions);

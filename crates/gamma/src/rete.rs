@@ -1671,14 +1671,15 @@ impl ReteNetwork {
     /// Materialise a [`Firing`] for reaction `r`: from a random terminal
     /// token (a random ready tag, for a keyed net) when fully
     /// materialised, by seeded completion of a random frontier prefix
-    /// when spilled, by seeded search when searched (a miss caches the
-    /// reaction as disabled). Output evaluation errors propagate exactly as in the
-    /// searching engines. `Ok(None)` when `r` has no match; for an
-    /// unsliced network asked about an enabled reaction it is only
-    /// possible on a maintenance bug (debug builds assert) and tells the
-    /// engine to fall back to the exact search. A *sliced* network racing
-    /// concurrent claimants may legitimately return `Ok(None)` from a
-    /// stale answer — the caller retries after draining its deltas.
+    /// when spilled, by seeded search when searched (outside a slice a
+    /// miss caches the reaction as disabled). Output evaluation errors
+    /// propagate exactly as in the searching engines. `Ok(None)` when
+    /// `r` has no match; for an unsliced network asked about an enabled
+    /// reaction it is only possible on a maintenance bug (debug builds
+    /// assert) and tells the engine to fall back to the exact search. A
+    /// *sliced* network racing concurrent claimants may legitimately
+    /// return `Ok(None)` from a stale answer — the caller retries after
+    /// draining its deltas.
     pub fn pick_firing<S: MatchSource>(
         &mut self,
         compiled: &CompiledProgram,
