@@ -70,10 +70,10 @@
 //!   only reject prefixes that no match extends.
 //! * **Searched** — nothing prunes at all: no level `k ≥ 1`, no conjunct
 //!   pushed to level 0, no clause disjunction over a one-position
-//!   reaction, and a literal label at join position 0. Level 0
-//!   would only copy the bag index, so every level is virtual and the
-//!   net keeps no tokens, no `uses` and no `by_key` entries; the build
-//!   reads no row for it. A match is a search from the empty prefix —
+//!   reaction, and a literal label at join position 0. Level 0 would
+//!   only copy the bag index, so every level is virtual and the net
+//!   keeps no tokens, no `uses` and no `by_key` entries; the build reads
+//!   no row for it. A match is a search from the empty prefix —
 //!   the lazy seeded [`CompiledReaction::find_match_fast`] under seeded
 //!   selection — and that one search both decides enabledness and
 //!   supplies the tuple ([`ReteNetwork::next_firing`]). This is the
@@ -134,12 +134,11 @@
 //! materialised reactions the terminal beta tokens are in bijection with
 //! the enabled `(tuple, reaction)` instances of Eq. (1), and for spilled
 //! reactions the frontier-completion probe decides enabledness against
-//! the live bag, as the search does for searched ones. A drained network —
-//! no terminal token anywhere, no spilled reaction whose frontier
+//! the live bag, as the search does for searched ones. A drained network
+//! — no terminal token anywhere, no spilled reaction whose frontier
 //! completes, no searched reaction whose search finds a match — therefore
-//! **proves** the paper's
-//! global termination state; the engine needs no authoritative rescan
-//! (debug builds still cross-check).
+//! **proves** the paper's global termination state; the engine needs no
+//! authoritative rescan (debug builds still cross-check).
 
 use crate::compiled::{
     tag_of, CompiledProgram, CompiledReaction, Firing, GuardPlan, LabelFilter, MatchError,
@@ -533,7 +532,7 @@ impl KeyedStore {
 }
 
 impl ReactionNet {
-    fn new(cr: &CompiledReaction, watermark: usize) -> ReactionNet {
+    fn new(cr: &CompiledReaction, watermark: usize, slice: Option<&AlphaSlice>) -> ReactionNet {
         // Which join levels can be answered from the tag index: level k's
         // pattern carries a tag variable whose slot every level-(k−1)
         // token has already bound (tag-partitioned joins — the dynamic
@@ -574,6 +573,11 @@ impl ReactionNet {
             MatchPlan::Tokens(prunes) => (1 + prunes.len(), None),
             MatchPlan::Searched => (0, None),
         };
+        // A slice searches a searched reaction only where it owns the
+        // join-position-0 labels: they lie in one dependency component,
+        // so exactly one slice answers for its matches.
+        let foreign = materialized == 0
+            && slice.is_some_and(|s| !s.owns(positions[order[0]].label.literals()[0], Tag::ZERO));
         ReactionNet {
             arity: cr.arity(),
             guards: cr.guard_plan(),
@@ -584,7 +588,7 @@ impl ReactionNet {
             uses: FxHashMap::default(),
             watermark,
             materialized,
-            foreign: false,
+            foreign,
             cached_enabled: None,
             next_tag_slot,
             tag_joins,
@@ -1354,7 +1358,7 @@ impl ReteNetwork {
             nets: compiled
                 .reactions
                 .iter()
-                .map(|cr| ReactionNet::new(cr, watermark))
+                .map(|cr| ReactionNet::new(cr, watermark, slice.as_ref()))
                 .collect(),
             deps: DependencyIndex::new(compiled),
             slice,
@@ -1369,17 +1373,6 @@ impl ReteNetwork {
             elem_scratch: Vec::new(),
             stats: ReteStats::default(),
         };
-        // A slice searches a searched reaction only where it owns the
-        // reaction's join-position-0 labels: they lie in one dependency
-        // component, so exactly one slice answers for its matches.
-        if let Some(slice) = &net.slice {
-            for (cr, rnet) in compiled.reactions.iter().zip(&mut net.nets) {
-                if rnet.is_searched() {
-                    let label = cr.positions()[cr.join_order()[0]].label.literals()[0];
-                    rnet.foreign = !slice.owns(label, Tag::ZERO);
-                }
-            }
-        }
         // Bulk build: one event per distinct element (joins read live bag
         // multiplicities), entering at position 0 only — every tuple is
         // generated by its position-0 element's event completing rightward
