@@ -37,7 +37,6 @@ struct ReactionAgg {
     fired: u64,
     consumed: u64,
     produced: u64,
-    stolen: u64,
     match_ns: u64,
 }
 
@@ -201,7 +200,6 @@ fn run(path: &str, top: usize, tenant: Option<&str>) -> Result<(), String> {
             consumed,
             produced,
             match_ns,
-            stolen,
             ..
         } = &r.event
         {
@@ -209,7 +207,6 @@ fn run(path: &str, top: usize, tenant: Option<&str>) -> Result<(), String> {
             agg.fired += 1;
             agg.consumed += consumed.len() as u64;
             agg.produced += produced.len() as u64;
-            agg.stolen += u64::from(*stolen);
             agg.match_ns += match_ns;
         }
     }
@@ -218,13 +215,13 @@ fn run(path: &str, top: usize, tenant: Option<&str>) -> Result<(), String> {
     ranked.truncate(top);
     println!("\ntop {} reactions by firings:", ranked.len());
     println!(
-        "  {:<16} {:>8} {:>9} {:>9} {:>7} {:>12}",
-        "reaction", "fired", "consumed", "produced", "stolen", "match_ns"
+        "  {:<16} {:>8} {:>9} {:>9} {:>12}",
+        "reaction", "fired", "consumed", "produced", "match_ns"
     );
     for (name, agg) in &ranked {
         println!(
-            "  {:<16} {:>8} {:>9} {:>9} {:>7} {:>12}",
-            name, agg.fired, agg.consumed, agg.produced, agg.stolen, agg.match_ns
+            "  {:<16} {:>8} {:>9} {:>9} {:>12}",
+            name, agg.fired, agg.consumed, agg.produced, agg.match_ns
         );
     }
     Ok(())

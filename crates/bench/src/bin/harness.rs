@@ -974,7 +974,8 @@ fn s4() {
     // The headline workload: 16 independent Fig. 2 loops (tags advance
     // every iteration, so alpha-shard ownership rotates across workers)
     // plus the single-bucket associative fold (maximal shard skew: one
-    // worker owns every key and the others must steal).
+    // worker owns every key and fires every step, while probe-retry's
+    // workers all search the one bucket).
     let loops = parallel_loops(16, 3, 200, 5);
     let conv = dataflow_to_gamma(&loops.graph).expect("loop graph converts");
     let sum_w = sum(&(1..=2048).collect::<Vec<_>>());

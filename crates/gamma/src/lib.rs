@@ -110,7 +110,7 @@ pub use rete::{
     AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan, DEFAULT_SPILL_WATERMARK,
 };
 pub use reuse::{analyze as analyze_reuse, ReactionReuse, ReuseReport};
-pub use schedule::{DeltaScheduler, DependencyIndex, SchedStats, ShardedWorklist};
+pub use schedule::{DeltaScheduler, DependencyIndex, SchedStats};
 pub use seq::{run_pipeline, ExecError, ExecResult, ParError, Scheduling, Selection, Status};
 pub use session::{
     Engine, EngineConfig, InjectOutcome, Session, SessionBuilder, SessionSnapshot, Wave,

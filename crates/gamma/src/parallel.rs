@@ -62,11 +62,12 @@
 //!   [`ShardedBag::claim_and_replace`]; a slice that raced a concurrent
 //!   claimant simply loses the claim and retires the stale token when
 //!   the winner's delta arrives.
-//! * **Work stealing** — a worker whose slice is dry pops globally woken
-//!   reactions from a [`ShardedWorklist`] and searches them on the
-//!   *sampled* probe-retry view (claims re-validate, so thieves are
-//!   pure heuristic rebalancing for skewed partitions — e.g. a
-//!   single-bucket fold whose every key one worker owns).
+//! * **Local firing** — a worker fires only what its own slice memorises
+//!   or searches, as a dataflow PE fires only on operands that reached
+//!   its own store. Exactness and load both live in the slices: their
+//!   union is the full network, and a component's firings all run on
+//!   its owner, so a fold over one label keeps one worker busy while the
+//!   others wait in the termination scan.
 //! * **Termination** — exact, from *empty sharded memories*: when every
 //!   addressed delta has been processed (`processed[v] == sent[v]` for
 //!   all workers `v`), no worker is active, and no slice holds an
@@ -86,19 +87,20 @@
 //! * **Startup pruning**: a level-0-only [`ReteNetwork`] occupancy
 //!   probe pre-clears the dirty flags of reactions with no enabled match.
 //!
-//! Probe-retry is kept to measure one thing: it beats the sharded engine
-//! on the single-bucket fold, where one worker owns every key and exact
-//! slice maintenance cannot be sampled away. In-run harness `S4` on a
-//! 2-vCPU machine (three runs) put sharded `sum_2048` at 0.53–0.79×
-//! probe-retry for 1–8 workers, while sharded ran `parallel_loops_16x200`
-//! 4.1–7.8× faster. Probe-retry can go once the sharded engine wins that
-//! fold.
+//! Probe-retry is kept to measure one thing: the single-bucket fold,
+//! where one worker owns every key and fires every step, while every
+//! probe-retry worker searches the one bucket. In-run harness `S4` on a
+//! 2-vCPU machine (three runs) put sharded `sum_2048` at 0.66–0.74×
+//! probe-retry with one worker, and at 1.09–1.45×, 0.57–1.48× and
+//! 1.26–1.38× with 2, 4 and 8, while sharded ran `parallel_loops_16x200`
+//! 4.3–7.7× faster. Probe-retry can go once the sharded engine wins that
+//! fold at every width.
 
 use crate::compiled::{CompiledProgram, Firing, MatchError, MatchSource, SearchScratch};
 use crate::fault::{FaultPlan, WaveFaults};
 use crate::pool::WaveDispatch;
 use crate::rete::{AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan};
-use crate::schedule::{DependencyIndex, ShardedWorklist};
+use crate::schedule::DependencyIndex;
 use crate::seq::{ExecError, ExecResult, ParError, Status};
 use crate::session::{seq_fallback_wave, EngineConfig};
 use crate::telemetry::{firing_event, Telemetry, TraceEvent, MAIN_WORKER};
@@ -251,11 +253,11 @@ pub struct ParStats {
     /// a single-component program, up to `deltas_published × workers`
     /// when a wildcard consumer forces broadcast.
     pub deltas_processed: u64,
-    /// Firings found by an idle worker searching a stolen worklist
-    /// reaction instead of reading its own slice (sharded engine).
+    /// Always zero: a sharded worker fires only from its own slice and
+    /// never searches another's. Kept so that readers of the counter
+    /// still compile.
     pub stolen_firings: u64,
-    /// Stolen worklist reactions whose exact search found nothing
-    /// (sharded engine).
+    /// Always zero, like [`ParStats::stolen_firings`].
     pub steal_misses: u64,
     /// Join levels demoted to virtual by the token watermark, summed over
     /// the startup occupancy probe (probe-retry) and every worker slice
@@ -456,6 +458,16 @@ impl Directory {
     }
 }
 
+/// Count `n` keys or rows read by a sharded source; tests read the
+/// per-thread total.
+#[inline(always)]
+fn note_rows_read(n: usize) {
+    #[cfg(test)]
+    tests::ROWS_READ.with(|c| c.set(c.get() + n));
+    #[cfg(not(test))]
+    let _ = n;
+}
+
 /// A sampled, lock-per-probe view of the sharded bag for worker search.
 ///
 /// A bucket longer than `sample_cap` rows shows only a salted window:
@@ -496,16 +508,20 @@ impl ShardedView<'_> {
 
 impl MatchSource for ShardedView<'_> {
     fn all_labels(&self) -> Vec<Symbol> {
-        self.directory.labels()
+        let out = self.directory.labels();
+        note_rows_read(out.len());
+        out
     }
 
     fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
-        self.directory.tags(label)
+        let out = self.directory.tags(label);
+        note_rows_read(out.len());
+        out
     }
 
     fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
         let shard = self.bag.shard_of(label, tag);
-        self.bag.with_shard(shard, |b| {
+        let out = self.bag.with_shard(shard, |b| {
             let Some(bucket) = b.bucket(label, tag) else {
                 return Vec::new();
             };
@@ -514,10 +530,13 @@ impl MatchSource for ShardedView<'_> {
                 .filter(|&(_, c)| c > 0)
                 .map(|(v, c)| (v.clone(), c))
                 .collect()
-        })
+        });
+        note_rows_read(out.len());
+        out
     }
 
     fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
+        note_rows_read(1);
         let shard = self.bag.shard_of(label, tag);
         self.bag.with_shard(shard, |b| {
             b.bucket(label, tag).map_or(0, |x| x.count(value))
@@ -536,6 +555,7 @@ impl MatchSource for ShardedView<'_> {
         // The window is re-derived from the live bucket: one edited since
         // `row_count` shifts it, which only hides candidates or offers
         // ones the claim re-validates.
+        note_rows_read(1);
         let shard = self.bag.shard_of(label, tag);
         self.bag.with_shard(shard, |b| {
             let (value, count) = self.window_row(b.bucket(label, tag)?, i)?;
@@ -617,8 +637,8 @@ impl MatchSource for LockedShards<'_> {
 /// Persistent state of a parallel session across its waves, for both
 /// engines: the sharded bag, the key directory and the dependency index
 /// once, plus what the engine keeps on top of them ([`ParMatcher`]).
-/// Worker threads — and, for the sharded engine, the delta mailboxes and
-/// the steal worklist — are scoped per wave; everything here survives.
+/// Worker threads — and, for the sharded engine, the delta mailboxes —
+/// are scoped per wave; everything here survives.
 pub(crate) struct ParState {
     deps: DependencyIndex,
     bag: ShardedBag,
@@ -1096,10 +1116,6 @@ impl ParState {
                 let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers)
                     .map(|_| -> DeltaChannel { crossbeam_channel::unbounded() })
                     .unzip();
-                let worklist = ShardedWorklist::new(workers, nreactions);
-                for r in 0..nreactions {
-                    worklist.push(r % workers, r);
-                }
                 let published = AtomicU64::new(0);
                 let sent: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
                 let processed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
@@ -1110,7 +1126,6 @@ impl ParState {
                     plan,
                     bag,
                     directory,
-                    worklist: &worklist,
                     senders: &senders,
                     published: &published,
                     sent: &sent,
@@ -1120,7 +1135,6 @@ impl ParState {
                     budget_exhausted: &budget_exhausted,
                     error: &error,
                     max_firings: budget,
-                    sample_cap,
                     tel,
                     wave,
                 };
@@ -1335,7 +1349,7 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
                 ) {
                     if tel.enabled() {
                         let name = &compiled.reactions[firing.reaction].name;
-                        tel.emit(w as i64, wev, wave, firing_event(name, &firing, 0, false));
+                        tel.emit(w as i64, wev, wave, firing_event(name, &firing, 0));
                         wev += 1;
                     }
                     fired_local += 1;
@@ -1402,12 +1416,7 @@ fn probe_worker_loop(ctx: ProbeWorkerCtx<'_>) -> (ExecStats, ParStats) {
                         ) {
                             if tel.enabled() {
                                 let name = &compiled.reactions[firing.reaction].name;
-                                tel.emit(
-                                    w as i64,
-                                    wev,
-                                    wave,
-                                    firing_event(name, &firing, 0, false),
-                                );
+                                tel.emit(w as i64, wev, wave, firing_event(name, &firing, 0));
                                 wev += 1;
                             }
                             fired_local += 1;
@@ -1505,9 +1514,8 @@ fn try_fire(
 /// label/tag enumeration comes from the (append-only, superset) key
 /// directory, bucket contents from a single transient shard lock. This is
 /// the cross-shard **join frontier**: worker slices complete deep join
-/// levels through it, thieves run the same exact search core over it, and
-/// every read is unsampled — stale only in the benign claim-validated
-/// sense.
+/// levels through it, and every read is unsampled — stale only in the
+/// benign claim-validated sense.
 struct ShardedSource<'a> {
     bag: &'a ShardedBag,
     directory: &'a Directory,
@@ -1515,20 +1523,28 @@ struct ShardedSource<'a> {
 
 impl MatchSource for ShardedSource<'_> {
     fn all_labels(&self) -> Vec<Symbol> {
-        self.directory.labels()
+        let out = self.directory.labels();
+        note_rows_read(out.len());
+        out
     }
 
     fn tags_for_label(&self, label: Symbol) -> Vec<Tag> {
-        self.directory.tags(label)
+        let out = self.directory.tags(label);
+        note_rows_read(out.len());
+        out
     }
 
     fn values_at(&self, label: Symbol, tag: Tag) -> Vec<(Value, usize)> {
         let shard = self.bag.shard_of(label, tag);
-        self.bag
-            .with_shard(shard, |b| MatchSource::values_at(b, label, tag))
+        let out = self
+            .bag
+            .with_shard(shard, |b| MatchSource::values_at(b, label, tag));
+        note_rows_read(out.len());
+        out
     }
 
     fn count_at(&self, label: Symbol, tag: Tag, value: &Value) -> usize {
+        note_rows_read(1);
         let shard = self.bag.shard_of(label, tag);
         self.bag
             .with_shard(shard, |b| MatchSource::count_at(b, label, tag, value))
@@ -1541,6 +1557,7 @@ impl MatchSource for ShardedSource<'_> {
     }
 
     fn row(&self, label: Symbol, tag: Tag, i: usize) -> Option<(Value, usize)> {
+        note_rows_read(1);
         let shard = self.bag.shard_of(label, tag);
         self.bag
             .with_shard(shard, |b| MatchSource::row(b, label, tag, i))
@@ -1586,7 +1603,6 @@ struct SharedRun<'a> {
     plan: &'a crate::rete::SlicePlan,
     bag: &'a ShardedBag,
     directory: &'a Directory,
-    worklist: &'a ShardedWorklist,
     senders: &'a [Sender<Arc<DeltaMsg>>],
     /// Firings published. Doubles as the global firing counter:
     /// incremented (before sending) once per claim.
@@ -1605,9 +1621,6 @@ struct SharedRun<'a> {
     budget_exhausted: &'a AtomicBool,
     error: &'a Mutex<Option<MatchError>>,
     max_firings: u64,
-    /// Bucket sampling cap for thieves' stolen searches (their claims
-    /// re-validate, so sampling is as safe here as in probe-retry).
-    sample_cap: usize,
     /// The session's telemetry handle (workers tag their own events).
     tel: &'a Telemetry,
     /// Wave index, for the trace-record envelope.
@@ -1669,9 +1682,6 @@ impl SharedRun<'_> {
     }
 }
 
-/// One sharded-rete worker: drain the delta mailbox into the local slice,
-/// fire from the slice's memorised matches, steal searches when dry, and
-/// participate in the drained-memories termination consensus.
 /// Per-worker readiness bookkeeping: a `ready` bitmap plus a lazily
 /// purged candidate list (stale entries are dropped at pick time), so
 /// maintenance is O(1) per enabledness flip instead of O(reactions) per
@@ -1712,6 +1722,10 @@ impl ReadySet {
     }
 }
 
+/// One sharded-rete worker: drain the delta mailbox into the local slice,
+/// fire what the slice memorises or searches, and, once the mailbox is
+/// drained and the slice dry, join the drained-memories termination
+/// consensus. A worker never searches outside its slice.
 fn sharded_worker(
     shared: &SharedRun<'_>,
     w: usize,
@@ -1728,7 +1742,6 @@ fn sharded_worker(
         bag: shared.bag,
         directory: shared.directory,
     };
-    let mut scratch = SearchScratch::new();
     let mut ready = ReadySet::new(nreactions);
     let mut routed: Vec<usize> = Vec::new();
     let workers = shared.processed.len();
@@ -1828,7 +1841,6 @@ fn sharded_worker(
                         .claim_and_replace(&firing.consumed, &firing.produced)
                     {
                         stats.record_firing(firing.reaction, &firing);
-                        wake_dependents(shared, w, &firing);
                         let addressed = shared.publish(&firing);
                         if shared.tel.enabled() {
                             let name = &shared.compiled.reactions[firing.reaction].name;
@@ -1836,7 +1848,7 @@ fn sharded_worker(
                                 w as i64,
                                 wev,
                                 shared.wave,
-                                firing_event(name, &firing, 0, false),
+                                firing_event(name, &firing, 0),
                             );
                             shared.tel.emit(
                                 w as i64,
@@ -1864,85 +1876,8 @@ fn sharded_worker(
             continue;
         }
 
-        // 3. Slice dry: steal a woken reaction and search it with the
-        //    sampled probe-retry view (rebalances skewed component
-        //    ownership; sampling is safe because the claim re-validates,
-        //    and exactness lives in the slices, never in thieves).
-        if let Some(r) = shared
-            .worklist
-            .pop_local(w)
-            .or_else(|| shared.worklist.steal(w))
-        {
-            use rand::Rng as _;
-            let sampled = ShardedView {
-                bag: shared.bag,
-                directory: shared.directory,
-                sample_cap: shared.sample_cap,
-                salt: rng.gen(),
-            };
-            match shared.compiled.reactions[r].find_match_fast(
-                r,
-                &sampled,
-                Some(&mut rng),
-                &mut scratch,
-            ) {
-                Err(e) => {
-                    *shared.error.lock() = Some(e);
-                    shared.done.store(true, Ordering::Release);
-                    break 'main;
-                }
-                Ok(Some(firing)) => {
-                    if shared
-                        .bag
-                        .claim_and_replace(&firing.consumed, &firing.produced)
-                    {
-                        par.stolen_firings += 1;
-                        stats.record_firing(firing.reaction, &firing);
-                        wake_dependents(shared, w, &firing);
-                        let addressed = shared.publish(&firing);
-                        if shared.tel.enabled() {
-                            let name = &shared.compiled.reactions[firing.reaction].name;
-                            shared.tel.emit(
-                                w as i64,
-                                wev,
-                                shared.wave,
-                                firing_event(name, &firing, 0, true),
-                            );
-                            shared.tel.emit(
-                                w as i64,
-                                wev + 1,
-                                shared.wave,
-                                TraceEvent::DeltaPublished {
-                                    reaction: firing.reaction,
-                                    addressed,
-                                },
-                            );
-                            wev += 2;
-                        }
-                        fired_local += 1;
-                        wf.on_firing(w, fired_local);
-                    } else {
-                        par.claim_failures += 1;
-                    }
-                }
-                Ok(None) => {
-                    par.steal_misses += 1;
-                    if shared.tel.enabled() {
-                        shared.tel.emit(
-                            w as i64,
-                            wev,
-                            shared.wave,
-                            TraceEvent::StealMiss { reaction: r },
-                        );
-                        wev += 1;
-                    }
-                }
-            }
-            continue;
-        }
-
-        // 4. Idle: drained mailbox, dry slice, empty worklist. Join the
-        //    termination consensus; leave on the first delta.
+        // 3. Idle: drained mailbox, dry slice. Join the termination
+        //    consensus; leave on the first delta.
         shared.active[w].store(false, Ordering::Release);
         loop {
             if shared.stopped() {
@@ -1980,31 +1915,13 @@ fn sharded_worker(
                     );
                     continue 'main;
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    // Steal hints do not arrive through the mailbox; an
-                    // idle worker re-checks the worklist on every tick.
-                    if !shared.worklist.is_empty() {
-                        shared.active[w].store(true, Ordering::Release);
-                        continue 'main;
-                    }
-                }
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break 'main,
             }
         }
     }
 
     (stats, par, slice)
-}
-
-/// Queue the reactions consuming a produced label on the claimant's
-/// worklist shard, so idle workers have steal targets.
-fn wake_dependents(shared: &SharedRun<'_>, w: usize, firing: &Firing) {
-    shared.worklist.push(w, firing.reaction);
-    for e in &firing.produced {
-        shared
-            .deps
-            .for_each_dependent(e.label, |r| shared.worklist.push(w, r));
-    }
 }
 
 #[cfg(test)]
@@ -2017,6 +1934,12 @@ mod tests {
     use crate::spec::{ElementSpec, GammaProgram, Pattern, ReactionSpec};
     use gammaflow_multiset::value::{BinOp, CmpOp};
     use gammaflow_multiset::Element;
+
+    thread_local! {
+        /// Keys and bucket rows read through [`ShardedSource`] and
+        /// [`ShardedView`] on this thread.
+        pub(super) static ROWS_READ: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn e(v: i64, l: &str, t: u64) -> Element {
         Element::new(v, l, t)
@@ -2332,23 +2255,48 @@ mod tests {
     }
 
     #[test]
-    fn sharded_work_stealing_rescues_skewed_ownership() {
+    fn sharded_skewed_ownership_is_exact() {
         // Every element lives in one (label, tag) bucket, so one worker
-        // owns the whole slice; with several workers the thieves' stolen
-        // searches must contribute (or at least never break the result).
+        // owns the whole slice and fires every step while the others
+        // wait in the termination scan.
         let initial: ElementBag = (1..=200).map(|v| e(v, "n", 0)).collect();
         let result = run_par(&sum_program(), initial, &sharded(4)).unwrap();
         assert_eq!(result.exec.status, Status::Stable);
         assert!(result.exec.multiset.contains(&e(20100, "n", 0)));
         assert_eq!(result.exec.stats.firings_total(), 199);
-        // Thieves at least attempted the skewed bucket (stolen firings
-        // themselves are racy — a fast owner may win every claim).
-        assert!(
-            result.par.stolen_firings + result.par.steal_misses + result.par.claim_failures > 0
-                || result.par.deltas_processed > 0,
-            "{:?}",
-            result.par
-        );
+    }
+
+    /// A one-worker sharded wave reads what its delta touches, not the
+    /// retained bag. Over `h` singleton windows of the windowed-sum
+    /// reaction, injecting 4 fresh windows and running the wave that
+    /// completes them reads as many keys and rows at h = 10^3 as at
+    /// h = 10^5. A one-worker wave runs on the calling thread, so the
+    /// thread-local counter sees all of it.
+    #[test]
+    fn one_worker_wave_reads_do_not_grow_with_the_retained_bag() {
+        let wsum = GammaProgram::new(vec![ReactionSpec::new("wsum")
+            .replace(Pattern::tagged("a", "x", "t"))
+            .replace(Pattern::tagged("b", "x", "t"))
+            .by(vec![ElementSpec::tagged(
+                Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
+                "x",
+                "t",
+            )])]);
+        let wave_reads = |h: u64| {
+            let retained: ElementBag = (0..h).map(|t| e(1, "x", t)).collect();
+            let mut session = Session::build(&wsum)
+                .config(sharded(1))
+                .start(retained)
+                .unwrap();
+            ROWS_READ.with(|c| c.set(0));
+            let _ = session.inject((h..h + 4).flat_map(|t| [e(2, "x", t), e(3, "x", t)]));
+            let wave = session.run_to_stable().unwrap();
+            assert_eq!((wave.status, wave.fired), (Status::Stable, 4));
+            ROWS_READ.with(Cell::get)
+        };
+        let small = wave_reads(1_000);
+        assert!(small > 0, "the wave reads its own windows");
+        assert_eq!(small, wave_reads(100_000));
     }
 
     #[test]

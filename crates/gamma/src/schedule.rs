@@ -470,86 +470,6 @@ impl DeltaScheduler {
     }
 }
 
-/// A work-stealing sharded worklist of dirty reactions for the parallel
-/// engine: the concurrent image of [`DeltaScheduler`]'s worklist.
-///
-/// Each worker owns one queue. Producers push a woken reaction onto
-/// *their own* queue (LIFO pop for locality); a worker whose queue and
-/// rete slice are both dry steals FIFO from its peers, which balances
-/// load when the alpha-shard partition is skewed (e.g. a single-bucket
-/// fold owned by one worker).
-///
-/// Entries are deduplicated by a per-reaction membership flag so a
-/// reaction is queued at most once however many producers wake it. The
-/// flag protocol is intentionally *lossy* under races (a wake-up arriving
-/// in the instant between a pop and its flag clear is dropped): the
-/// worklist is thief guidance only — the sharded engine's exactness and
-/// termination rest on the per-worker rete slices, never on this queue.
-#[derive(Debug)]
-pub struct ShardedWorklist {
-    queues: Vec<parking_lot::Mutex<std::collections::VecDeque<u32>>>,
-    queued: Vec<std::sync::atomic::AtomicBool>,
-}
-
-impl ShardedWorklist {
-    /// A worklist striped across `workers` queues for `nreactions`
-    /// reactions.
-    pub fn new(workers: usize, nreactions: usize) -> ShardedWorklist {
-        ShardedWorklist {
-            queues: (0..workers.max(1))
-                .map(|_| parking_lot::Mutex::new(std::collections::VecDeque::new()))
-                .collect(),
-            queued: (0..nreactions)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect(),
-        }
-    }
-
-    /// Queue `reaction` on `worker`'s shard unless it is already queued
-    /// somewhere.
-    pub fn push(&self, worker: usize, reaction: usize) {
-        use std::sync::atomic::Ordering;
-        if self.queued[reaction].swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.queues[worker % self.queues.len()]
-            .lock()
-            .push_back(reaction as u32);
-    }
-
-    /// Pop from `worker`'s own shard (LIFO — the most recently woken
-    /// reaction is the most likely to still be enabled).
-    pub fn pop_local(&self, worker: usize) -> Option<usize> {
-        let popped = self.queues[worker % self.queues.len()].lock().pop_back();
-        self.finish_pop(popped)
-    }
-
-    /// Steal from the other shards (FIFO — take the oldest waiting work).
-    pub fn steal(&self, worker: usize) -> Option<usize> {
-        let n = self.queues.len();
-        for i in 1..n {
-            let victim = (worker + i) % n;
-            let popped = self.queues[victim].lock().pop_front();
-            if popped.is_some() {
-                return self.finish_pop(popped);
-            }
-        }
-        None
-    }
-
-    fn finish_pop(&self, popped: Option<u32>) -> Option<usize> {
-        use std::sync::atomic::Ordering;
-        let r = popped? as usize;
-        self.queued[r].store(false, Ordering::Release);
-        Some(r)
-    }
-
-    /// True when every shard is empty (racy; advisory only).
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.lock().is_empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,46 +715,6 @@ mod tests {
         assert_eq!(plain, anchored, "anchored det mode changed a selection");
         assert!(stats.anchored_probes > 0, "{stats:?}");
         assert!(stats.anchored_confirm_searches > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn sharded_worklist_dedups_and_steals() {
-        let wl = ShardedWorklist::new(2, 4);
-        wl.push(0, 3);
-        wl.push(0, 3); // deduplicated
-        wl.push(0, 1);
-        assert_eq!(wl.pop_local(0), Some(1), "LIFO local pop");
-        assert_eq!(wl.steal(1), Some(3), "peer steals the oldest entry");
-        assert_eq!(wl.pop_local(0), None);
-        assert!(wl.is_empty());
-        // Popped entries may be re-queued.
-        wl.push(1, 3);
-        assert_eq!(wl.pop_local(1), Some(3));
-    }
-
-    #[test]
-    fn sharded_worklist_concurrent_smoke() {
-        use std::sync::Arc;
-        let wl = Arc::new(ShardedWorklist::new(4, 64));
-        let mut handles = Vec::new();
-        for w in 0..4usize {
-            let wl = Arc::clone(&wl);
-            handles.push(std::thread::spawn(move || {
-                let mut got = 0usize;
-                for r in 0..64 {
-                    wl.push(w, r);
-                }
-                while wl.pop_local(w).is_some() || wl.steal(w).is_some() {
-                    got += 1;
-                }
-                got
-            }));
-        }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        // Each reaction is queued at most once per concurrent epoch; all
-        // queued entries are drained.
-        assert!(total >= 64, "at least one full wave drains: {total}");
-        assert!(wl.is_empty());
     }
 
     #[test]

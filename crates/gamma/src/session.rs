@@ -49,7 +49,7 @@
 //! | `Seq` + `Rescan` | multiset, RNG stream | (nothing to keep) |
 //! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
 //! | `Seq` + `Rete` | alpha/beta memories, demoted (virtual) levels | — |
-//! | `Parallel(_)` | one parallel state: sharded bag, key directory, and per-worker network slices (`ShardedRete`) or dirty flags (`ProbeRetry`) | worker threads; mailboxes and steal worklist (`ShardedRete`) |
+//! | `Parallel(_)` | one parallel state: sharded bag, key directory, and per-worker network slices (`ShardedRete`) or dirty flags (`ProbeRetry`) | worker threads; delta mailboxes (`ShardedRete`) |
 //!
 //! Both parallel engines share one reset, used by
 //! [`Session::drain_stable`] and by every exit of a wave that lost a
@@ -119,8 +119,10 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Multiset shards, rounded up to a power of two (parallel engines).
     pub shards: usize,
-    /// Bucket sampling cap for probe-retry searches and sharded-engine
-    /// thieves (parallel engines).
+    /// Bucket sampling cap for probe-retry's optimistic searches: a
+    /// bucket longer than this shows each probe only a salted window of
+    /// this many rows. The sharded engine reads its slices exactly and
+    /// ignores it.
     pub sample_cap: usize,
     /// Seed for parallel per-worker RNG streams.
     pub seed: u64,
@@ -1181,8 +1183,6 @@ impl Session {
                 &[],
                 par.deltas_processed,
             );
-            reg.counter("gamma_par_stolen_firings_total", &[], par.stolen_firings);
-            reg.counter("gamma_par_steal_misses_total", &[], par.steal_misses);
             reg.counter("gamma_par_workers_lost_total", &[], par.workers_lost);
             reg.counter("gamma_par_waves_replayed_total", &[], par.waves_replayed);
             reg.counter("gamma_par_degraded_waves_total", &[], par.degraded_waves);
@@ -1531,7 +1531,7 @@ impl SeqWave<'_> {
         }
         if self.ctl.tel.enabled() {
             self.ctl
-                .emit(self.wave, firing_event(name, firing, match_ns, false));
+                .emit(self.wave, firing_event(name, firing, match_ns));
         }
     }
 }

@@ -14,7 +14,7 @@
 //!    start/end, every firing (reaction, consumed/produced labels, match
 //!    latency), matcher phases (network build, spill activity, anchored
 //!    confirms), parallel-engine events (per-worker delta publish/process,
-//!    steals, quarantine/replay, degrade-to-seq), and session lifecycle
+//!    quarantine/replay, degrade-to-seq), and session lifecycle
 //!    (inject, snapshot, restore, plan explanation). Each record carries a
 //!    worker tag and a worker-local monotonic sequence number, so parallel
 //!    timelines interleave deterministically enough to diff: sort by
@@ -93,9 +93,6 @@ pub enum TraceEvent {
         produced: Vec<String>,
         /// Match latency in nanoseconds; zero unless profiling is on.
         match_ns: u64,
-        /// True when an idle sharded worker found this firing by
-        /// searching a stolen worklist reaction.
-        stolen: bool,
     },
     /// A reaction's compiled join-order plan, emitted once per reaction
     /// at session build — the event-stream form of the
@@ -144,11 +141,6 @@ pub enum TraceEvent {
     DeltaProcessed {
         /// 1-based worker-local count of received deltas.
         nth: u64,
-    },
-    /// An idle sharded worker's stolen exact search found nothing.
-    StealMiss {
-        /// The stolen worklist reaction that came up dry.
-        reaction: usize,
     },
     /// A parallel wave attempt lost workers and was quarantined: the
     /// entry multiset restored, slices rebuilt, dirty flags re-armed.
@@ -267,7 +259,6 @@ impl TraceRecord {
             TraceEvent::AnchoredConfirms { .. } => "anchored_confirms",
             TraceEvent::DeltaPublished { .. } => "delta_published",
             TraceEvent::DeltaProcessed { .. } => "delta_processed",
-            TraceEvent::StealMiss { .. } => "steal_miss",
             TraceEvent::WaveQuarantined { .. } => "wave_quarantined",
             TraceEvent::WaveReplayed { .. } => "wave_replayed",
             TraceEvent::DegradedToSeq { .. } => "degraded_to_seq",
@@ -288,7 +279,6 @@ pub(crate) fn firing_event(
     name: &str,
     firing: &crate::compiled::Firing,
     match_ns: u64,
-    stolen: bool,
 ) -> TraceEvent {
     TraceEvent::Firing {
         reaction: firing.reaction,
@@ -304,7 +294,6 @@ pub(crate) fn firing_event(
             .map(|e| e.label.as_str().to_string())
             .collect(),
         match_ns,
-        stolen,
     }
 }
 
@@ -906,13 +895,18 @@ mod tests {
                 consumed: vec!["n".to_string(), "n".to_string()],
                 produced: vec!["n".to_string()],
                 match_ns: 0,
-                stolen: true,
             },
         };
         let line = serde_json::to_string(&original).unwrap();
         let back: TraceRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back, original);
         assert_eq!(back.kind(), "firing");
+        // Older traces carry a `stolen` flag on every firing; unknown
+        // keys are ignored, so those lines still read.
+        let old = line.replace("\"match_ns\":0", "\"match_ns\":0,\"stolen\":true");
+        assert_ne!(old, line);
+        let back: TraceRecord = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, original);
     }
 
     #[test]

@@ -198,11 +198,6 @@ fn firing_events_conserve_exec_stats_across_engines() {
             result.par.deltas_processed,
             "{name}: delta_processed events must reconcile with ParStats"
         );
-        assert_eq!(
-            count_kind(&records, "steal_miss"),
-            result.par.steal_misses,
-            "{name}: steal_miss events must reconcile with ParStats"
-        );
     }
 }
 
