@@ -19,6 +19,11 @@
 //! one file, each line carrying a `tenant` key ahead of the plain
 //! record. `--tenant <id>` restricts every view to that stream;
 //! without it, a tenant census is printed above the event census.
+//!
+//! A trace written by an older build may hold events of a kind that has
+//! since been removed (`StealMiss`, `AnchoredConfirms`). Such a record is
+//! skipped and counted, as long as its envelope parses; any other line
+//! that is not a trace record is an error.
 
 use gammaflow_gamma::{TraceEvent, TraceRecord, MAIN_WORKER};
 use std::collections::BTreeMap;
@@ -29,6 +34,83 @@ use std::process::ExitCode;
 #[derive(serde::Deserialize)]
 struct TenantTag {
     tenant: Option<String>,
+}
+
+/// Event kinds that earlier builds emitted and this one no longer has.
+const RETIRED_KINDS: &[&str] = &["StealMiss", "AnchoredConfirms"];
+
+/// A trace record with its event left unparsed, so that a line of a
+/// retired event kind can be told apart from a malformed one. The
+/// envelope fields are parsed only to check that they are there.
+#[allow(dead_code)]
+#[derive(serde::Deserialize)]
+struct Envelope {
+    seq: u64,
+    worker: i64,
+    wseq: u64,
+    wave: u64,
+    event: serde_json::Value,
+}
+
+/// The retired event kind `line` carries, if it is a well-formed record
+/// envelope around one.
+fn retired_kind(line: &str) -> Option<&'static str> {
+    let envelope: Envelope = serde_json::from_str(line).ok()?;
+    let kind = match &envelope.event {
+        serde_json::Value::Map(fields) if fields.len() == 1 => fields[0].0.as_str(),
+        serde_json::Value::Str(kind) => kind.as_str(),
+        _ => return None,
+    };
+    RETIRED_KINDS.iter().copied().find(|k| *k == kind)
+}
+
+/// The records of one trace file, filtered to a tenant if one is given.
+struct Parsed {
+    records: Vec<TraceRecord>,
+    /// Records per tenant tag, over the whole file.
+    tenants: BTreeMap<String, u64>,
+    /// Records of other tenants dropped by the filter.
+    other_tenants: u64,
+    /// Records of retired event kinds, per kind, in first-seen order.
+    retired: Vec<(&'static str, u64)>,
+}
+
+fn parse(path: &str, text: &str, tenant: Option<&str>) -> Result<Parsed, String> {
+    let mut parsed = Parsed {
+        records: Vec::new(),
+        tenants: BTreeMap::new(),
+        other_tenants: 0,
+        retired: Vec::new(),
+    };
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let tag: Option<String> = serde_json::from_str::<TenantTag>(line)
+            .ok()
+            .and_then(|t| t.tenant);
+        if let Some(t) = &tag {
+            *parsed.tenants.entry(t.clone()).or_default() += 1;
+        }
+        if let Some(want) = tenant {
+            if tag.as_deref() != Some(want) {
+                parsed.other_tenants += 1;
+                continue;
+            }
+        }
+        match serde_json::from_str::<TraceRecord>(line) {
+            Ok(rec) => parsed.records.push(rec),
+            Err(e) => {
+                let kind = retired_kind(line)
+                    .ok_or_else(|| format!("{path}:{}: not a trace record: {e}", i + 1))?;
+                match parsed.retired.iter_mut().find(|(k, _)| *k == kind) {
+                    Some((_, n)) => *n += 1,
+                    None => parsed.retired.push((kind, 1)),
+                }
+            }
+        }
+    }
+    Ok(parsed)
 }
 
 /// Aggregated per-reaction figures from the stream's `firing` events.
@@ -61,28 +143,18 @@ fn worker_name(w: i64) -> String {
 
 fn run(path: &str, top: usize, tenant: Option<&str>) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut records: Vec<TraceRecord> = Vec::new();
-    let mut tenants: BTreeMap<String, u64> = BTreeMap::new();
-    let mut skipped = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let tag: Option<String> = serde_json::from_str::<TenantTag>(line)
-            .ok()
-            .and_then(|t| t.tenant);
-        if let Some(t) = &tag {
-            *tenants.entry(t.clone()).or_default() += 1;
-        }
-        if let Some(want) = tenant {
-            if tag.as_deref() != Some(want) {
-                skipped += 1;
-                continue;
-            }
-        }
-        let rec: TraceRecord = serde_json::from_str(line)
-            .map_err(|e| format!("{path}:{}: not a trace record: {e}", i + 1))?;
-        records.push(rec);
+    let Parsed {
+        records,
+        tenants,
+        other_tenants,
+        retired,
+    } = parse(path, &text, tenant)?;
+    if !retired.is_empty() {
+        let counts: Vec<String> = retired.iter().map(|(k, n)| format!("{k} {n}")).collect();
+        println!(
+            "skipped records of retired event kinds: {}",
+            counts.join(", ")
+        );
     }
     if records.is_empty() {
         if let Some(want) = tenant {
@@ -99,7 +171,9 @@ fn run(path: &str, top: usize, tenant: Option<&str>) -> Result<(), String> {
         return Err(format!("{path}: no trace records"));
     }
     match tenant {
-        Some(want) => println!("tenant filter {want:?}: {skipped} other-stream records skipped"),
+        Some(want) => {
+            println!("tenant filter {want:?}: {other_tenants} other-stream records skipped")
+        }
         None if !tenants.is_empty() => {
             println!("tenant census ({} streams):", tenants.len());
             for (t, n) in &tenants {
@@ -271,6 +345,51 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("gamma-inspect: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WAVE_START: &str = r#"{"seq":0,"worker":-1,"wseq":0,"wave":0,"event":{"WaveStart":{"wave":0,"engine":"seq/rete"}}}"#;
+
+    #[test]
+    fn records_of_retired_kinds_are_skipped_and_counted() {
+        let text = [
+            WAVE_START,
+            r#"{"seq":1,"worker":0,"wseq":4,"wave":0,"event":{"StealMiss":{"reaction":2}}}"#,
+            r#"{"seq":2,"worker":-1,"wseq":1,"wave":0,"event":{"AnchoredConfirms":{"searches":3}}}"#,
+        ]
+        .join("\n");
+        let parsed = parse("old.jsonl", &text, None).expect("old traces stay readable");
+        assert_eq!(parsed.records.len(), 1);
+        assert_eq!(parsed.records[0].kind(), "wave_start");
+        assert_eq!(
+            parsed.retired,
+            vec![("StealMiss", 1), ("AnchoredConfirms", 1)]
+        );
+    }
+
+    #[test]
+    fn other_malformed_lines_still_fail() {
+        for bad in [
+            // An event kind that never existed.
+            r#"{"seq":1,"worker":-1,"wseq":1,"wave":0,"event":{"NoSuchKind":{}}}"#,
+            // A retired kind without a complete envelope.
+            r#"{"seq":1,"worker":-1,"wave":0,"event":{"StealMiss":{"reaction":2}}}"#,
+            // A current kind with a malformed payload.
+            r#"{"seq":1,"worker":-1,"wseq":1,"wave":0,"event":{"Drained":{"bag_len":"many"}}}"#,
+            "not json",
+        ] {
+            let text = format!("{WAVE_START}\n{bad}");
+            let err = parse("bad.jsonl", &text, None).err();
+            assert!(
+                err.as_deref()
+                    .is_some_and(|e| e.starts_with("bad.jsonl:2:")),
+                "{bad}: {err:?}"
+            );
         }
     }
 }

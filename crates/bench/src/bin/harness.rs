@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every table/figure row from DESIGN.md's
 //! per-experiment index (E1–E6, P1–P5) plus the scheduler benchmarks
-//! (S1 → `BENCH_scheduling.json`, S2/S3 → `BENCH_matching.json`,
+//! (S2/S3 → `BENCH_matching.json`,
 //! S4 → `BENCH_parallel.json`, S5 → `BENCH_streaming.json`,
 //! S6 → `BENCH_recovery.json`, S7 → `BENCH_observability.json`,
 //! S8 → `BENCH_vm.json`, S9 → `BENCH_storage.json`,
@@ -496,7 +496,7 @@ fn p5() {
     }
 }
 
-// ------------------------------------------------------------------ S1 ----
+// ------------------------------------------------------------------ S2 ----
 
 /// One engine's timing on one workload, in the committed BENCH json files.
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -506,188 +506,17 @@ struct EngineRow {
     firings_per_sec: f64,
 }
 
-/// One workload's rescan-vs-delta comparison.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SchedulingRow {
-    workload: String,
-    selection: String,
-    firings: u64,
-    rescan: EngineRow,
-    delta: EngineRow,
-    speedup: f64,
-    identical_final_multiset: bool,
-}
-
-/// S1: delta-driven scheduling vs the rescanning reference, recorded as
-/// machine-readable `BENCH_scheduling.json` so the perf trajectory is
-/// tracked across PRs.
-fn s1() {
-    use gammaflow_gamma::{Scheduling, Status};
-    banner(
-        "S1",
-        "Delta-driven reaction scheduling vs rescanning baseline",
-    );
-
-    let time_engine = |program: &gammaflow_gamma::GammaProgram,
-                       initial: &ElementBag,
-                       selection: Selection,
-                       scheduling: Scheduling|
-     -> (f64, u64, ElementBag) {
-        let t = Instant::now();
-        let result = Session::build(program)
-            .config(EngineConfig {
-                selection,
-                scheduling,
-                ..EngineConfig::default()
-            })
-            .run(initial.clone())
-            .expect("run succeeds");
-        let secs = t.elapsed().as_secs_f64();
-        assert_eq!(result.status, Status::Stable, "workload must stabilise");
-        (secs, result.stats.firings_total(), result.multiset)
-    };
-
-    let mut rows = Vec::new();
-    let mut workloads: Vec<(String, Selection, gammaflow_gamma::GammaProgram, ElementBag)> =
-        Vec::new();
-
-    // The headline workload: 16 independent Fig. 2 loops, ~29k firings
-    // over 144 reactions. Rescanning probes every reaction after every
-    // firing; the delta worklist re-searches only the few reactions
-    // reachable from each firing's products.
-    let loops = parallel_loops(16, 3, 200, 5);
-    let conv = dataflow_to_gamma(&loops.graph).expect("loop graph converts");
-    workloads.push((
-        "parallel_loops_16x200".into(),
-        Selection::Deterministic,
-        conv.program,
-        conv.initial,
-    ));
-
-    // A wide converted expression DAG: one enabled reaction per node,
-    // firing each exactly once.
-    let dag = random_dag(
-        7,
-        &DagParams {
-            roots: 24,
-            layers: 5,
-            width: 24,
-            range: 1000,
-        },
-    );
-    let conv = dataflow_to_gamma(&dag.graph).expect("dag converts");
-    workloads.push((
-        "random_dag_24x5x24".into(),
-        Selection::Deterministic,
-        conv.program,
-        conv.initial,
-    ));
-
-    // The single-reaction sieve: no reactions to skip, so this is the
-    // worst case for the scheduler — included to show the overhead bound
-    // (the final multiset is the prime set under any schedule).
-    let sieve = gammaflow_workloads::primes(2_000);
-    workloads.push((
-        "primes_sieve_2000".into(),
-        Selection::Seeded(1),
-        sieve.program,
-        sieve.initial,
-    ));
-
-    println!(
-        "{:<24} {:>9} {:>13} {:>13} {:>9}",
-        "workload", "firings", "rescan f/s", "delta f/s", "speedup"
-    );
-    for (name, selection, program, initial) in &workloads {
-        let (rescan_s, rescan_firings, rescan_final) =
-            time_engine(program, initial, *selection, Scheduling::Rescan);
-        let (delta_s, delta_firings, delta_final) =
-            time_engine(program, initial, *selection, Scheduling::Delta);
-        let identical = rescan_final == delta_final && rescan_firings == delta_firings;
-        assert!(
-            identical,
-            "{name}: engines diverged (rescan {rescan_firings} firings vs delta {delta_firings})"
-        );
-        let rescan_fps = rescan_firings as f64 / rescan_s;
-        let delta_fps = delta_firings as f64 / delta_s;
-        println!(
-            "{name:<24} {rescan_firings:>9} {rescan_fps:>13.0} {delta_fps:>13.0} {:>8.2}x",
-            delta_fps / rescan_fps
-        );
-        rows.push(SchedulingRow {
-            workload: name.clone(),
-            selection: match selection {
-                Selection::Deterministic => "deterministic".into(),
-                Selection::Seeded(s) => format!("seeded({s})"),
-            },
-            firings: delta_firings,
-            rescan: EngineRow {
-                seconds: rescan_s,
-                firings: rescan_firings,
-                firings_per_sec: rescan_fps,
-            },
-            delta: EngineRow {
-                seconds: delta_s,
-                firings: delta_firings,
-                firings_per_sec: delta_fps,
-            },
-            speedup: delta_fps / rescan_fps,
-            identical_final_multiset: identical,
-        });
-    }
-
-    #[derive(serde::Serialize, serde::Deserialize)]
-    struct SchedulingReport {
-        bench: String,
-        rows: Vec<SchedulingRow>,
-    }
-    // Baseline comparison against the committed file, before overwriting.
-    let baseline: Vec<(String, f64)> = read_baseline::<SchedulingReport>("BENCH_scheduling.json")
-        .map(|old| {
-            old.rows
-                .iter()
-                .flat_map(|r| {
-                    [
-                        (format!("{}/rescan", r.workload), r.rescan.firings_per_sec),
-                        (format!("{}/delta", r.workload), r.delta.firings_per_sec),
-                    ]
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let current: Vec<(String, f64)> = rows
-        .iter()
-        .flat_map(|r| {
-            [
-                (format!("{}/rescan", r.workload), r.rescan.firings_per_sec),
-                (format!("{}/delta", r.workload), r.delta.firings_per_sec),
-            ]
-        })
-        .collect();
-    warn_fps_regressions("BENCH_scheduling.json", &baseline, &current);
-
-    let report = SchedulingReport {
-        bench: "scheduling".into(),
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write("BENCH_scheduling.json", &json).expect("write BENCH_scheduling.json");
-    println!("wrote BENCH_scheduling.json");
-}
-
-// ------------------------------------------------------------------ S2 ----
-
-/// One workload's three-engine comparison in BENCH_matching.json.
+/// One workload's two-engine comparison in BENCH_matching.json. Rows
+/// committed while a third (delta) engine existed carry extra keys that
+/// reading ignores.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct MatchingRow {
     workload: String,
     selection: String,
     firings: u64,
     rescan: EngineRow,
-    delta: EngineRow,
     rete: EngineRow,
     rete_speedup_vs_rescan: f64,
-    rete_speedup_vs_delta: f64,
     rete_tokens_created: u64,
     rete_peak_live_tokens: u64,
     rete_guard_rejects: u64,
@@ -714,7 +543,7 @@ fn matching_fps_series(rows: &[MatchingRow]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Time one workload under the three engines (asserting stability and
+/// Time one workload under both engines (asserting stability and
 /// the self-check multiset for each), print the comparison line, and
 /// produce its BENCH_matching.json row. Shared by S2 and S3.
 fn matching_row(
@@ -744,21 +573,17 @@ fn matching_row(
     };
 
     let (rescan_s, rescan) = time_engine(Scheduling::Rescan);
-    let (delta_s, delta) = time_engine(Scheduling::Delta);
     let (rete_s, rete) = time_engine(Scheduling::Rete);
     let firings = rete.stats.firings_total();
     assert_eq!(rescan.stats.firings_total(), firings, "{}", w.name);
-    assert_eq!(delta.stats.firings_total(), firings, "{}", w.name);
     let rescan_fps = firings as f64 / rescan_s;
-    let delta_fps = firings as f64 / delta_s;
     let rete_fps = firings as f64 / rete_s;
     let rete_stats = rete.rete.expect("rete run reports stats");
     println!(
-        "{:<18} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>8.2}x {:>8}",
+        "{:<18} {:>8} {:>12.0} {:>12.0} {:>8.2}x {:>8}",
         w.name,
         firings,
         rescan_fps,
-        delta_fps,
         rete_fps,
         rete_fps / rescan_fps,
         rete_stats.tokens_created,
@@ -775,18 +600,12 @@ fn matching_row(
             firings,
             firings_per_sec: rescan_fps,
         },
-        delta: EngineRow {
-            seconds: delta_s,
-            firings,
-            firings_per_sec: delta_fps,
-        },
         rete: EngineRow {
             seconds: rete_s,
             firings,
             firings_per_sec: rete_fps,
         },
         rete_speedup_vs_rescan: rete_fps / rescan_fps,
-        rete_speedup_vs_delta: rete_fps / delta_fps,
         rete_tokens_created: rete_stats.tokens_created,
         rete_peak_live_tokens: rete_stats.peak_live_tokens,
         rete_guard_rejects: rete_stats.guard_rejects,
@@ -794,15 +613,14 @@ fn matching_row(
     }
 }
 
-/// S2: the rete join-network matcher vs delta scheduling vs the
-/// rescanning baseline, on the single-reaction sieve (the workload delta
-/// scheduling could not accelerate — it is bound by per-firing search,
-/// not by reaction selection) and the guard-heavy join workloads. Every
+/// S2: the rete join-network matcher vs the rescanning baseline, on the
+/// single-reaction sieve (bound by per-firing search, not by reaction
+/// selection) and the guard-heavy join workloads. Every
 /// run must land on the workload's self-check multiset; results are
 /// recorded in `BENCH_matching.json` for cross-PR tracking.
 fn s2() {
     use gammaflow_workloads::{divisor_sieve, interval_merge, triangles, Workload};
-    banner("S2", "Rete partial-match memory vs delta vs rescan");
+    banner("S2", "Rete partial-match memory vs rescan");
 
     // Chained-overlap interval soup: dense enough that merges cascade.
     let intervals: Vec<(i64, i64)> = (0..600i64)
@@ -819,8 +637,8 @@ fn s2() {
     ];
 
     println!(
-        "{:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>8}",
-        "workload", "firings", "rescan f/s", "delta f/s", "rete f/s", "vs resc", "tokens"
+        "{:<18} {:>8} {:>12} {:>12} {:>9} {:>8}",
+        "workload", "firings", "rescan f/s", "rete f/s", "vs resc", "tokens"
     );
     let rows: Vec<MatchingRow> = workloads
         .iter()
@@ -867,7 +685,7 @@ fn s2() {
 /// eviction landed, this workload is why `Scheduling::Rete` was opt-in —
 /// an unbounded network memorises all `n·(n-1)` pairs before the first
 /// firing. The default watermark demotes the terminal level instead; this
-/// step records the three engines' throughput *and* the bounded peak
+/// step records both engines' throughput *and* the bounded peak
 /// beta-token count, upserting its row into `BENCH_matching.json`
 /// alongside S2's.
 fn s3() {
@@ -880,8 +698,8 @@ fn s3() {
     let n = 400i64;
     let w = cross_sum(n);
     println!(
-        "{:<18} {:>8} {:>12} {:>12} {:>12} {:>9} {:>8}",
-        "workload", "firings", "rescan f/s", "delta f/s", "rete f/s", "vs resc", "tokens"
+        "{:<18} {:>8} {:>12} {:>12} {:>9} {:>8}",
+        "workload", "firings", "rescan f/s", "rete f/s", "vs resc", "tokens"
     );
     let row = matching_row(&w, Selection::Seeded(1));
     let unbounded = (n * (n - 1)) as u64;
@@ -1704,7 +1522,7 @@ fn s7() {
     // events (wave_start/injected/wave_end) weigh in too.
     let stream = windowed_sum(16, 64, 2, 42);
     let drive = |sink: Option<Arc<dyn TraceSink>>| {
-        let mut builder = Session::build(&stream.program).scheduling(Scheduling::Delta);
+        let mut builder = Session::build(&stream.program);
         if let Some(sink) = sink {
             builder = builder.trace_sink(sink);
         }
@@ -1722,12 +1540,7 @@ fn s7() {
         assert_eq!(result.multiset, stream.expected, "streaming final diverged");
         (secs, result.stats.firings_total())
     };
-    rows.push(observe_modes(
-        &stream.name,
-        "seq_delta",
-        &jsonl_path,
-        &drive,
-    ));
+    rows.push(observe_modes(&stream.name, "seq_rete", &jsonl_path, &drive));
 
     let baseline: Vec<(String, f64)> =
         read_baseline::<ObservabilityReport>("BENCH_observability.json")
@@ -2646,9 +2459,6 @@ fn main() {
     }
     if want("P5") {
         p5();
-    }
-    if want("S1") {
-        s1();
     }
     if want("S2") {
         s2();

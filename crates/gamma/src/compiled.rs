@@ -344,8 +344,6 @@ impl MatchSource for ElementBag {
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     levels: Vec<ScratchLevel>,
-    /// Scratch for anchored-search orders (`[anchor] ++ rest`).
-    order: Vec<usize>,
     /// Scratch binding row for spilled-prefix completions.
     slots: Vec<Option<Value>>,
     /// Scratch consumed row for spilled-prefix completions.
@@ -390,30 +388,6 @@ impl SearchScratch {
             self.levels.resize_with(depth, ScratchLevel::default);
         }
     }
-}
-
-/// Per-bucket frontier cursors for
-/// `CompiledReaction::find_match_frontier`, keyed by
-/// `(reaction, label, tag)`.
-///
-/// A cursor records the physical bucket row at which the last scan
-/// parked, together with the bucket compaction epoch that made the
-/// index meaningful; every row before it is a tombstone or was
-/// guard-rejected, and for frontier-eligible reactions a rejection is
-/// permanent. Never serialised: cursors are a pure acceleration — they
-/// skip rows, never change which row is selected — so a restored
-/// session simply rescans from row 0 once and re-parks.
-#[derive(Debug, Default)]
-pub struct FrontierCursors {
-    map: FxHashMap<(u32, Symbol, Tag), FrontierCursor>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FrontierCursor {
-    /// First row not yet proven dead-or-rejected.
-    row: u32,
-    /// Bucket compaction epoch at which `row` was recorded.
-    epoch: u64,
 }
 
 /// A matched, ready-to-fire reaction instance.
@@ -1002,19 +976,17 @@ impl CompiledReaction {
         self.find_match_fast(reaction_index, bag, rng, &mut SearchScratch::new())
     }
 
-    // --- delta-scheduling fast paths ------------------------------------
+    // --- search core -----------------------------------------------------
     //
-    // The methods below are the matcher half of the incremental scheduler
-    // in [`crate::schedule`]: an allocation-free search (lazy index
-    // iteration when deterministic, reusable scratch buffers when seeded)
-    // and an *anchored* search that pins one search-plan position to a
-    // specific freshly-inserted element and completes the tuple from the
-    // index — the Gamma image of delivering one token to the dataflow
-    // waiting–matching store and joining it against waiting operands.
+    // The methods below are what every engine runs per firing: the static
+    // label analyses the dependency index and the Rete feed route deltas
+    // by, then an allocation-free search (lazy index iteration when
+    // deterministic, reusable scratch buffers when seeded).
 
     /// The label classes this reaction consumes: every literal label
     /// (including all `OneOf` members), plus whether any position is a
-    /// label wildcard. The scheduler's dependency index is built from
+    /// label wildcard. The
+    /// [`DependencyIndex`](crate::schedule::DependencyIndex) is built from
     /// this.
     pub fn consumed_label_classes(&self) -> (Vec<Symbol>, bool) {
         let mut labels = Vec::new();
@@ -1047,15 +1019,10 @@ impl CompiledReaction {
     }
 
     /// Whether position `p`'s static filters (label, literal tag, literal
-    /// value) admit `anchor`. This is the alpha-memory membership test of
-    /// the rete network (label class + literal tag + literal value).
-    pub(crate) fn position_admits(&self, p: usize, anchor: &Element) -> bool {
-        self.position_admits_parts(p, anchor.label, anchor.tag, &anchor.value)
-    }
-
-    /// [`Self::position_admits`] over borrowed parts — the id-carrying
-    /// rete feed resolves an [`ElemId`] to `(value, tag)` borrows and
-    /// never materialises an `Element`.
+    /// value) admit an element with these parts. This is the alpha-memory
+    /// membership test of the rete network (label class + literal tag +
+    /// literal value); the id-carrying rete feed resolves an [`ElemId`] to
+    /// `(value, tag)` borrows and never materialises an `Element`.
     pub(crate) fn position_admits_parts(
         &self,
         p: usize,
@@ -1442,217 +1409,6 @@ impl CompiledReaction {
             return Ok(None);
         }
         self.finish(reaction_index, consumed, &bindings)
-    }
-
-    /// True when this reaction's enabledness over a candidate element is
-    /// a pure function of the element alone: exactly one consumed
-    /// position, with no literal value pin (a pinned value probes the
-    /// index in O(1) and needs no scan at all). For such reactions a
-    /// bucket row that fails the guard once can never match later — no
-    /// other multiset content enters the decision — which is what makes
-    /// the per-bucket frontier cursor of [`Self::find_match_frontier`]
-    /// sound.
-    pub(crate) fn frontier_eligible(&self) -> bool {
-        self.positions.len() == 1 && self.positions[0].value_lit.is_none()
-    }
-
-    /// Linear-amortised first-match search for
-    /// [`Self::frontier_eligible`] reactions.
-    ///
-    /// Each candidate bucket is scanned from its parked cursor instead
-    /// of the bucket head, skipping every row already proven dead or
-    /// permanently guard-rejected, and the cursor re-parks where the
-    /// scan stops (at the matching row on a hit, past the end on a
-    /// miss). Each row is therefore guard-evaluated O(1) amortised
-    /// times over a whole run — the fix for the quadratic post-firing
-    /// re-search that restarting from the bucket head costs.
-    ///
-    /// Selects exactly the tuple [`Self::find_match_fast`] selects with
-    /// no RNG — the first live accepting row in label/tag/insertion
-    /// order; cursor state changes how fast that row is found, never
-    /// which row — and consumes no randomness. Delta scheduling
-    /// therefore stays trace-identical to the rescanning reference in
-    /// deterministic mode, and cursors need no place in snapshots.
-    pub(crate) fn find_match_frontier(
-        &self,
-        reaction_index: usize,
-        bag: &ElementBag,
-        cursors: &mut FrontierCursors,
-    ) -> Result<Option<Firing>, MatchError> {
-        debug_assert!(self.frontier_eligible());
-        match &self.positions[0].label {
-            LabelFilter::Exact(l) => self.frontier_label(reaction_index, *l, bag, cursors),
-            LabelFilter::OneOf(ls) => {
-                for &label in ls.iter() {
-                    if let Some(f) = self.frontier_label(reaction_index, label, bag, cursors)? {
-                        return Ok(Some(f));
-                    }
-                }
-                Ok(None)
-            }
-            LabelFilter::Any => {
-                // Same label enumeration order as `det_search`'s
-                // `visit_labels`, so the selected row is identical.
-                for label in bag.labels() {
-                    if let Some(f) = self.frontier_label(reaction_index, label, bag, cursors)? {
-                        return Ok(Some(f));
-                    }
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    fn frontier_label(
-        &self,
-        reaction_index: usize,
-        label: Symbol,
-        bag: &ElementBag,
-        cursors: &mut FrontierCursors,
-    ) -> Result<Option<Firing>, MatchError> {
-        // A tag variable is necessarily unbound here (single position),
-        // so the bucket set is the literal tag or every tag under the
-        // label — in `visit_tags` order, matching `det_label`.
-        if let Some(tag) = self.positions[0].tag_lit {
-            return self.frontier_bucket(reaction_index, label, tag, bag, cursors);
-        }
-        for tag in bag.tags_for(label) {
-            if let Some(f) = self.frontier_bucket(reaction_index, label, tag, bag, cursors)? {
-                return Ok(Some(f));
-            }
-        }
-        Ok(None)
-    }
-
-    fn frontier_bucket(
-        &self,
-        reaction_index: usize,
-        label: Symbol,
-        tag: Tag,
-        bag: &ElementBag,
-        cursors: &mut FrontierCursors,
-    ) -> Result<Option<Firing>, MatchError> {
-        let Some(bucket) = bag.bucket(label, tag) else {
-            return Ok(None);
-        };
-        let pat = &self.positions[0];
-        let cursor = cursors
-            .map
-            .entry((reaction_index as u32, label, tag))
-            .or_insert(FrontierCursor {
-                row: 0,
-                epoch: bucket.epoch(),
-            });
-        if cursor.epoch != bucket.epoch() {
-            // Compaction renumbered the rows; restart. Amortised away:
-            // a compaction only runs after at least as many removals as
-            // the live rows this rescan revisits.
-            cursor.row = 0;
-            cursor.epoch = bucket.epoch();
-        }
-        let mut parked = cursor.row as usize;
-        let mut hit = None;
-        let mut bindings = Bindings::new(self.nvars, &self.var_index);
-        for (i, _id, value, _count) in bucket.iter_ids_from(parked) {
-            match self.bind_position(pat, label, tag, value, &mut bindings) {
-                None => {
-                    // Repeated-variable conflict between the row's own
-                    // fields — a property of the row alone; rejected
-                    // forever.
-                    parked = i + 1;
-                }
-                Some((fresh, nfresh)) => {
-                    if self.accept(&bindings) {
-                        hit = Some((
-                            i,
-                            Element {
-                                value: value.clone(),
-                                label,
-                                tag,
-                            },
-                        ));
-                        break;
-                    }
-                    for &v in &fresh[..nfresh] {
-                        bindings.unbind(v);
-                    }
-                    // Guard-rejected: permanent for frontier-eligible
-                    // reactions.
-                    parked = i + 1;
-                }
-            }
-        }
-        match hit {
-            Some((i, element)) => {
-                // Park AT the matched row: it may still hold
-                // occurrences after the firing consumes one.
-                cursor.row = i as u32;
-                self.finish(reaction_index, vec![Some(element)], &bindings)
-            }
-            None => {
-                cursor.row = parked as u32;
-                Ok(None)
-            }
-        }
-    }
-
-    /// Semi-naive anchored probe: find a match whose tuple *includes*
-    /// `anchor`, one specific element inserted since this reaction last
-    /// failed to match. If the reaction provably had no match before the
-    /// insertion, anchored probing is complete: matching is monotone in
-    /// the multiset, so any new match must consume at least one inserted
-    /// element. Every position whose static filters admit the anchor is
-    /// tried; the remaining positions are completed from the index.
-    pub fn find_match_anchored<S: MatchSource>(
-        &self,
-        reaction_index: usize,
-        bag: &S,
-        anchor: &Element,
-        mut rng: Option<&mut ChaCha8Rng>,
-        scratch: &mut SearchScratch,
-    ) -> Result<Option<Firing>, MatchError> {
-        if bag.count_at(anchor.label, anchor.tag, &anchor.value) == 0 {
-            // The anchor has already been consumed again; any match through
-            // it is gone with it.
-            return Ok(None);
-        }
-        scratch.ensure_depth(self.order.len());
-        for p in 0..self.positions.len() {
-            if !self.position_admits(p, anchor) {
-                continue;
-            }
-            let mut bindings = Bindings::new(self.nvars, &self.var_index);
-            let mut consumed: Vec<Option<Element>> = vec![None; self.positions.len()];
-            let pat = &self.positions[p];
-            if self
-                .bind_position(pat, anchor.label, anchor.tag, &anchor.value, &mut bindings)
-                .is_none()
-            {
-                continue;
-            }
-            consumed[p] = Some(anchor.clone());
-            // Complete the rest of the plan in selectivity order.
-            let mut rest = std::mem::take(&mut scratch.order);
-            rest.clear();
-            rest.extend(self.order.iter().copied().filter(|&i| i != p));
-            let found = match rng.as_deref_mut() {
-                None => self.det_search(0, &rest, bag, &mut bindings, &mut consumed),
-                Some(r) => self.scratch_search(
-                    0,
-                    &rest,
-                    bag,
-                    &mut bindings,
-                    &mut consumed,
-                    r,
-                    &mut scratch.levels,
-                ),
-            };
-            scratch.order = rest;
-            if found {
-                return self.finish(reaction_index, consumed, &bindings);
-            }
-        }
-        Ok(None)
     }
 
     // --- virtual-level completions ---------------------------------------

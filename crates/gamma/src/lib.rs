@@ -27,13 +27,13 @@
 //! * [`rete`] — an incremental join-network matcher (alpha/beta partial-
 //!   match memories, guard pushdown) that remembers matches across
 //!   firings instead of re-searching; [`seq::Scheduling::Rete`] runs on it.
-//! * [`schedule`] — delta-driven reaction scheduling (the worklist image
-//!   of the waiting–matching store).
+//! * [`schedule`] — the label → consuming-reactions dependency index
+//!   the incremental matchers route deltas through.
 //! * [`session`] — the one execution API: a [`Session`] compiles once,
 //!   builds matcher state once, and then runs **incremental input
 //!   waves** over it ([`Session::run_to_stable`] / [`Session::inject`]),
 //!   so steady-state resumption pays O(delta) instead of a rebuild.
-//!   One sequential wave loop serves all three [`Scheduling`]
+//!   One sequential wave loop serves both [`Scheduling`]
 //!   strategies, with maximal-parallel stepping as a mode of it;
 //!   [`SessionBuilder::run`] is the one-shot form.
 //! * [`seq`] — the vocabulary of a run ([`Selection`], [`Scheduling`],
@@ -110,7 +110,7 @@ pub use rete::{
     AlphaSlice, ReteNetwork, ReteReactionCounters, ReteStats, SlicePlan, DEFAULT_SPILL_WATERMARK,
 };
 pub use reuse::{analyze as analyze_reuse, ReactionReuse, ReuseReport};
-pub use schedule::{DeltaScheduler, DependencyIndex, SchedStats};
+pub use schedule::DependencyIndex;
 pub use seq::{run_pipeline, ExecError, ExecResult, ParError, Scheduling, Selection, Status};
 pub use session::{
     Engine, EngineConfig, InjectOutcome, Session, SessionBuilder, SessionSnapshot, Wave,

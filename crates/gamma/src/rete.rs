@@ -6,10 +6,9 @@
 //! The paper's equivalence rests on the tagged-token waiting–matching
 //! store: a dataflow PE never re-derives a match — it *remembers* partial
 //! ones and completes them the instant the missing operand token arrives.
-//! The delta scheduler ([`crate::schedule`]) brought that discipline to
-//! *which reaction* gets probed; this module brings it to *the probe
-//! itself*. Each reaction is compiled into a join network in the style of
-//! Forgy's Rete:
+//! The [`DependencyIndex`] decides *which reaction* a delta reaches; this
+//! module brings the discipline to *the probe itself*. Each reaction is
+//! compiled into a join network in the style of Forgy's Rete:
 //!
 //! * **Alpha memories** — one per pattern position, holding the elements
 //!   passing the position's static filters (label class, literal tag,
@@ -368,8 +367,8 @@ impl ReteStats {
 /// Per-reaction observability counters maintained inside each reaction's
 /// join net and drained into the session's profile table at wave
 /// boundaries ([`ReteNetwork::take_reaction_counters`]). The rescanning
-/// and delta schedulers evaluate guards inside the search core and have
-/// no per-reaction equivalent, so these columns are Rete-matcher-only.
+/// scheduler evaluates guards inside the search core and has no
+/// per-reaction equivalent, so these columns are Rete-matcher-only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReteReactionCounters {
     /// Guard conjunct evaluations during token building.

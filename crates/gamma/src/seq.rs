@@ -17,7 +17,6 @@
 
 use crate::compiled::MatchError;
 use crate::rete::ReteStats;
-use crate::schedule::SchedStats;
 use crate::session::{Engine, EngineConfig, Session};
 use crate::spec::{Pipeline, SpecError};
 use crate::trace::{ExecStats, FiringRecord};
@@ -32,7 +31,12 @@ pub enum Status {
     BudgetExhausted,
 }
 
-/// How a sequential session decides which reactions to (re-)search per step.
+/// How a sequential session finds an enabled reaction per step.
+///
+/// Two matchers answer Eq. (1)'s "is some reaction enabled" check.
+/// Both reach the same stable states, and under
+/// [`Selection::Deterministic`] both fire the same trace; they differ
+/// only in what they remember between firings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum Scheduling {
     /// The reference strategy: after every firing, search every reaction
@@ -40,23 +44,17 @@ pub enum Scheduling {
     /// full-search) for F firings; kept as the baseline for differential
     /// testing and benchmarking.
     Rescan,
-    /// Delta-driven scheduling: a [`DeltaScheduler`](crate::schedule::DeltaScheduler) worklist re-searches
-    /// only reactions reachable from elements produced since they last
-    /// failed to match — see [`crate::schedule`] for the
-    /// waiting–matching-store correspondence. Observable behaviour is
-    /// identical to `Rescan`: same stable states, and under
-    /// [`Selection::Deterministic`] the same firing trace.
-    Delta,
-    /// Rete join-network scheduling (the default): a [`ReteNetwork`](crate::rete::ReteNetwork) of
-    /// partial-match memories is kept incrementally consistent with the
-    /// multiset, so enabled matches are *read* rather than searched,
-    /// per-firing cost is proportional to the delta's token traffic, and
-    /// stability is proven by drained memories (no authoritative
-    /// rescan). Observable behaviour is identical to `Rescan`: same
-    /// stable states, and under [`Selection::Deterministic`] the same
-    /// firing trace. A static level plan keeps a join level in memory
-    /// only while it prunes, so an unguarded n² reaction is answered by
-    /// on-demand search instead of memorising the cross product, and
+    /// Rete join-network scheduling (the default): a
+    /// [`ReteNetwork`](crate::rete::ReteNetwork) is the tagged-token
+    /// machine's waiting–matching store. Inserted and removed elements
+    /// are routed by label through the
+    /// [`DependencyIndex`](crate::schedule::DependencyIndex) to the
+    /// reactions that consume them, so per-firing cost is proportional
+    /// to the delta rather than to the multiset, and stability is proven
+    /// by drained memories (no authoritative rescan). A static level
+    /// plan keeps a join level in memory only while it prunes: an
+    /// Algorithm-1 image keeps a tag-keyed store, an unguarded n²
+    /// reaction keeps nothing and is searched per reaction, and
     /// [`EngineConfig::rete_watermark`] caps the rest — see
     /// [`crate::rete`].
     #[default]
@@ -162,8 +160,6 @@ pub struct ExecResult {
     /// The firing trace, if [`EngineConfig::record_trace`] was set
     /// (sequential engines).
     pub trace: Option<Vec<FiringRecord>>,
-    /// Delta-scheduler counters, when [`Scheduling::Delta`] ran.
-    pub sched: Option<SchedStats>,
     /// Join-network counters, when [`Scheduling::Rete`] ran.
     pub rete: Option<ReteStats>,
 }
@@ -173,8 +169,7 @@ pub struct ExecResult {
 /// [`Session::drain_stable`] output seeds the next stage's session.
 ///
 /// The cumulative result absorbs every stage's execution counters, its
-/// scheduler/network counters (`sched` sums the stages' [`SchedStats`]
-/// under [`Scheduling::Delta`], `rete` their [`ReteStats`] under
+/// network counters (`rete` sums the stages' [`ReteStats`] under
 /// [`Scheduling::Rete`]), and — when [`EngineConfig::record_trace`] is
 /// set — the stages' traces in stage order, numbered continuously.
 pub fn run_pipeline(
@@ -185,7 +180,6 @@ pub fn run_pipeline(
     let mut multiset = initial;
     let mut stats = ExecStats::new(0);
     let mut trace = (config.record_trace && matches!(config.engine, Engine::Seq)).then(Vec::new);
-    let mut sched: Option<SchedStats> = None;
     let mut rete: Option<ReteStats> = None;
     let mut last_status = Status::Stable;
     for stage in &pipeline.stages {
@@ -204,9 +198,6 @@ pub fn run_pipeline(
             }));
         }
         stats.absorb(&result.stats);
-        if let Some(s) = &result.sched {
-            sched.get_or_insert_with(SchedStats::default).absorb(s);
-        }
         if let Some(r) = &result.rete {
             rete.get_or_insert_with(ReteStats::default).absorb(r);
         }
@@ -219,7 +210,6 @@ pub fn run_pipeline(
         status: last_status,
         stats,
         trace,
-        sched,
         rete,
     })
 }

@@ -3,17 +3,16 @@
 //!
 //! The paper states the Gamma/dataflow equivalence over a *fixed* initial
 //! multiset, but a production system serves continuous traffic: reach
-//! steady state, **inject new elements, and resume**. The incremental
-//! machinery of the delta scheduler ([`crate::schedule`]) and the Rete
-//! join network ([`crate::rete`]) already maintains exact match memory
-//! across firings — the same insight as classic incremental production
-//! systems and differential dataflow — so rebuilding it per batch would
-//! throw the O(delta) away.
+//! steady state, **inject new elements, and resume**. The Rete join
+//! network ([`crate::rete`]) already maintains exact match memory across
+//! firings — the same insight as classic incremental production systems
+//! and differential dataflow — so rebuilding it per batch would throw
+//! the O(delta) away.
 //!
 //! A [`Session`] is the one way to run Γ. It owns the compiled program
-//! **and the live matcher state** (the [`ReteNetwork`], the
-//! [`DeltaScheduler`] worklist, or the parallel engine's sharded slices +
-//! bag + key directory) across any number of **waves**:
+//! **and the live matcher state** (the [`ReteNetwork`], or the parallel
+//! engine's sharded slices + bag + key directory) across any number of
+//! **waves**:
 //!
 //! ```text
 //! Session::build(&program)           // compile once
@@ -34,8 +33,8 @@
 //! elements available later. A confluent program therefore lands on the
 //! **byte-identical** final multiset a fresh one-shot run on the merged
 //! bag computes, while repeated waves pay only O(delta): injection feeds
-//! the existing delta worklist / join network / shard mailboxes instead
-//! of a full rebuild (harness step `S5` records the margin in
+//! the existing join network / shard mailboxes instead of a full
+//! rebuild (harness step `S5` records the margin in
 //! `BENCH_streaming.json`).
 //!
 //! One-shot callers use [`SessionBuilder::run`] (`start` +
@@ -47,7 +46,6 @@
 //! | engine | survives across waves | rebuilt per wave |
 //! |---|---|---|
 //! | `Seq` + `Rescan` | multiset, RNG stream | (nothing to keep) |
-//! | `Seq` + `Delta` | worklist + clean/dirty proof state | — |
 //! | `Seq` + `Rete` | alpha/beta memories, demoted (virtual) levels | — |
 //! | `Parallel(_)` | one parallel state: sharded bag, key directory, and per-worker network slices (`ShardedRete`) or dirty flags (`ProbeRetry`) | worker threads; delta mailboxes (`ShardedRete`) |
 //!
@@ -61,7 +59,6 @@ use crate::fault::{FaultPlan, WaveFaults};
 use crate::parallel::{ParEngine, ParResult, ParState, ParStats, RecoveryPolicy, WaveCtl};
 use crate::pool::WaveDispatch;
 use crate::rete::{ReteNetwork, ReteStats};
-use crate::schedule::{DeltaScheduler, SchedStats};
 use crate::seq::{ExecError, ExecResult, Scheduling, Selection, Status};
 use crate::spec::GammaProgram;
 use crate::telemetry::{
@@ -392,8 +389,6 @@ enum SeqMatcher {
     /// The rescanning reference keeps no memory; only the shuffled probe
     /// order persists (scratch, not state).
     Rescan { order: Vec<usize> },
-    /// The delta worklist and its clean/dirty proof state.
-    Delta(Box<DeltaScheduler>),
     /// The Rete join network: alpha/beta memories and which levels are
     /// virtual.
     Rete(Box<ReteNetwork>),
@@ -405,7 +400,6 @@ impl SeqMatcher {
             Scheduling::Rescan => SeqMatcher::Rescan {
                 order: (0..compiled.reactions.len()).collect(),
             },
-            Scheduling::Delta => SeqMatcher::Delta(Box::new(DeltaScheduler::new(compiled))),
             Scheduling::Rete => SeqMatcher::Rete(Box::new(ReteNetwork::with_watermark(
                 compiled,
                 bag,
@@ -419,8 +413,6 @@ impl SeqMatcher {
     /// deterministic first-match), or `None` when nothing is enabled.
     ///
     /// * Rescan searches every reaction from scratch — the reference.
-    /// * Delta re-searches only reactions reachable from elements
-    ///   produced since they last failed (see [`crate::schedule`]).
     /// * Rete asks [`ReteNetwork::next_firing`] for the reaction and its
     ///   tuple in one call; a drained network *is* the stability proof.
     ///   A searched reaction is decided by the very search that supplies
@@ -443,7 +435,6 @@ impl SeqMatcher {
                 }
                 Ok(compiled.find_any_fast(order, multiset, rng, scratch)?)
             }
-            SeqMatcher::Delta(scheduler) => Ok(scheduler.next_firing(compiled, multiset, rng)?),
             SeqMatcher::Rete(network) => {
                 let Some((reaction, found)) =
                     network.next_firing(compiled, multiset, rng.as_deref_mut())?
@@ -470,7 +461,6 @@ impl SeqMatcher {
     fn on_fired(&mut self, compiled: &CompiledProgram, multiset: &ElementBag, firing: &Firing) {
         match self {
             SeqMatcher::Rescan { .. } => {}
-            SeqMatcher::Delta(scheduler) => scheduler.on_fired(firing, USE_ANCHORS),
             SeqMatcher::Rete(network) => network.on_firing_applied(compiled, multiset, firing),
         }
     }
@@ -481,7 +471,6 @@ impl SeqMatcher {
     fn on_removed(&mut self, compiled: &CompiledProgram, multiset: &ElementBag, firing: &Firing) {
         match self {
             SeqMatcher::Rescan { .. } => {}
-            SeqMatcher::Delta(scheduler) => scheduler.on_fired_consumed_only(firing),
             SeqMatcher::Rete(network) => network.on_removed(compiled, multiset, &firing.consumed),
         }
     }
@@ -495,15 +484,10 @@ impl SeqMatcher {
     ) {
         match self {
             SeqMatcher::Rescan { .. } => {}
-            SeqMatcher::Delta(scheduler) => scheduler.on_inserted(elements, USE_ANCHORS),
             SeqMatcher::Rete(network) => network.on_inserted(compiled, multiset, elements),
         }
     }
 }
-
-/// Anchored probing is trace-preserving in both selection modes (see
-/// [`DeltaScheduler::next_firing`]), so the session always uses it.
-const USE_ANCHORS: bool = true;
 
 /// Engine state, persistent across waves.
 enum State {
@@ -542,9 +526,6 @@ pub struct Session {
     /// Lifetime level demotions of the sequential Rete network already
     /// reported in earlier `SpillActivity` events.
     seen_spill: u64,
-    /// Lifetime anchored-confirm searches already reported in earlier
-    /// `AnchoredConfirms` events.
-    seen_confirms: u64,
     /// Lifetime baseline → optimised VM re-compiles (see
     /// [`Session::maybe_tier_up`]).
     tier_ups: u64,
@@ -616,7 +597,6 @@ impl Session {
             ev: Cell::new(0),
             profiles,
             seen_spill: 0,
-            seen_confirms: 0,
             tier_ups: 0,
             dispatch: WaveDispatch::default(),
         };
@@ -632,7 +612,6 @@ impl Session {
         if let State::Seq { matcher, .. } = &self.state {
             match matcher {
                 SeqMatcher::Rescan { .. } => {}
-                SeqMatcher::Delta(s) => self.seen_confirms = s.stats.anchored_confirm_searches,
                 SeqMatcher::Rete(n) => self.seen_spill = n.stats.spill_demotions,
             }
         }
@@ -801,10 +780,8 @@ impl Session {
     pub fn drain_stable(&mut self) -> ElementBag {
         let drained = match &mut self.state {
             State::Seq { multiset, matcher } => {
-                // Only the Rete memories need resetting. The delta
-                // scheduler's "clean" proofs survive draining: removals
-                // never enable a reaction, so a reaction with no match
-                // keeps having none in the empty bag.
+                // Only the Rete memories need resetting; Rescan keeps
+                // nothing.
                 if let SeqMatcher::Rete(n) = matcher {
                     let stats = std::mem::take(&mut n.stats);
                     **n = ReteNetwork::with_watermark(
@@ -1039,27 +1016,23 @@ impl Session {
             .collect()
     }
 
-    /// Emit the wave-aggregate matcher events — sequential-Rete spill
-    /// activity and delta-scheduler anchored-confirm searches — as
-    /// deltas against the lifetime counters already reported.
+    /// Emit the wave-aggregate matcher event — sequential-Rete spill
+    /// activity — as a delta against the lifetime counter already
+    /// reported.
     fn emit_wave_aggregates(&mut self) {
-        let (spill, confirms) = (self.seen_spill, self.seen_confirms);
+        let spill = self.seen_spill;
         self.rebase_wave_aggregates();
         let demotions = self.seen_spill - spill;
         if demotions > 0 {
             self.emit(TraceEvent::SpillActivity { demotions });
         }
-        let searches = self.seen_confirms - confirms;
-        if searches > 0 {
-            self.emit(TraceEvent::AnchoredConfirms { searches });
-        }
     }
 
     /// Consume the session: the final multiset, the last wave's status,
     /// and the cumulative counters across all waves (including the
-    /// scheduler/network totals under `sched`/`rete`).
+    /// network totals under `rete`).
     pub fn finish(self) -> ExecResult {
-        let (sched, rete) = (self.sched_stats(), self.rete_stats());
+        let rete = self.rete_stats();
         ExecResult {
             multiset: match self.state {
                 State::Seq { multiset, .. } => multiset,
@@ -1068,7 +1041,6 @@ impl Session {
             status: self.last_status,
             stats: self.stats,
             trace: self.trace,
-            sched,
             rete,
         }
     }
@@ -1100,18 +1072,6 @@ impl Session {
                 matcher: SeqMatcher::Rete(n),
                 ..
             } => Some(n.stats.clone()),
-            _ => None,
-        }
-    }
-
-    /// The cumulative delta-scheduler counters, when delta scheduling is
-    /// live.
-    pub fn sched_stats(&self) -> Option<SchedStats> {
-        match &self.state {
-            State::Seq {
-                matcher: SeqMatcher::Delta(s),
-                ..
-            } => Some(s.stats.clone()),
             _ => None,
         }
     }
@@ -1187,15 +1147,6 @@ impl Session {
             reg.counter("gamma_par_waves_replayed_total", &[], par.waves_replayed);
             reg.counter("gamma_par_degraded_waves_total", &[], par.degraded_waves);
         }
-        if let Some(s) = self.sched_stats() {
-            reg.counter("gamma_sched_full_searches_total", &[], s.full_searches);
-            reg.counter("gamma_sched_anchored_probes_total", &[], s.anchored_probes);
-            reg.counter(
-                "gamma_sched_anchored_confirms_total",
-                &[],
-                s.anchored_confirm_searches,
-            );
-        }
         if let Some(r) = self.rete_stats() {
             reg.counter("gamma_rete_tokens_created_total", &[], r.tokens_created);
             reg.counter("gamma_rete_guard_rejects_total", &[], r.guard_rejects);
@@ -1215,10 +1166,10 @@ impl Session {
     /// position. Serialize the result with serde, persist it, and hand
     /// it to [`Session::restore`] later.
     ///
-    /// The matcher state itself (Rete memories, delta worklist, shard
-    /// slices) is *not* serialized — it is a pure function of the
-    /// multiset and is rebuilt exactly on restore, which is both smaller
-    /// on the wire and immune to pointer-shaped state going stale.
+    /// The matcher state itself (Rete memories, shard slices) is *not*
+    /// serialized — it is a pure function of the multiset and is rebuilt
+    /// exactly on restore, which is both smaller on the wire and immune
+    /// to pointer-shaped state going stale.
     /// Subsequent waves of a restored session reach finals
     /// byte-identical to the uninterrupted run's (the durability test
     /// matrix asserts this for every scheduler × engine combination),
@@ -1252,16 +1203,15 @@ impl Session {
             par: self.par_stats(),
             trace: self.trace.clone(),
             rng: self.rng.as_ref().map(|r| r.state()),
-            sched: self.sched_stats(),
             rete: self.rete_stats(),
             profiles: self.profiles.clone(),
         }
     }
 
     /// Resurrect a session from a [`SessionSnapshot`] of `program`: the
-    /// matcher state (Rete network / delta worklist / per-worker slices
-    /// and sharded bag) is rebuilt from the snapshot's multiset, the
-    /// key directory is preloaded, counters and the selection-RNG
+    /// matcher state (Rete network / per-worker slices and sharded bag)
+    /// is rebuilt from the snapshot's multiset, the key directory is
+    /// preloaded, counters and the selection-RNG
     /// position are restored, and the cumulative budget picks up where
     /// it left off. Fails with [`ExecError::Snapshot`] when the snapshot
     /// version or the program's reaction count does not match.
@@ -1284,14 +1234,11 @@ impl Session {
             )));
         }
         // Matcher state is a pure function of the bag, so a fresh build
-        // over the snapshot's multiset reproduces it exactly. (A fresh
-        // delta scheduler starts all-dirty, which preserves deterministic
-        // traces — the lowest-indexed enabled reaction is in the dirty
-        // set either way — and only costs one extra search per
-        // reaction.) VM tiers restart at baseline and re-tier at the next
-        // wave boundary off the restored profile counts: tier is a pure
-        // performance state, never behaviour, so the resumed run stays
-        // byte-identical to the uninterrupted one.
+        // over the snapshot's multiset reproduces it exactly. VM tiers
+        // restart at baseline and re-tier at the next wave boundary off
+        // the restored profile counts: tier is a pure performance state,
+        // never behaviour, so the resumed run stays byte-identical to the
+        // uninterrupted one.
         let mut session = Session::assemble(compiled, snapshot.config, snapshot.bag);
         if let (Some(rng), Some(state)) = (session.rng.as_mut(), snapshot.rng) {
             *rng = ChaCha8Rng::from_state(state);
@@ -1299,11 +1246,6 @@ impl Session {
         match &mut session.state {
             State::Seq { matcher, .. } => match matcher {
                 SeqMatcher::Rescan { .. } => {}
-                SeqMatcher::Delta(s) => {
-                    if let Some(stats) = snapshot.sched {
-                        s.stats = stats;
-                    }
-                }
                 SeqMatcher::Rete(n) => {
                     if let Some(stats) = snapshot.rete {
                         n.stats = stats;
@@ -1336,7 +1278,6 @@ fn engine_desc(config: &EngineConfig) -> String {
     match config.engine {
         Engine::Seq => match config.scheduling {
             Scheduling::Rescan => "seq/rescan".to_string(),
-            Scheduling::Delta => "seq/delta".to_string(),
             Scheduling::Rete => "seq/rete".to_string(),
         },
         Engine::Parallel(ParEngine::ShardedRete) => {
@@ -1358,7 +1299,10 @@ fn engine_desc(config: &EngineConfig) -> String {
 /// v3 bag's row order is the live-content insertion order the
 /// columnar buckets maintain, which restored deterministic waves key
 /// on. Pre-arena snapshots are rejected rather than silently replayed
-/// with a potentially different firing order.
+/// with a potentially different firing order. The shape has since only
+/// lost parts, within v3: a `sched` key (the counters of the deleted
+/// `Delta` scheduler) is ignored on load, and a config naming `Delta`
+/// fails to deserialise.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A serializable point-in-time capture of a [`Session`], produced by
@@ -1397,8 +1341,6 @@ pub struct SessionSnapshot {
     /// confluence-equivalently — the same stable final through a
     /// possibly different order — as Rete's rebuilt lanes already do.
     pub rng: Option<[u64; 4]>,
-    /// Cumulative delta-scheduler counters, when delta scheduling ran.
-    pub sched: Option<SchedStats>,
     /// Cumulative join-network counters, when Rete scheduling ran.
     pub rete: Option<ReteStats>,
     /// Cumulative per-reaction execution profiles (see
@@ -1407,7 +1349,7 @@ pub struct SessionSnapshot {
 }
 
 /// One sequential wave — the executable reading of Eq. (1): *if no
-/// reaction is enabled return M, else pick, apply, recurse*. The three
+/// reaction is enabled return M, else pick, apply, recurse*. The two
 /// schedulers differ only in how [`SeqMatcher::next_firing`] finds the
 /// pick; the loop around them exists once.
 ///
@@ -1647,7 +1589,6 @@ mod tests {
     fn drain_stable_resets_the_matcher() {
         for (engine, scheduling) in [
             (Engine::Seq, Scheduling::Rescan),
-            (Engine::Seq, Scheduling::Delta),
             (Engine::Seq, Scheduling::Rete),
             (Engine::Parallel(ParEngine::ShardedRete), Scheduling::Rete),
             (Engine::Parallel(ParEngine::ProbeRetry), Scheduling::Rete),

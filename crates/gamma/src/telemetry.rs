@@ -4,7 +4,7 @@
 //! work happens* — which reactions fire, which tokens match, which
 //! workers carry which dependency components — yet the coarse counter
 //! structs ([`ExecStats`](crate::trace::ExecStats), [`ParStats`](crate::parallel::ParStats),
-//! [`SchedStats`](crate::schedule::SchedStats), [`ReteStats`](crate::rete::ReteStats))
+//! [`ReteStats`](crate::rete::ReteStats))
 //! only report totals. This module makes the execution observable at the
 //! granularity the equivalence is stated at, in three layers:
 //!
@@ -12,8 +12,8 @@
 //!    [`EngineConfig`](crate::session::EngineConfig) receives typed
 //!    [`TraceEvent`]s wrapped in a [`TraceRecord`] envelope: wave
 //!    start/end, every firing (reaction, consumed/produced labels, match
-//!    latency), matcher phases (network build, spill activity, anchored
-//!    confirms), parallel-engine events (per-worker delta publish/process,
+//!    latency), matcher phases (network build, spill activity),
+//!    parallel-engine events (per-worker delta publish/process,
 //!    quarantine/replay, degrade-to-seq), and session lifecycle
 //!    (inject, snapshot, restore, plan explanation). Each record carries a
 //!    worker tag and a worker-local monotonic sequence number, so parallel
@@ -122,12 +122,6 @@ pub enum TraceEvent {
     SpillActivity {
         /// Join levels demoted to virtual this wave.
         demotions: u64,
-    },
-    /// Wave-aggregate anchored-confirm searches of the delta scheduler
-    /// (emitted only when nonzero).
-    AnchoredConfirms {
-        /// Anchored confirm searches this wave.
-        searches: u64,
     },
     /// A sharded worker published a just-claimed firing's net delta to
     /// the addressed mailboxes.
@@ -256,7 +250,6 @@ impl TraceRecord {
             TraceEvent::PlanExplained { .. } => "plan_explained",
             TraceEvent::ReteBuilt { .. } => "rete_built",
             TraceEvent::SpillActivity { .. } => "spill_activity",
-            TraceEvent::AnchoredConfirms { .. } => "anchored_confirms",
             TraceEvent::DeltaPublished { .. } => "delta_published",
             TraceEvent::DeltaProcessed { .. } => "delta_processed",
             TraceEvent::WaveQuarantined { .. } => "wave_quarantined",
@@ -540,8 +533,8 @@ impl Drop for JsonlSink {
 /// One reaction's cumulative execution profile — the row shape the
 /// ROADMAP's VM-tiering and shard-rebalancing cost models consume.
 /// Guard and token columns are maintained by the Rete-backed matchers
-/// (the rescanning/delta schedulers evaluate guards inside the search
-/// core and report zeros); timing columns fill only under
+/// (the rescanning scheduler evaluates guards inside the search core
+/// and reports zeros); timing columns fill only under
 /// [`SessionBuilder::profile`](crate::session::SessionBuilder::profile).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReactionProfile {

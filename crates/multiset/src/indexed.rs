@@ -50,24 +50,6 @@ pub struct ValueBucket {
     len: usize,
     /// Rows with a nonzero count.
     live_rows: usize,
-    /// Changed every time compaction renumbers rows. Cursors that cache a
-    /// physical row index ([`ValueBucket::iter_ids_from`]) compare epochs
-    /// to detect that their index went stale and must restart from 0.
-    ///
-    /// Drawn from a process-global counter (at construction and at every
-    /// compaction) rather than counting up from zero: empty buckets are
-    /// pruned from the bag index, so a `(label, tag)` bucket can be
-    /// dropped and later recreated, and a recreated bucket must never
-    /// present an epoch a cursor might have cached from its predecessor.
-    epoch: u64,
-}
-
-/// Allocator for [`ValueBucket::epoch`] values: every bucket instance and
-/// every compaction generation gets a value no other has ever had.
-fn next_bucket_epoch() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 #[derive(Clone)]
@@ -88,7 +70,6 @@ impl ValueBucket {
             by_slot: FxHashMap::default(),
             len: 0,
             live_rows: 0,
-            epoch: next_bucket_epoch(),
         }
     }
 
@@ -168,7 +149,6 @@ impl ValueBucket {
         if dead <= 8 || dead <= self.live_rows {
             return;
         }
-        self.epoch = next_bucket_epoch();
         self.rows.retain(|row| row.count > 0);
         self.by_slot.clear();
         for (i, row) in self.rows.iter().enumerate() {
@@ -210,16 +190,9 @@ impl ValueBucket {
             .flat_map(|(v, c)| std::iter::repeat_n(v, c))
     }
 
-    /// Compaction generation for this bucket. A physical row index cached
-    /// at epoch `e` is valid only while `epoch() == e`; compaction bumps
-    /// the epoch and invalidates every outstanding index.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Physical row count, dead rows included: the index space of
-    /// [`Self::row`], meaningful only at the current [`Self::epoch`].
+    /// [`Self::row`]. A removal may compact the bucket and renumber its
+    /// rows, so a row index is meaningful only until the next removal.
     #[inline]
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -232,34 +205,6 @@ impl ValueBucket {
     #[inline]
     pub fn row(&self, i: usize) -> Option<(&Value, usize)> {
         self.rows.get(i).map(|row| (row.value, row.count))
-    }
-
-    /// Iterate live rows starting at physical row `start`, yielding the
-    /// row index alongside the id/value/count triple.
-    ///
-    /// This is the resumable twin of [`ValueBucket::iter_ids`] that
-    /// frontier cursors use: a scheduler that has already established
-    /// that every row before `start` is dead or permanently rejected can
-    /// re-enter the scan in O(1) instead of re-walking the prefix. The
-    /// yielded index is only meaningful at the current [`Self::epoch`].
-    pub fn iter_ids_from(
-        &self,
-        start: usize,
-    ) -> impl Iterator<Item = (usize, ElemId, &Value, usize)> + '_ {
-        let label_index = self.label.index();
-        self.rows
-            .iter()
-            .enumerate()
-            .skip(start)
-            .filter(|(_, row)| row.count > 0)
-            .map(move |(i, row)| {
-                (
-                    i,
-                    ElemId::from_parts(label_index, row.slot),
-                    row.value,
-                    row.count,
-                )
-            })
     }
 }
 
@@ -794,71 +739,6 @@ mod tests {
         let bucket = bag.bucket(Symbol::intern("churn"), Tag(0)).unwrap();
         assert_eq!(bucket.distinct_len(), 1);
         assert_eq!(bucket.iter_counts().count(), 1);
-    }
-
-    #[test]
-    fn iter_ids_from_resumes_and_epoch_tracks_compaction() {
-        let mut bag = ElementBag::new();
-        for v in 0..8 {
-            bag.insert(e(v, "cur", 0));
-        }
-        let sym = Symbol::intern("cur");
-        let epoch0 = bag.bucket(sym, Tag(0)).unwrap().epoch();
-
-        // Tombstone rows 1 and 2: a resumed scan from row 1 must skip
-        // them and report physical indices, not live ordinals.
-        assert!(bag.remove(&e(1, "cur", 0)));
-        assert!(bag.remove(&e(2, "cur", 0)));
-        let bucket = bag.bucket(sym, Tag(0)).unwrap();
-        assert_eq!(bucket.epoch(), epoch0, "2 tombstones never compact");
-        let resumed: Vec<(usize, i64)> = bucket
-            .iter_ids_from(1)
-            .map(|(i, _, v, _)| (i, v.as_int().unwrap()))
-            .collect();
-        assert_eq!(resumed, vec![(3, 3), (4, 4), (5, 5), (6, 6), (7, 7)]);
-        // A full scan from 0 agrees with `iter_ids` row-for-row.
-        let all: Vec<i64> = bucket
-            .iter_ids_from(0)
-            .map(|(_, _, v, _)| v.as_int().unwrap())
-            .collect();
-        let via_ids: Vec<i64> = bucket
-            .iter_ids()
-            .map(|(_, v, _)| v.as_int().unwrap())
-            .collect();
-        assert_eq!(all, via_ids);
-
-        // Drive the bucket past the compaction threshold: the epoch must
-        // advance so cached row indices are detectably stale.
-        for v in 100..130 {
-            bag.insert(e(v, "cur", 0));
-        }
-        for v in 100..130 {
-            assert!(bag.remove(&e(v, "cur", 0)));
-        }
-        let bucket = bag.bucket(sym, Tag(0)).unwrap();
-        assert!(bucket.epoch() > epoch0, "compaction bumps the epoch");
-        let live: Vec<i64> = bucket
-            .iter_ids_from(0)
-            .map(|(_, _, v, _)| v.as_int().unwrap())
-            .collect();
-        assert_eq!(live, vec![0, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn recreated_bucket_never_reuses_an_epoch() {
-        // Empty buckets are pruned from the index; a successor bucket at
-        // the same (label, tag) must be distinguishable from every epoch
-        // its predecessor ever had, or a cached row cursor could skip
-        // fresh rows.
-        let mut bag = ElementBag::new();
-        let sym = Symbol::intern("reborn");
-        bag.insert(e(1, "reborn", 0));
-        let first = bag.bucket(sym, Tag(0)).unwrap().epoch();
-        assert!(bag.remove(&e(1, "reborn", 0)));
-        assert!(bag.bucket(sym, Tag(0)).is_none(), "empty buckets prune");
-        bag.insert(e(2, "reborn", 0));
-        let second = bag.bucket(sym, Tag(0)).unwrap().epoch();
-        assert_ne!(first, second);
     }
 
     fn arb_elem() -> impl Strategy<Value = Element> {

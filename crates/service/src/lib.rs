@@ -688,7 +688,7 @@ mod tests {
         let svc = ServiceRuntime::with_defaults();
         let program = doubler();
         let config = EngineConfig {
-            scheduling: Scheduling::Delta,
+            scheduling: Scheduling::Rescan,
             selection: Selection::Seeded(3),
             ..EngineConfig::default()
         };

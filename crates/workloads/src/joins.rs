@@ -23,7 +23,7 @@
 //! stable multiset) and confluent by construction — [`triangles`] keeps
 //! its triangles vertex-disjoint so greedy removal is order-independent —
 //! which is what lets the `S2` harness assert byte-identical finals
-//! across the `Rescan`/`Delta`/`Rete` engines under any selection policy.
+//! across the `Rescan`/`Rete` engines under any selection policy.
 
 use crate::classic::Workload;
 use gammaflow_gamma::expr::Expr;
@@ -254,7 +254,7 @@ mod tests {
     }
 
     fn run_all_engines(w: &Workload) {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             run_scheduling(w, scheduling, Selection::Deterministic);
             run_scheduling(w, scheduling, Selection::Seeded(7));
         }

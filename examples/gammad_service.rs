@@ -9,7 +9,7 @@
 //! ```
 
 use gammaflow::gamma::{
-    ElementSpec, EngineConfig, Expr, GammaProgram, Pattern, ReactionSpec, Scheduling,
+    ElementSpec, EngineConfig, Expr, GammaProgram, Pattern, ReactionSpec, Scheduling, Selection,
 };
 use gammaflow::multiset::value::BinOp;
 use gammaflow::multiset::{Element, ElementBag};
@@ -33,16 +33,17 @@ fn main() {
     .expect("trace file creates");
 
     // Three tenants; each may shape its own engine.
-    for (tenant, scheduling) in [
-        ("alice", Scheduling::Rete),
-        ("bob", Scheduling::Delta),
-        ("carol", Scheduling::Rescan),
+    for (tenant, scheduling, selection) in [
+        ("alice", Scheduling::Rete, Selection::Seeded(0)),
+        ("bob", Scheduling::Rescan, Selection::Seeded(7)),
+        ("carol", Scheduling::Rescan, Selection::Deterministic),
     ] {
         svc.register(
             tenant,
             &program,
             EngineConfig {
                 scheduling,
+                selection,
                 ..EngineConfig::default()
             },
             ElementBag::new(),

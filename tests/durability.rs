@@ -132,7 +132,7 @@ fn run_parallel_session(
 fn restored_seq_sessions_match_uninterrupted_finals() {
     for (name, program, initial) in &confluent_workloads() {
         let waves = split_waves(initial, 3);
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             for selection in [Selection::Deterministic, Selection::Seeded(5)] {
                 let uninterrupted = run_seq_session(program, &waves, scheduling, selection, None);
                 assert_eq!(uninterrupted.status, Status::Stable, "{name}");
@@ -320,6 +320,39 @@ fn restore_refuses_pre_arena_v2_and_accepts_v3() {
     }
 }
 
+/// Snapshots written while a third sequential scheduler (`Delta`) existed
+/// are still v3. Their extra `sched` key, null under every other
+/// scheduler, is ignored on load; a config naming `Delta` fails to
+/// deserialise with an error instead of a panic.
+#[test]
+fn v3_snapshots_with_a_sched_key_or_delta_config_load_or_fail_cleanly() {
+    let w = windowed_sum(3, 2, 4, 7);
+    let mut session = Session::build(&w.program)
+        .scheduling(Scheduling::Rete)
+        .start(w.initial.clone())
+        .expect("program compiles");
+    for wave in &w.waves[..2] {
+        assert!(session.inject(wave.iter().cloned()).is_accepted());
+        session.run_to_stable().expect("wave runs");
+    }
+    let json = serde_json::to_string(&session.snapshot_state()).expect("snapshot serializes");
+    assert!(
+        json.starts_with('{') && !json.contains("\"sched\""),
+        "{json}"
+    );
+
+    let with_sched = json.replacen('{', "{\"sched\":null,", 1);
+    let snap: SessionSnapshot =
+        serde_json::from_str(&with_sched).expect("an unknown `sched` key is ignored");
+    assert_eq!(snap.version, 3);
+    let restored = Session::restore(&w.program, snap).expect("restore succeeds");
+    assert_eq!(restored.snapshot(), session.snapshot());
+
+    let delta = json.replacen("\"scheduling\":\"Rete\"", "\"scheduling\":\"Delta\"", 1);
+    assert_ne!(delta, json, "the config names its scheduler");
+    assert!(serde_json::from_str::<SessionSnapshot>(&delta).is_err());
+}
+
 /// `Status::BudgetExhausted` is a pause, not a failure: granting more
 /// budget mid-stream and re-running converges to the same final the
 /// unconstrained run computes (sequential engines, every scheduling).
@@ -333,7 +366,7 @@ fn seq_budget_exhaustion_resumes_after_grant() {
         if reference.stats.firings_total() <= 5 {
             continue;
         }
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             let mut session = Session::build(program)
                 .scheduling(scheduling)
                 .budget(5)
@@ -417,7 +450,7 @@ fn parallel_budget_exhaustion_resumes_after_grant() {
 #[test]
 fn restore_after_budget_exhaustion_finishes_to_the_same_final() {
     for (name, program, initial) in &confluent_workloads() {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             let reference = {
                 let mut s = Session::build(program)
                     .scheduling(scheduling)

@@ -49,7 +49,7 @@ fn count_kind(records: &[TraceRecord], kind: &str) -> u64 {
 #[test]
 fn deterministic_seq_traces_are_byte_identical() {
     let w = divisor_sieve(40);
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
         let run = |path: &str| {
             let sink = JsonlSink::create(path).expect("trace file creates");
             let mut session = Session::build(&w.program)
@@ -126,7 +126,7 @@ fn firing_events_conserve_exec_stats_across_engines() {
     let w = cross_sum(32);
     let nreactions = w.program.reactions.len();
     let mut cells: Vec<(String, Engine, Scheduling)> = Vec::new();
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
         cells.push((format!("seq/{scheduling:?}"), Engine::Seq, scheduling));
     }
     let mut parallel: Vec<(String, Engine, usize)> = Vec::new();

@@ -1,17 +1,16 @@
-//! Scheduling regression: the incremental engines (delta worklist and
-//! rete join network) must be observationally indistinguishable from the
-//! rescanning reference.
+//! Scheduling regression: the incremental engine (the rete join network)
+//! must be observationally indistinguishable from the rescanning
+//! reference.
 //!
 //! On random converted-dataflow programs, the classic Gamma repertoire,
 //! and the guard-heavy join workloads:
 //!
 //! * under any selection policy, all engines reach the same stable
 //!   multiset (byte-identical, not just projected);
-//! * under `Selection::Deterministic`, both incremental engines replay the
-//!   rescanning reference's *exact firing trace* — the delta scheduler
-//!   only skips provably-disabled reactions, and the rete network only
-//!   answers "which reaction is enabled" from memory; neither changes a
-//!   choice.
+//! * under `Selection::Deterministic`, the incremental engine replays the
+//!   rescanning reference's *exact firing trace* — the rete network only
+//!   answers "which reaction is enabled" from memory, or by the very
+//!   search the reference runs; it never changes a choice.
 
 use gammaflow::core::dataflow_to_gamma;
 use gammaflow::gamma::{
@@ -42,7 +41,7 @@ fn run_with(
         .expect("run succeeds")
 }
 
-/// Deterministic selection: trace-identical replay for every incremental
+/// Deterministic selection: trace-identical replay of the incremental
 /// engine against the rescanning reference.
 fn assert_trace_identical(program: &GammaProgram, initial: &ElementBag) {
     let rescan = run_with(
@@ -51,23 +50,21 @@ fn assert_trace_identical(program: &GammaProgram, initial: &ElementBag) {
         Selection::Deterministic,
         Scheduling::Rescan,
     );
-    for scheduling in [Scheduling::Delta, Scheduling::Rete] {
-        let engine = run_with(program, initial, Selection::Deterministic, scheduling);
-        assert_eq!(rescan.status, engine.status, "{scheduling:?} status");
-        assert_eq!(rescan.multiset, engine.multiset, "{scheduling:?} multiset");
-        assert_eq!(
-            rescan.stats.firings_per_reaction, engine.stats.firings_per_reaction,
-            "{scheduling:?}: per-reaction firing counts diverged"
-        );
-        assert_eq!(
-            rescan.trace, engine.trace,
-            "{scheduling:?}: deterministic traces diverged — the engine changed a selection"
-        );
-    }
+    let rete = run_with(program, initial, Selection::Deterministic, Scheduling::Rete);
+    assert_eq!(rescan.status, rete.status, "status");
+    assert_eq!(rescan.multiset, rete.multiset, "multiset");
+    assert_eq!(
+        rescan.stats.firings_per_reaction, rete.stats.firings_per_reaction,
+        "per-reaction firing counts diverged"
+    );
+    assert_eq!(
+        rescan.trace, rete.trace,
+        "deterministic traces diverged — the engine changed a selection"
+    );
 }
 
-/// Seeded selection: same stable multiset on confluent programs, across
-/// every engine.
+/// Seeded selection: same stable multiset on confluent programs under
+/// both matchers.
 fn assert_confluent_outcome(program: &GammaProgram, initial: &ElementBag, seed: u64) {
     let rescan = run_with(
         program,
@@ -76,21 +73,19 @@ fn assert_confluent_outcome(program: &GammaProgram, initial: &ElementBag, seed: 
         Scheduling::Rescan,
     );
     assert_eq!(rescan.status, Status::Stable);
-    for scheduling in [Scheduling::Delta, Scheduling::Rete] {
-        let engine = run_with(program, initial, Selection::Seeded(seed), scheduling);
-        assert_eq!(engine.status, Status::Stable);
-        assert_eq!(
-            rescan.multiset, engine.multiset,
-            "{scheduling:?}: stable multisets diverged under seed {seed}"
-        );
-    }
+    let rete = run_with(program, initial, Selection::Seeded(seed), Scheduling::Rete);
+    assert_eq!(rete.status, Status::Stable);
+    assert_eq!(
+        rescan.multiset, rete.multiset,
+        "stable multisets diverged under seed {seed}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random converted-dataflow programs: deterministic delta scheduling
-    /// replays the rescanning trace exactly.
+    /// Random converted-dataflow programs: deterministic delta-driven
+    /// matching (the rete network) replays the rescanning trace exactly.
     #[test]
     fn prop_delta_replays_rescan_trace(
         seed in 0u64..10_000,
@@ -104,7 +99,8 @@ proptest! {
     }
 
     /// Random converted-dataflow programs under seeded nondeterminism:
-    /// both engines stabilise on the same multiset (the programs are
+    /// delta-driven matching and the rescanning reference stabilise on
+    /// the same multiset (the programs are
     /// confluent by construction — they compute the DAG's outputs).
     #[test]
     fn prop_delta_matches_rescan_seeded(
@@ -197,27 +193,6 @@ fn rete_is_the_default_scheduler() {
     }
 }
 
-#[test]
-fn delta_engine_reaches_expected_results() {
-    // End-to-end: the delta worklist engine computes the workloads'
-    // self-check references.
-    for w in [minimum(&[6, 1, 9]), sum(&[1, 2, 3, 4]), primes(60)] {
-        let result = Session::build(&w.program)
-            .config(EngineConfig {
-                selection: Selection::Seeded(3),
-                scheduling: Scheduling::Delta,
-                ..EngineConfig::default()
-            })
-            .run(w.initial.clone())
-            .unwrap();
-        assert_eq!(result.status, Status::Stable);
-        assert_eq!(result.multiset, w.expected, "workload {}", w.name);
-        let sched = result.sched.expect("delta scheduling reports its stats");
-        assert!(sched.full_searches > 0);
-        assert!(sched.authoritative_confirms >= 1);
-    }
-}
-
 /// One wave in maximal parallel steps: the result plus the per-step
 /// firing counts.
 fn run_max_parallel(builder: SessionBuilder<'_>, initial: ElementBag) -> (ExecResult, Vec<usize>) {
@@ -232,7 +207,7 @@ fn max_parallel_budget_counts_each_firing_once() {
     // firings. A budget of 20 must allow exactly 20 firings (the old
     // check double-counted the in-step firings and stopped at 10).
     let w = sum(&(1..=64).collect::<Vec<i64>>());
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
         let (result, _profile) = run_max_parallel(
             Session::build(&w.program)
                 .budget(20)
@@ -261,11 +236,8 @@ fn max_parallel_steps_agree_across_schedulers() {
         )
     };
     let (rescan, rescan_profile) = run(Scheduling::Rescan);
-    let (delta, delta_profile) = run(Scheduling::Delta);
     let (rete, rete_profile) = run(Scheduling::Rete);
-    assert_eq!(rescan.multiset, delta.multiset);
     assert_eq!(rescan.multiset, rete.multiset);
-    assert_eq!(rescan_profile, delta_profile);
     assert_eq!(rescan_profile, rete_profile);
     assert_eq!(rescan_profile, vec![8, 4, 2, 1]);
 }
@@ -600,12 +572,7 @@ fn rete_guard_pushdown_is_observable_on_triangles() {
 /// fires independently, at most once), so seeded sessions are the right
 /// vehicle at this size — deterministic-selection enumeration re-sorts
 /// the full candidate set per firing and is quadratic at 10^5; smaller
-/// suites pin trace equality. The delta scheduler is cross-checked at
-/// the full 10^5: its post-firing re-search resumes from a per-bucket
-/// frontier cursor (single-position reactions skip rows already proven
-/// dead or permanently guard-rejected), which removed the old
-/// restart-from-bucket-head quadratic. The stabilised bag also
-/// round-trips through a snapshot, re-interning on restore to the
+/// suites pin trace equality. The stabilised bag also round-trips through a snapshot, re-interning on restore to the
 /// identical bytes.
 #[test]
 fn large_stream_100k_elements_byte_identical() {
@@ -671,11 +638,6 @@ fn large_stream_100k_elements_byte_identical() {
         "parallel finals diverged from the sequential reference"
     );
 
-    // Delta cross-check at the full size: linear thanks to the
-    // frontier-cursor re-search (see the doc comment).
-    let delta = run_session(Scheduling::Delta, &initial, 100_000);
-    assert_eq!(delta, rete, "sequential finals diverged");
-
     // The same stream through a snapshot at scale: capture after
     // stabilising, restore, and the restored bag re-interns to the
     // byte-identical multiset.
@@ -721,7 +683,7 @@ fn assert_outcome_everywhere(
     initial: &ElementBag,
 ) -> Result<(Status, ElementBag, u64), ExecError> {
     let mut reference = None;
-    for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+    for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
         for selection in [Selection::Deterministic, Selection::Seeded(7)] {
             for rete_watermark in [0, 1, 2, DEFAULT_SPILL_WATERMARK] {
                 for inject in [false, true] {
@@ -840,7 +802,7 @@ fn keyed_buckets_with_several_values_reach_rescan_final() {
     .into_iter()
     .collect();
     for seed in 0..4 {
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             for selection in [Selection::Deterministic, Selection::Seeded(seed)] {
                 for inject in [false, true] {
                     let config = EngineConfig {

@@ -39,10 +39,10 @@ fn engine_matrix() -> Vec<(&'static str, EngineConfig)> {
             },
         ),
         (
-            "seq/delta/seeded",
+            "seq/rescan/seeded",
             EngineConfig {
                 engine: Engine::Seq,
-                scheduling: Scheduling::Delta,
+                scheduling: Scheduling::Rescan,
                 selection: Selection::Seeded(11),
                 ..EngineConfig::default()
             },

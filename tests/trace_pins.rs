@@ -15,23 +15,18 @@ use gammaflow::gamma::{FiringRecord, GammaProgram, Scheduling, Selection, Sessio
 use gammaflow::multiset::ElementBag;
 use gammaflow::workloads::{accumulator_loop, primes, sum};
 
-const SCHEDULINGS: [Scheduling; 3] = [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete];
+const SCHEDULINGS: [Scheduling; 2] = [Scheduling::Rescan, Scheduling::Rete];
 const SELECTIONS: [Selection; 2] = [Selection::Deterministic, Selection::Seeded(7)];
 
 /// Digests in loop order: program × scheduling × selection × {plain,
 /// max-parallel}.
-const PINS: [u64; 36] = [
+const PINS: [u64; 24] = [
     // primes(30)
     // Rescan: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x80fa_9eb0_5bfc_3dd5,
     0xfe4f_8301_b422_329f,
     0x3ae2_3198_b8d7_a70f,
     0x387b_7371_21b7_bc6a,
-    // Delta: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
-    0x80fa_9eb0_5bfc_3dd5,
-    0xfe4f_8301_b422_329f,
-    0x0aea_d8a5_4bdb_e91b,
-    0x8c35_a83e_1568_0d1d,
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x80fa_9eb0_5bfc_3dd5,
     0xfe4f_8301_b422_329f,
@@ -43,11 +38,6 @@ const PINS: [u64; 36] = [
     0x670f_d765_010c_bc61,
     0x9138_7c2a_0a76_2a1e,
     0x220f_3547_56cb_0ea1,
-    // Delta: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
-    0x0a8e_2c13_9e91_f552,
-    0x670f_d765_010c_bc61,
-    0x2ae8_b4f4_8ee2_e290,
-    0xb4ad_1c00_5773_d3dd,
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x0a8e_2c13_9e91_f552,
     0x670f_d765_010c_bc61,
@@ -59,11 +49,6 @@ const PINS: [u64; 36] = [
     0xb044_9927_e0a1_5a0f,
     0x4ddf_28fa_9ce3_0c67,
     0x2e71_a471_7f0b_699d,
-    // Delta: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
-    0x4419_deee_e256_a3bd,
-    0xb044_9927_e0a1_5a0f,
-    0x5e84_5642_8c41_63a5,
-    0x57b7_b8cc_1943_fe75,
     // Rete: Deterministic plain, max-parallel; Seeded(7) plain, max-parallel
     0x4419_deee_e256_a3bd,
     0xb044_9927_e0a1_5a0f,

@@ -366,7 +366,7 @@ fn run_waves(
 fn forced_mid_run_tier_up_preserves_traces_and_finals() {
     for w in [divisor_sieve(80), cross_sum(48)] {
         let mut cells: Vec<(String, Engine, Scheduling, usize)> = Vec::new();
-        for scheduling in [Scheduling::Rescan, Scheduling::Delta, Scheduling::Rete] {
+        for scheduling in [Scheduling::Rescan, Scheduling::Rete] {
             cells.push((format!("seq/{scheduling:?}"), Engine::Seq, scheduling, 1));
         }
         for engine in [ParEngine::ShardedRete, ParEngine::ProbeRetry] {
