@@ -56,12 +56,13 @@ struct Envelope {
 /// envelope around one.
 fn retired_kind(line: &str) -> Option<&'static str> {
     let envelope: Envelope = serde_json::from_str(line).ok()?;
-    let kind = match &envelope.event {
-        serde_json::Value::Map(fields) if fields.len() == 1 => fields[0].0.as_str(),
-        serde_json::Value::Str(kind) => kind.as_str(),
-        _ => return None,
+    let serde_json::Value::Map(fields) = &envelope.event else {
+        return None;
     };
-    RETIRED_KINDS.iter().copied().find(|k| *k == kind)
+    let [(kind, _)] = fields.as_slice() else {
+        return None;
+    };
+    RETIRED_KINDS.iter().copied().find(|k| k == kind)
 }
 
 /// The records of one trace file, filtered to a tenant if one is given.

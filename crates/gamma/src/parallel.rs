@@ -123,8 +123,8 @@ use std::time::Duration;
 /// Per-reaction dirty flags shared by all workers: a cleared flag means
 /// "some worker's sampled probe found nothing for this reaction and no
 /// potentially-enabling element has been produced since". Workers skip
-/// clean reactions when probing — the parallel image of the sequential
-/// delta worklist. The flags are *heuristic* (sampled probes under-read
+/// clean reactions when probing; produced elements re-arm their
+/// dependents through the [`DependencyIndex`]. The flags are *heuristic* (sampled probes under-read
 /// and clearing races with concurrent producers); termination never
 /// depends on them because the snapshot check stays exact over every
 /// reaction.
